@@ -11,13 +11,11 @@ from .ratpoly import (
     Poly,
     Ring,
     Series,
-    coefficient_of,
     elementary_symmetric,
     eval_series,
     exp_series,
     parse_poly,
     render_poly,
-    series_reciprocal,
     symmetrize,
 )
 from .rootdata import RootData, Subgroup, e_product, root_euler_class, unitary_roots
@@ -60,13 +58,11 @@ __all__ = [
     "Poly",
     "Ring",
     "Series",
-    "coefficient_of",
     "elementary_symmetric",
     "eval_series",
     "exp_series",
     "parse_poly",
     "render_poly",
-    "series_reciprocal",
     "symmetrize",
     "RootData",
     "Subgroup",

@@ -162,8 +162,8 @@ def _positive_weights(
 def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
     """Index of the twisted Dolbeault operator on the torus quotient:
     the integral of ch(V) * Td(tangent)."""
-    integrand = chern_character(V) * mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
-    return integrate_torus(m, integrand)
+    td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
+    return integrate_torus(m, chern_character(V), td)
 
 
 def index_group(
@@ -184,8 +184,7 @@ def index_group(
         raise ValueError("bundle lives in the wrong ring")
     E = root_bundle(m.ring, _positive_weights(m, positive, subgroup))
     td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
-    integrand = chern_character(V_lift) * td * lambda_alternating_ch(E)
-    return integrate_torus(m, integrand)
+    return integrate_torus(m, chern_character(V_lift), td, lambda_alternating_ch(E))
 
 
 def index_group_two_term(
@@ -214,19 +213,14 @@ def index_group_two_term(
 # -- characteristic numbers --------------------------------------------------
 
 
-def _weyl_prefactor(m: QuotientModel) -> Fraction:
-    return Fraction(1, m.root_data.weyl_order) * m.orbifold_prefactor
-
-
 def euler_characteristic(m: QuotientModel) -> Fraction:
     """Euler characteristic of the nonabelian quotient: the prefactored torus
     integral of c(tangent) * prod e(alpha)/(1 + e(alpha))."""
     D = m.ring.top_degree
-    integrand = mult_class(total_chern_series(D), m.tangent_bundle)
     factor = euler_factor_series(D)
-    for w in m.root_data.roots:
-        integrand = integrand * eval_series(factor, root_euler_class(m.ring, w))
-    return _weyl_prefactor(m) * integrate_torus(m, integrand)
+    roots = [eval_series(factor, root_euler_class(m.ring, w)) for w in m.root_data.roots]
+    c = mult_class(total_chern_series(D), m.tangent_bundle)
+    return m.prefactor() * integrate_torus(m, c, *roots)
 
 
 def signature(m: QuotientModel) -> Fraction:
@@ -235,11 +229,10 @@ def signature(m: QuotientModel) -> Fraction:
     if m.quotient_dim % 2 == 1:
         return Fraction(0)
     D = m.ring.top_degree
-    integrand = mult_class(l_class_series(D), m.tangent_bundle)
     th = tanh_series(D)
-    for w in m.root_data.roots:
-        integrand = integrand * eval_series(th, root_euler_class(m.ring, w))
-    return _weyl_prefactor(m) * integrate_torus(m, integrand)
+    roots = [eval_series(th, root_euler_class(m.ring, w)) for w in m.root_data.roots]
+    L = mult_class(l_class_series(D), m.tangent_bundle)
+    return m.prefactor() * integrate_torus(m, L, *roots)
 
 
 def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
@@ -250,5 +243,4 @@ def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
         raise ValueError("a multiplicative class series must have constant term 1")
     roots_bundle = root_bundle(m.ring, m.root_data.roots)
     virtual = m.tangent_bundle + roots_bundle.negated()
-    integrand = mult_class(f, virtual) * m.e_class()
-    return _weyl_prefactor(m) * integrate_torus(m, integrand)
+    return m.prefactor() * integrate_torus(m, mult_class(f, virtual), m.e_class())

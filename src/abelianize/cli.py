@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Every subcommand prints exact rationals (never decimals), supports text and
-CSV output, and is deterministic byte-for-byte for identical inputs.  Exit
-status is 0 on success, 2 on configuration or usage errors, and 3 when an
-oracle check finds a mismatch.
+Every subcommand prints exact rationals (never decimals) and is deterministic
+byte-for-byte for identical inputs.  Exit status is 0 on success, 2 on
+configuration or usage errors, and 3 when an oracle check finds a mismatch.
 """
 
 from __future__ import annotations
@@ -84,6 +83,13 @@ def _subgroup_of(args, m: QuotientModel):
 # -- subcommands --------------------------------------------------------------
 
 
+def _pieri_pairing(m: QuotientModel, exps: Sequence[int]) -> Fraction:
+    """The Pieri oracle's Grassmannian pairing scaled by the model's orbifold
+    prefactor, which multiplies every integral of the model."""
+    n = m.ring.truncations[0]
+    return m.orbifold_prefactor * schubert.oracle_chern_pairing(m.ring.k, n, exps)
+
+
 def _cmd_pairing(args, out) -> int:
     m = _load_model(args)
     k = m.ring.k
@@ -97,7 +103,7 @@ def _cmd_pairing(args, out) -> int:
             value = chern_pairing(m, exps)
             cell = ",".join(str(x) for x in exps)
             if args.oracle:
-                check = schubert.oracle_chern_pairing(k, m.ring.truncations[0], exps)
+                check = _pieri_pairing(m, exps)
                 if check != value:
                     print(
                         f"mismatch at {cell}: pairing {_fmt(value)} vs oracle {_fmt(check)}",
@@ -114,7 +120,7 @@ def _cmd_pairing(args, out) -> int:
     exps = _parse_exps(args.exps, k)
     value = chern_pairing(m, exps)
     if args.oracle:
-        check = schubert.oracle_chern_pairing(k, m.ring.truncations[0], exps)
+        check = _pieri_pairing(m, exps)
         if check != value:
             print(
                 f"mismatch: pairing {_fmt(value)} vs oracle {_fmt(check)}",
@@ -285,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p: argparse.ArgumentParser, subgroup: bool = True):
+    def add_model_args(
+        p: argparse.ArgumentParser, subgroup: bool = True, csv: bool = False, latex: bool = False
+    ):
         p.add_argument(
             "--grassmannian",
             nargs=2,
@@ -294,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="use the builtin Grassmannian model G(K,N)",
         )
         p.add_argument("--config", help="path to a JSON model configuration")
-        p.add_argument("--format", choices=["text", "csv"], default="text")
-        p.add_argument("--latex", action="store_true", help="render fractions for papers")
+        if csv:
+            p.add_argument("--format", choices=["text", "csv"], default="text")
+        if latex:
+            p.add_argument("--latex", action="store_true", help="render fractions for papers")
         if subgroup:
             p.add_argument(
                 "--subgroup",
@@ -304,42 +314,42 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("pairing", help="pair monomials in dual-tautological Chern classes")
-    add_model_args(p, subgroup=False)
+    add_model_args(p, subgroup=False, csv=True, latex=True)
     p.add_argument("--exps", help="comma-separated exponents m_1,...,m_k")
     p.add_argument("--table", action="store_true", help="emit all top-degree pairings")
     p.add_argument("--oracle", action="store_true", help="cross-check against the Pieri oracle")
     p.set_defaults(func=_cmd_pairing)
 
     p = sub.add_parser("integrate", help="integrate a lifted class over the quotient")
-    add_model_args(p)
+    add_model_args(p, latex=True)
     p.add_argument("expr", help="polynomial in the canonical grammar, e.g. 'u1^3*u2^3'")
     p.add_argument("--torus", action="store_true", help="integrate over the torus quotient")
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("betti", help="Betti numbers of the quotient presentation")
-    add_model_args(p)
+    add_model_args(p, csv=True)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("presentation", help="degreewise presentation report")
-    add_model_args(p)
+    add_model_args(p, csv=True)
     p.set_defaults(func=_cmd_presentation)
 
     p = sub.add_parser("euler", help="Euler characteristic of the quotient")
-    add_model_args(p, subgroup=False)
+    add_model_args(p, subgroup=False, latex=True)
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("signature", help="signature of the quotient")
-    add_model_args(p, subgroup=False)
+    add_model_args(p, subgroup=False, latex=True)
     p.set_defaults(func=_cmd_signature)
 
     p = sub.add_parser("charnum", help="characteristic number for a multiplicative class")
-    add_model_args(p, subgroup=False)
+    add_model_args(p, subgroup=False, latex=True)
     p.add_argument("--class", dest="klass", default="total-chern", help="named series")
     p.add_argument("--series", help="custom series as rational coefficients c0,c1,...")
     p.set_defaults(func=_cmd_charnum)
 
     p = sub.add_parser("index", help="index of the twisted operator on the quotient")
-    add_model_args(p)
+    add_model_args(p, latex=True)
     p.add_argument(
         "--line",
         action="append",
@@ -357,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grassmannian", nargs=2, type=int, metavar=("K", "N"))
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.add_argument("--latex", action="store_true")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("config-dump", help="serialize the model back to config JSON")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
 from .rootdata import Subgroup
-from .quotient import QuotientModel, integrate_group
+from .quotient import QuotientModel, integrate_torus
 
 Matrix = list[list[Fraction]]
 
@@ -209,9 +209,9 @@ def pairing_matrix(
     top = quotient_top_degree(m, subgroup)
     if not 0 <= d <= top:
         raise ValueError(f"degree {d} out of range 0..{top}")
-    left = invariant_basis(m, d)
-    right = invariant_basis(m, top - d)
-    return [[integrate_group(m, a * b, subgroup) for b in right] for a in left]
+    pre, e = m.prefactor(subgroup), m.e_class(subgroup)
+    columns = [b * e for b in invariant_basis(m, top - d)]
+    return [[pre * integrate_torus(m, a, be) for be in columns] for a in invariant_basis(m, d)]
 
 
 def signature_from_pairing(m: QuotientModel) -> Fraction:

@@ -5,17 +5,18 @@ truncated ring presenting the torus quotient's cohomology, root data for the
 nonabelian group, the (split) tangent bundle of the torus quotient, an
 orbifold prefactor, and the Weyl action on the ring variables.
 
-Integration over the torus quotient is coefficient extraction at the unique
-top monomial.  Integration over the nonabelian quotient multiplies a lifted
-class by the product of all root Euler classes and divides by the Weyl group
-order; the full-rank-subgroup variant swaps in the complement roots and the
-ratio of Weyl orders.
+Every formula is one prefactor, `QuotientModel.prefactor`, times one
+operation, `integrate_torus`: the coefficient of the unique top monomial in a
+product of factors.  Integration over the nonabelian quotient multiplies a
+lifted class by the product of all root Euler classes and divides by the Weyl
+group order; the full-rank-subgroup variant swaps in the complement roots and
+the ratio of Weyl orders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from operator import sub
 from typing import Iterable, Sequence
 
 from .ratpoly import (
@@ -24,7 +25,6 @@ from .ratpoly import (
     Ring,
     check_permutation,
     elementary_symmetric,
-    generate_permutation_group,
     rat,
 )
 from .rootdata import (
@@ -104,13 +104,11 @@ class QuotientModel:
     __slots__ = (
         "ring",
         "root_data",
-        "integration_exponents",
         "tangent_bundle",
         "orbifold_prefactor",
         "weyl_action",
         "subgroup",
         "_e_cache",
-        "_weyl_group",
     )
 
     def __init__(
@@ -162,13 +160,11 @@ class QuotientModel:
                 raise ValueError("subgroup Weyl order must divide the group's Weyl order")
         self.ring = ring
         self.root_data = root_data
-        self.integration_exponents = ring.top_exponents
         self.tangent_bundle = tangent_bundle
         self.orbifold_prefactor = prefactor
         self.weyl_action = action
         self.subgroup = subgroup
         self._e_cache: dict = {}
-        self._weyl_group: tuple[Perm, ...] | None = None
 
     @property
     def quotient_dim(self) -> int:
@@ -178,19 +174,21 @@ class QuotientModel:
     def e_class(self, subgroup: Subgroup | None = None) -> Poly:
         """Product of root Euler classes: all roots, or the complement of a
         full-rank subgroup's roots."""
-        key = subgroup
-        if key not in self._e_cache:
-            if subgroup is None:
-                self._e_cache[key] = e_product(self.ring, self.root_data, "all")
-            else:
-                self._e_cache[key] = e_product(self.ring, self.root_data, "complement", subgroup)
-        return self._e_cache[key]
+        if subgroup not in self._e_cache:
+            roots = self.root_data.roots
+            if subgroup is not None:
+                inside = set(subgroup.roots)
+                if not inside <= set(roots):
+                    raise ValueError("subgroup roots must be contained in the model's roots")
+                roots = tuple(w for w in roots if w not in inside)
+            self._e_cache[subgroup] = e_product(self.ring, roots)
+        return self._e_cache[subgroup]
 
-    def weyl_group(self) -> tuple[Perm, ...]:
-        """All elements of the group generated by the Weyl action."""
-        if self._weyl_group is None:
-            self._weyl_group = tuple(generate_permutation_group(self.weyl_action, self.ring.k))
-        return self._weyl_group
+    def prefactor(self, subgroup: Subgroup | None = None) -> Fraction:
+        """|W(H)|/|W(G)| times the orbifold prefactor, H being the full-rank
+        subgroup or, without one, the torus (|W(H)| = 1)."""
+        inner = 1 if subgroup is None else subgroup.weyl_order
+        return Fraction(inner, self.root_data.weyl_order) * self.orbifold_prefactor
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientModel):
@@ -224,54 +222,54 @@ def grassmannian_model(k: int, n: int) -> QuotientModel:
     return QuotientModel(ring, unitary_roots(k), SplitBundle(ring, summands))
 
 
-def integrate_torus(m: QuotientModel, p: Poly) -> Fraction:
-    """Integral over the torus quotient: the top-monomial coefficient."""
-    if p.ring != m.ring:
+def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
+    """Integral over the torus quotient of the product of the factors: its
+    top-monomial coefficient, the one place a top coefficient is read.
+
+    The product is never formed in full.  Factors are taken smallest first;
+    each partial product keeps only the degrees that can still reach the top
+    once the lowest degrees of the remaining factors are added, and the
+    largest factor is paired with it by complementary exponents.
+    """
+    factors = sorted((p, *factors), key=lambda f: len(f.terms))
+    if any(f.ring != m.ring for f in factors):
         raise ValueError("polynomial lives in the wrong ring")
-    return Fraction(p.terms.get(m.integration_exponents, 0))
+    if not factors[0].terms:  # sorted, so a zero factor comes first
+        return Fraction(0)
+    top = m.ring.top_exponents
+    *head, last = factors
+    if not head:
+        return Fraction(last.terms.get(top, 0))
+    lows = [min(map(sum, f.terms)) for f in factors]
+    degree = m.ring.top_degree - sum(lows[1:])  # highest degree that can still reach the top
+    acc = head[0]
+    for f, low in zip(head[1:], lows[1:]):
+        degree += low
+        acc = acc.product_upto(f, degree)
+    pair = last.terms.get
+    return Fraction(sum(c * pair(tuple(map(sub, top, e)), 0) for e, c in acc.terms.items()))
 
 
 def integrate_group(m: QuotientModel, lift: Poly, subgroup: Subgroup | None = None) -> Fraction:
-    """Integral over the nonabelian quotient of a class with the given lift.
-
-    Computed on the torus side as prefactor * integral(lift * e) where e is
-    the product of root Euler classes.  The Weyl prefactor is 1/|W|, or
-    |W(H)|/|W(G)| when integrating against a full-rank subgroup's complement
-    roots; the orbifold prefactor (a supplied stabilizer-order ratio)
-    multiplies everything.
-    """
-    if lift.ring != m.ring:
-        raise ValueError("lift lives in the wrong ring")
-    if subgroup is None:
-        weyl = Fraction(1, m.root_data.weyl_order)
-    else:
-        weyl = Fraction(subgroup.weyl_order, m.root_data.weyl_order)
-    return weyl * m.orbifold_prefactor * integrate_torus(m, lift * m.e_class(subgroup))
+    """Integral over the nonabelian quotient of a class with the given lift:
+    the model's prefactor times the torus integral of lift * e, where e is
+    the product of root Euler classes (complement roots for a subgroup)."""
+    return m.prefactor(subgroup) * integrate_torus(m, lift, m.e_class(subgroup))
 
 
 def chern_pairing(m: QuotientModel, exponents: Sequence[int]) -> Fraction:
-    """Grassmannian pairing of a monomial in dual-tautological Chern classes.
-
-    Evaluates (1/k!) times the top-monomial coefficient of the product of
-    elementary-symmetric powers with the full pair product of root classes
-    prod_{i != j} (u_i - u_j).  This is a separate code path from
-    `integrate_group`; the two must agree.
-    """
-    k = m.ring.k
+    """Pairing of a monomial prod c_i^{m_i} in dual-tautological Chern
+    classes: the group integral of prod e_i^{m_i}, e_i the elementary
+    symmetric polynomials of the ring variables."""
     exps = list(exponents)
-    if len(exps) != k:
-        raise ValueError(f"expected {k} exponents, got {len(exps)}")
+    if len(exps) != m.ring.k:
+        raise ValueError(f"expected {m.ring.k} exponents, got {len(exps)}")
     if any(x < 0 for x in exps):
         raise ValueError(f"negative exponent in {exponents}")
     if len(set(m.ring.truncations)) != 1:
         raise ValueError("chern pairings need equal truncation exponents in every variable")
-    integrand = m.ring.one()
+    lift = m.ring.one()
     for i, mi in enumerate(exps, start=1):
         if mi:
-            integrand = integrand * elementary_symmetric(m.ring, i) ** mi
-    gens = m.ring.gens()
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                integrand = integrand * (gens[i] - gens[j])
-    return integrand.coefficient(m.ring.top_exponents) / factorial(k)
+            lift = lift * elementary_symmetric(m.ring, i) ** mi
+    return integrate_group(m, lift)

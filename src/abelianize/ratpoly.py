@@ -17,6 +17,7 @@ nilpotent ring element into a series.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, lt
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -166,9 +167,6 @@ class Poly:
             return degrees <= {d}
         return len(degrees) <= 1
 
-    def homogeneous_part(self, d: int) -> Poly:
-        return Poly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * self.ring.k, 0))
 
@@ -219,19 +217,29 @@ class Poly:
             return Poly(self.ring, {e: cc * c for e, cc in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ring(other)
-        truncs = self.ring.truncations
-        k = self.ring.k
-        out: dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(e1[i] + e2[i] for i in range(k))
-                if any(e[i] >= truncs[i] for i in range(k)):
-                    continue
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly(self.ring, out)
+        return self.product_upto(other, self.ring.top_degree)
 
     __rmul__ = __mul__
+
+    def product_upto(self, other: Poly, degree: int) -> Poly:
+        """The product with every term of total degree above `degree` dropped.
+
+        This is the ring's one multiplication loop; the right operand's terms
+        are visited by increasing degree so each left term stops early.
+        """
+        self._check_ring(other)
+        truncs = self.ring.truncations
+        right = sorted((sum(e), e, c) for e, c in other.terms.items())
+        out: dict[Exponent, Coeff] = {}
+        for e1, c1 in self.terms.items():
+            room = degree - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                if all(map(lt, e, truncs)):
+                    out[e] = out.get(e, 0) + c1 * c2
+        return Poly(self.ring, out)
 
     def __truediv__(self, scalar: Coeff) -> Poly:
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
@@ -285,10 +293,6 @@ class Poly:
 
 
 # -- free functions over Poly ----------------------------------------------
-
-
-def coefficient_of(p: Poly, exponents: Sequence[int]) -> Fraction:
-    return p.coefficient(exponents)
 
 
 def elementary_symmetric(ring: Ring, i: int) -> Poly:
@@ -367,28 +371,16 @@ def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponen
     return frozenset(seen)
 
 
-def symmetrize(p: Poly, generators: Iterable[Sequence[int]], mode: str = "orbit-sum") -> Poly:
-    """Symmetrize under the group generated by variable permutations.
-
-    orbit-sum: each input term contributes its coefficient on every distinct
-    monomial in its orbit.  average: the group-average projection (exact,
-    since the group order is invertible over Q).  Both outputs are invariant.
-    """
-    k = p.ring.k
-    gens = [check_permutation(g, k) for g in generators]
-    if mode == "orbit-sum":
-        out: dict[Exponent, Coeff] = {}
-        for e, c in p.terms.items():
-            for image in exponent_orbit(e, gens):
-                out[image] = out.get(image, 0) + c
-        return Poly(p.ring, out)
-    if mode == "average":
-        group = generate_permutation_group(gens, k)
-        acc = p.ring.zero()
-        for g in group:
-            acc = acc + permute_poly(p, g)
-        return acc * Fraction(1, len(group))
-    raise ValueError(f"unknown symmetrize mode {mode!r}")
+def symmetrize(p: Poly, generators: Iterable[Sequence[int]]) -> Poly:
+    """Orbit-sum symmetrization under the group generated by variable
+    permutations: each input term contributes its coefficient on every
+    distinct monomial in its orbit, so the output is invariant."""
+    gens = [check_permutation(g, p.ring.k) for g in generators]
+    out: dict[Exponent, Coeff] = {}
+    for e, c in p.terms.items():
+        for image in exponent_orbit(e, gens):
+            out[image] = out.get(image, 0) + c
+    return Poly(p.ring, out)
 
 
 # -- univariate power series ----------------------------------------------
@@ -452,10 +444,6 @@ class Series:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         suffix = ", ..." if len(self.coeffs) > 8 else ""
         return f"Series([{shown}{suffix}])"
-
-
-def series_reciprocal(f: Series) -> Series:
-    return f.reciprocal()
 
 
 def exp_series(order: int) -> Series:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ratpoly import (
-    Perm,
     Poly,
     Ring,
     check_permutation,
@@ -51,7 +50,7 @@ def apply_generator_to_weight(g, w: Weight) -> Weight:
 class RootData:
     """A root set with positivity choice, Weyl generators, and |W|."""
 
-    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order", "_group")
+    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order")
 
     def __init__(
         self,
@@ -77,7 +76,6 @@ class RootData:
                     raise ValueError(f"matrix generator must be {rank}x{rank}: {g}")
                 gens.append(m)
         self.weyl_generators = tuple(gens)
-        self._group: tuple[Perm, ...] | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -109,7 +107,6 @@ class RootData:
                     f"weyl_order {self.weyl_order} does not match generated group "
                     f"of order {len(group)}"
                 )
-            self._group = tuple(group)
 
     @property
     def negative(self) -> tuple[Weight, ...]:
@@ -118,15 +115,6 @@ class RootData:
     def opposite(self) -> RootData:
         """Same data with the opposite positivity convention."""
         return RootData(self.rank, self.roots, self.negative, self.weyl_generators, self.weyl_order)
-
-    def permutation_group(self) -> tuple[Perm, ...]:
-        """All Weyl elements as variable permutations; generators must be permutations."""
-        if self._group is not None:
-            return self._group
-        if not all(is_permutation_generator(g) for g in self.weyl_generators):
-            raise ValueError("Weyl group enumeration needs permutation generators")
-        self._group = tuple(generate_permutation_group(self.weyl_generators, self.rank))
-        return self._group
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootData):
@@ -203,27 +191,9 @@ def root_euler_class(ring: Ring, w: Sequence[int]) -> Poly:
     return Poly(ring, terms)
 
 
-def select_roots(rd: RootData, subset: str = "all", subgroup: Subgroup | None = None) -> tuple[Weight, ...]:
-    """Pick the roots entering an Euler-class product."""
-    if subset == "all":
-        return rd.roots
-    if subset == "positive":
-        return rd.positive
-    if subset == "negative":
-        return rd.negative
-    if subset == "complement":
-        if subgroup is None:
-            raise ValueError("complement selection needs subgroup data")
-        sub = set(subgroup.roots)
-        if not sub <= set(rd.roots):
-            raise ValueError("subgroup roots must be contained in the root set")
-        return tuple(w for w in rd.roots if w not in sub)
-    raise ValueError(f"unknown root subset {subset!r}")
-
-
-def e_product(ring: Ring, rd: RootData, subset: str = "all", subgroup: Subgroup | None = None) -> Poly:
-    """Product of root Euler classes over the selected roots; empty product is 1."""
+def e_product(ring: Ring, weights: Iterable[Sequence[int]]) -> Poly:
+    """Product of the Euler classes of the given weights; the empty product is 1."""
     out = ring.one()
-    for w in select_roots(rd, subset, subgroup):
+    for w in weights:
         out = out * root_euler_class(ring, w)
     return out

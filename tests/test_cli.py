@@ -155,6 +155,31 @@ class TestSubcommands:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("oracle-check", ["--format", "csv"]),
+            ("oracle-check", ["--latex"]),
+            ("config-dump", ["--format", "csv"]),
+            ("config-dump", ["--latex"]),
+            ("betti", ["--latex"]),
+            ("presentation", ["--latex"]),
+            ("integrate", ["--format", "csv"]),
+            ("euler", ["--format", "csv"]),
+            ("signature", ["--format", "csv"]),
+            ("charnum", ["--format", "csv"]),
+            ("index", ["--format", "csv"]),
+        ],
+    )
+    def test_output_flags_a_subcommand_ignores_exit_2(self, capsys, command, flag):
+        argv = [command, "--grassmannian", "2", "4", *flag]
+        if command == "integrate":
+            argv += ["--", "u1^3*u2^3"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def g24_config() -> dict:
     return model_to_config(grassmannian_model(2, 4))
@@ -196,6 +221,23 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert "broken.json:1" in str(exc.value)
+
+    def test_orbifold_pairing_carries_the_prefactor(self, capsys, tmp_path):
+        doc = g24_config()
+        doc["orbifold_prefactor"] = "2"
+        path = tmp_path / "orbifold.json"
+        path.write_text(json.dumps(doc))
+        status, pairing, _ = run(capsys, "pairing", "--config", str(path), "--exps", "4,0")
+        assert status == 0
+        assert pairing == "4\n"
+        e1_4 = "u1^4 + 4*u1^3*u2 + 6*u1^2*u2^2 + 4*u1*u2^3 + u2^4"
+        status, integral, _ = run(capsys, "integrate", "--config", str(path), "--", e1_4)
+        assert status == 0
+        assert integral == pairing
+        status, out, err = run(
+            capsys, "pairing", "--config", str(path), "--exps", "4,0", "--oracle"
+        )
+        assert (status, out, err) == (0, "4\n", "")
 
     def test_rational_strings_survive(self):
         doc = g24_config()

@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from abelianize.ratpoly import Ring, elementary_symmetric, permute_poly
-from abelianize.rootdata import Subgroup, unitary_roots
+from abelianize.ratpoly import Poly, Ring, elementary_symmetric, permute_poly
+from abelianize.rootdata import RootData, Subgroup, unitary_roots
 from abelianize.quotient import (
     QuotientModel,
     SplitBundle,
@@ -50,7 +51,7 @@ class TestGrassmannianModel:
         m = grassmannian_model(2, 4)
         assert m.ring == Ring(2, [4, 4])
         assert m.root_data.weyl_order == 2
-        assert m.integration_exponents == (3, 3)
+        assert m.ring.top_exponents == (3, 3)
         assert m.quotient_dim == 4
 
     def test_abelian_case(self):
@@ -106,6 +107,68 @@ class TestIntegrateTorus:
         m = grassmannian_model(2, 4)
         with pytest.raises(ValueError):
             integrate_torus(m, Ring(2, [5, 5]).one())
+
+
+def torus_model(ring: Ring) -> QuotientModel:
+    """A model with no roots over the ring: only its top monomial matters."""
+    tangent = SplitBundle(ring, [(ring.zero(), ring.top_degree)])
+    return QuotientModel(ring, RootData(ring.k, [], []), tangent)
+
+
+def naive_product(p: Poly, q: Poly) -> Poly:
+    """Schoolbook product; the constructor drops the truncated terms."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.ring, out)
+
+
+@st.composite
+def ring_and_factors(draw, min_factors=1, max_factors=4):
+    k = draw(st.integers(1, 3))
+    ring = Ring(k, draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    poly = st.dictionaries(exps, coeffs, max_size=6).map(lambda t: Poly(ring, t))
+    no_constant = poly.map(lambda p: p - p.constant_term())
+    factors = st.lists(st.one_of(poly, no_constant), min_size=min_factors, max_size=max_factors)
+    return ring, draw(factors)
+
+
+R24 = Ring(2, [4, 4])
+U1, U2 = R24.gens()
+
+
+class TestIntegrateTorusFactors:
+    @settings(deadline=None)
+    @given(ring_and_factors())
+    @example((R24, [U1**3, R24.zero(), U2**3]))
+    @example((R24, [5 * U1**3 * U2**3]))
+    @example((R24, [U1 + U2, (U1 + U2) ** 3, U1**2]))
+    @example((R24, [R24.one() + U1, U1**2 * U2**3]))
+    def test_factors_integrate_like_their_product(self, case):
+        ring, factors = case
+        m = torus_model(ring)
+        product = ring.one()
+        for f in factors:
+            product = naive_product(product, f)
+        expected = product.coefficient(ring.top_exponents)
+        assert integrate_torus(m, *factors) == expected
+        full = factors[0]
+        for f in factors[1:]:
+            full = full * f
+        assert integrate_torus(m, full) == expected
+
+    @settings(deadline=None)
+    @given(ring_and_factors(min_factors=2, max_factors=2), st.integers(-1, 10))
+    def test_product_upto_is_the_product_cut_at_the_degree(self, case, degree):
+        _, (p, q) = case
+        full = naive_product(p, q)
+        assert p * q == full
+        cut = Poly(p.ring, {e: c for e, c in full.terms.items() if sum(e) <= degree})
+        assert p.product_upto(q, degree) == cut
 
 
 class TestIntegrateGroup:

@@ -9,14 +9,13 @@ from abelianize.ratpoly import (
     Poly,
     Ring,
     Series,
-    coefficient_of,
     elementary_symmetric,
     eval_series,
     exp_series,
     generate_permutation_group,
     parse_poly,
+    permute_poly,
     render_poly,
-    series_reciprocal,
     symmetrize,
 )
 
@@ -120,16 +119,16 @@ class TestCoefficients:
     def test_coefficient_examples(self):
         ring = Ring(2, [4, 4])
         u1, u2 = ring.gens()
-        assert coefficient_of((u1 + u2) ** 2, (1, 1)) == 2
-        assert coefficient_of(ring.zero(), (1, 1)) == 0
-        assert coefficient_of(-((u1 - u2) ** 2), (2, 0)) == -1
+        assert ((u1 + u2) ** 2).coefficient((1, 1)) == 2
+        assert ring.zero().coefficient((1, 1)) == 0
+        assert (-((u1 - u2) ** 2)).coefficient((2, 0)) == -1
 
     def test_invalid_monomial_raises(self):
         ring = Ring(2, [4, 4])
         with pytest.raises(ValueError):
-            coefficient_of(ring.one(), (4, 0))
+            ring.one().coefficient((4, 0))
         with pytest.raises(ValueError):
-            coefficient_of(ring.one(), (0,))
+            ring.one().coefficient((0,))
 
     def test_construction_round_trip(self):
         rng = random.Random(77)
@@ -137,7 +136,7 @@ class TestCoefficients:
         for _ in range(20):
             p = random_poly(rng, ring)
             for e, c in p.terms.items():
-                assert coefficient_of(p, e) == c
+                assert p.coefficient(e) == c
 
 
 class TestElementarySymmetric:
@@ -170,41 +169,31 @@ class TestSymmetrize:
     def test_orbit_sum_examples(self):
         ring = Ring(2, [4, 4])
         u1, u2 = ring.gens()
-        assert symmetrize(u1**2, self.SWAP, "orbit-sum") == u1**2 + u2**2
-        assert symmetrize(u1 * u2, self.SWAP, "orbit-sum") == u1 * u2
+        assert symmetrize(u1**2, self.SWAP) == u1**2 + u2**2
+        assert symmetrize(u1 * u2, self.SWAP) == u1 * u2
 
     def test_orbit_sum_of_monomial_has_unit_coefficients(self):
         ring = Ring(3, [4, 4, 4])
         gens = [(1, 0, 2), (1, 2, 0)]
         group = generate_permutation_group(gens, 3)
         assert len(group) == 6
-        p = symmetrize(ring.monomial((3, 1, 0)), gens, "orbit-sum")
+        p = symmetrize(ring.monomial((3, 1, 0)), gens)
         assert set(p.terms.values()) == {1}
         assert len(p.terms) == 6  # distinct exponents, full orbit
 
-    def test_average_fixes_invariants(self):
-        ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        p = u1 * u2 + 2 * (u1 + u2)
-        assert symmetrize(p, self.SWAP, "average") == p
-
-    def test_average_is_idempotent_projection(self):
+    def test_orbit_sum_is_invariant(self):
         rng = random.Random(31)
         ring = Ring(3, [3, 3, 3])
         gens = [(1, 0, 2), (0, 2, 1)]
         for _ in range(15):
-            p = random_poly(rng, ring)
-            q = symmetrize(p, gens, "average")
-            assert symmetrize(q, gens, "average") == q
-            from abelianize.ratpoly import permute_poly
-
+            q = symmetrize(random_poly(rng, ring), gens)
             for g in gens:
                 assert permute_poly(q, g) == q
 
     def test_arity_mismatch(self):
         ring = Ring(3, [3, 3, 3])
         with pytest.raises(ValueError):
-            symmetrize(ring.one(), [(1, 0)], "orbit-sum")
+            symmetrize(ring.one(), [(1, 0)])
 
 
 class TestSeries:
@@ -240,12 +229,12 @@ class TestSeries:
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)
             ]
             f = Series(coeffs)
-            product = f * series_reciprocal(f)
+            product = f * f.reciprocal()
             assert product.coeffs == (1,) + (0,) * 6
 
     def test_reciprocal_needs_unit(self):
         with pytest.raises(ValueError):
-            series_reciprocal(Series([0, 1]))
+            Series([0, 1]).reciprocal()
 
     def test_truncated_pads_and_cuts(self):
         f = Series([1, 2])

@@ -4,13 +4,13 @@ from math import factorial
 
 import pytest
 
+from abelianize.quotient import grassmannian_model
 from abelianize.ratpoly import Ring, permute_poly
 from abelianize.rootdata import (
     RootData,
     Subgroup,
     e_product,
     root_euler_class,
-    select_roots,
     unitary_roots,
 )
 
@@ -95,29 +95,29 @@ class TestRootEulerClass:
 class TestEProduct:
     def test_empty_product(self):
         ring = Ring(1, [4])
-        assert e_product(ring, unitary_roots(1), "all") == ring.one()
+        assert e_product(ring, unitary_roots(1).roots) == ring.one()
 
     def test_rank_two_products(self):
         ring = Ring(2, [4, 4])
         u1, u2 = ring.gens()
         rd = unitary_roots(2)
-        assert e_product(ring, rd, "all") == -((u1 - u2) ** 2)
-        assert e_product(ring, rd, "positive") == u2 - u1
-        assert e_product(ring, rd, "negative") == u1 - u2
+        assert e_product(ring, rd.roots) == -((u1 - u2) ** 2)
+        assert e_product(ring, rd.positive) == u2 - u1
+        assert e_product(ring, rd.negative) == u1 - u2
 
     def test_positive_times_negative_is_all(self):
         for k in (2, 3):
             ring = Ring(k, [k + 2] * k)
             rd = unitary_roots(k)
-            assert e_product(ring, rd, "positive") * e_product(ring, rd, "negative") == e_product(
-                ring, rd, "all"
+            assert e_product(ring, rd.positive) * e_product(ring, rd.negative) == e_product(
+                ring, rd.roots
             )
 
     def test_weyl_invariance(self):
         for k in (2, 3, 4):
             ring = Ring(k, [2 * k] * k)
             rd = unitary_roots(k)
-            e = e_product(ring, rd, "all")
+            e = e_product(ring, rd.roots)
             for g in rd.weyl_generators:
                 assert permute_poly(e, g) == e
 
@@ -131,22 +131,19 @@ class TestEProduct:
                 for j in range(i + 1, k):
                     vandermonde = vandermonde * (gens[i] - gens[j])
             sign = (-1) ** (k * (k - 1) // 2)
-            assert e_product(ring, unitary_roots(k), "all") == sign * vandermonde**2
+            assert e_product(ring, unitary_roots(k).roots) == sign * vandermonde**2
 
     def test_complement_selection(self):
-        ring = Ring(3, [4, 4, 4])
-        rd = unitary_roots(3)
+        m = grassmannian_model(3, 4)
+        rd = m.root_data
         sub = Subgroup((rd.roots[0], tuple(-x for x in rd.roots[0])), 2)
-        chosen = select_roots(rd, "complement", sub)
-        assert len(chosen) == 4
-        assert set(chosen) | set(sub.roots) == set(rd.roots)
+        chosen = m.e_class(sub)
+        assert chosen == e_product(m.ring, [w for w in rd.roots if w not in sub.roots])
+        assert chosen.is_homogeneous(4)
+        assert chosen * e_product(m.ring, sub.roots) == m.e_class()
 
     def test_complement_containment_enforced(self):
-        rd = unitary_roots(2)
+        m = grassmannian_model(2, 4)
         foreign = Subgroup(((5, -5),), 1)
         with pytest.raises(ValueError, match="contained"):
-            select_roots(rd, "complement", foreign)
-
-    def test_unknown_subset(self):
-        with pytest.raises(ValueError):
-            select_roots(unitary_roots(2), "sideways")
+            m.e_class(foreign)
