@@ -23,7 +23,7 @@ from .quotient import (
     integrate_torus,
 )
 from .ratpoly import Series, parse_poly, rat
-from .rootdata import root_euler_class
+from .rootdata import root_euler_class, unitary_roots
 
 
 def _fmt(value: Fraction, latex: bool = False) -> str:
@@ -83,16 +83,49 @@ def _subgroup_of(args, m: QuotientModel):
 # -- subcommands --------------------------------------------------------------
 
 
-def _pieri_pairing(m: QuotientModel, exps: Sequence[int]) -> Fraction:
-    """The Pieri oracle's Grassmannian pairing scaled by the model's orbifold
-    prefactor, which multiplies every integral of the model."""
+def _multiplicities(summands) -> dict:
+    """Total multiplicity of each distinct Chern root, zeros dropped."""
+    out: dict = {}
+    for root, mult in summands:
+        key = frozenset(root.terms.items())
+        out[key] = out.get(key, 0) + mult
+    return {key: v for key, v in out.items() if v}
+
+
+def _grassmannian_n(m: QuotientModel) -> int:
+    """The n of G(k,n), k = m.ring.k, when the model presents it: equal
+    truncations n, the roots of U(k) with Weyl order k!, and tangent summands
+    adding up to n*u_i for each i and -k trivial lines.  Summand order,
+    generating set, subgroup block and orbifold prefactor may be anything.
+    Any other model is refused with a ConfigError."""
+    k = m.ring.k
     n = m.ring.truncations[0]
+    unitary = unitary_roots(k)
+    grassmannian_tangent = [(m.ring.variable(i), n) for i in range(k)] + [(m.ring.zero(), -k)]
+    if set(m.ring.truncations) != {n}:
+        reason = f"truncations {list(m.ring.truncations)} are not all equal"
+    elif (
+        set(m.root_data.roots) != set(unitary.roots)
+        or m.root_data.weyl_order != unitary.weyl_order
+    ):
+        reason = f"the roots and Weyl order are not those of U({k})"
+    elif _multiplicities(m.tangent_bundle.summands) != _multiplicities(grassmannian_tangent):
+        reason = f"the tangent bundle is not {n} copies of each u_i minus {k} trivial lines"
+    else:
+        return n
+    raise ConfigError("--oracle", f"the Pieri oracle needs a G(k,n) presentation; {reason}")
+
+
+def _pieri_pairing(m: QuotientModel, n: int, exps: Sequence[int]) -> Fraction:
+    """The Pieri oracle's G(k,n) pairing scaled by the model's orbifold
+    prefactor, which multiplies every integral of the model."""
     return m.orbifold_prefactor * schubert.oracle_chern_pairing(m.ring.k, n, exps)
 
 
 def _cmd_pairing(args, out) -> int:
     m = _load_model(args)
     k = m.ring.k
+    n = _grassmannian_n(m) if args.oracle else None
     if args.table:
         degree = m.quotient_dim
         rows = sorted(pairing_degree_vectors(k, degree))
@@ -103,7 +136,7 @@ def _cmd_pairing(args, out) -> int:
             value = chern_pairing(m, exps)
             cell = ",".join(str(x) for x in exps)
             if args.oracle:
-                check = _pieri_pairing(m, exps)
+                check = _pieri_pairing(m, n, exps)
                 if check != value:
                     print(
                         f"mismatch at {cell}: pairing {_fmt(value)} vs oracle {_fmt(check)}",
@@ -120,7 +153,7 @@ def _cmd_pairing(args, out) -> int:
     exps = _parse_exps(args.exps, k)
     value = chern_pairing(m, exps)
     if args.oracle:
-        check = _pieri_pairing(m, exps)
+        check = _pieri_pairing(m, n, exps)
         if check != value:
             print(
                 f"mismatch: pairing {_fmt(value)} vs oracle {_fmt(check)}",

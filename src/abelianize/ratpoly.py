@@ -17,12 +17,22 @@ nilpotent ring element into a series.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, lt
+from functools import lru_cache
+from itertools import accumulate, islice, product
+from math import lcm, prod
+from operator import add, itemgetter, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 Perm = tuple[int, ...]
+
+#: `Poly.product_upto` runs the term-pair loop when the smaller operand has at
+#: most this many terms and the packed-integer kernel otherwise.  Timing both
+#: kernels on every product of a pass of each perfbench workload, any value
+#: from 6 to 17 gives the least total; below 6 the packed kernel's fixed cost
+#: shows, and at 18 the 18-term root factors of G(4,6) go to the slower loop.
+PAIR_LOOP_MAX_TERMS = 16
 
 
 def normalize_coeff(c: Coeff) -> Coeff:
@@ -152,6 +162,15 @@ class Poly:
         self.ring = ring
         self.terms = tidy
 
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: dict[Exponent, Coeff]) -> Poly:
+        """Wrap a term map that is already canonical: in-ring exponent tuples,
+        nonzero coefficients, integral ones as int.  Skips every check."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -224,22 +243,20 @@ class Poly:
     def product_upto(self, other: Poly, degree: int) -> Poly:
         """The product with every term of total degree above `degree` dropped.
 
-        This is the ring's one multiplication loop; the right operand's terms
-        are visited by increasing degree so each left term stops early.
+        This is the ring's one multiplication.  When either operand has at
+        most `PAIR_LOOP_MAX_TERMS` terms it loops over term pairs; otherwise
+        it multiplies the operands packed into two integers.  The packed
+        kernel's work grows with the number of monomials in the ring's box,
+        the loop's with the number of term pairs, so the loop also runs when
+        there are no more pairs than monomials.
         """
         self._check_ring(other)
-        truncs = self.ring.truncations
-        right = sorted((sum(e), e, c) for e, c in other.terms.items())
-        out: dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            room = degree - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                if all(map(lt, e, truncs)):
-                    out[e] = out.get(e, 0) + c1 * c2
-        return Poly(self.ring, out)
+        a, b = len(self.terms), len(other.terms)
+        if min(a, b) <= PAIR_LOOP_MAX_TERMS or a * b <= prod(self.ring.truncations):
+            kernel = _product_pairs
+        else:
+            kernel = _product_packed
+        return Poly._trusted(self.ring, kernel(self, other, degree))
 
     def __truediv__(self, scalar: Coeff) -> Poly:
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
@@ -290,6 +307,138 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<{render_poly(self)}>"
+
+
+# -- the two multiplication kernels of Poly.product_upto --------------------
+
+
+def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
+    """Canonical term map of p*q up to `degree`, one term pair at a time.
+
+    The right operand's terms are visited by increasing degree so each left
+    term stops early.
+    """
+    truncs = p.ring.truncations
+    right = sorted((sum(e), e, c) for e, c in q.terms.items())
+    out: dict[Exponent, Coeff] = {}
+    for e1, c1 in p.terms.items():
+        room = degree - sum(e1)
+        for d2, e2, c2 in right:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            if all(map(lt, e, truncs)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c.numerator if c.denominator == 1 else c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=8)
+def _slot_layout(truncations: Exponent):
+    """Where `_product_packed` puts each monomial of a ring.
+
+    The variable in position i has stride prod_{j<i} (2 n_j - 1).  Two
+    in-ring exponents of one variable add to at most 2 n_i - 2, so slot
+    indices add without carrying from one position into the next.  Returns
+    the strides, every in-ring monomial (in position order) ordered by
+    degree, their slot indices in the same order, and for each degree d the
+    number of monomials of degree <= d.
+    """
+    strides = tuple(accumulate((2 * n - 1 for n in truncations[:-1]), mul, initial=1))
+    monomials = tuple(sorted(product(*map(range, truncations)), key=sum))
+    slots = tuple(sum(map(mul, e, strides)) for e in monomials)
+    per_degree = [0] * (sum(truncations) - len(truncations) + 1)
+    for e in monomials:
+        per_degree[sum(e)] += 1
+    return strides, monomials, slots, tuple(accumulate(per_degree))
+
+
+def _placement(p: Poly, q: Poly) -> Exponent:
+    """The layout position of each variable for the product p*q.
+
+    The big-integer product costs about (size of the larger packed operand)
+    * (size of the smaller)**0.585, and an operand's size is set by its
+    highest slot.  So the variables that the operand with fewer terms raises
+    highest take the smallest strides; a factor in two variables then packs
+    short however the ring numbers them.  Only variables of equal truncation
+    trade positions, which keeps the ring's one layout valid.
+    """
+    truncs = p.ring.truncations
+    reach = [max(x) for x in zip(*min(p.terms, q.terms, key=len))]
+    place = [0] * len(truncs)
+    for n in set(truncs):
+        positions = [i for i, m in enumerate(truncs) if m == n]
+        for position, var in zip(positions, sorted(positions, key=lambda i: -reach[i])):
+            place[var] = position
+    return tuple(place)
+
+
+def _numerators(p: Poly, strides: Exponent, degree: int) -> tuple[int, list[tuple[int, int]]]:
+    """The lcm of p's denominators and (slot, integer numerator) for each
+    term of degree <= `degree`, u_i having stride strides[i]."""
+    kept = [(e, c) for e, c in p.terms.items() if sum(e) <= degree]
+    den = lcm(*(c.denominator for _, c in kept))
+    return den, [(sum(map(mul, e, strides)), c.numerator * (den // c.denominator)) for e, c in kept]
+
+
+def _pack(nums: list[tuple[int, int]], width: int) -> int:
+    """sum(v * 256**(width * slot)) over (slot, v); every |v| < 256**width."""
+    size = (max(s for s, _ in nums) + 1) * width
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for s, v in nums:
+        i = s * width
+        if v > 0:
+            pos[i : i + width] = v.to_bytes(width, "little")
+        else:
+            neg[i : i + width] = (-v).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
+    """Canonical term map of p*q up to `degree`, by Kronecker substitution.
+
+    Both operands, their denominators cleared, become one integer each with
+    a fixed-width signed slot per monomial (`_slot_layout`, `_placement`);
+    one big-integer product holds every coefficient of p*q.  A slot of the
+    product sums at most min(#p, #q) pairs, so its value lies within bound =
+    min(#p, #q) * max|p| * max|q|, and `width` bytes with one sign bit to
+    spare hold it.  Adding 2**(8*width - 1) to every slot makes each one a
+    nonnegative byte string, so one `to_bytes` decodes them all.
+    """
+    if degree < 0 or not p.terms or not q.terms:
+        return {}
+    strides, monomials, slots, ends = _slot_layout(p.ring.truncations)
+    place = _placement(p, q)
+    var_strides = tuple(strides[i] for i in place)
+    den_p, nums_p = _numerators(p, var_strides, degree)
+    den_q, nums_q = _numerators(q, var_strides, degree)
+    if not nums_p or not nums_q:
+        return {}
+    bound = (
+        min(len(nums_p), len(nums_q))
+        * max(abs(v) for _, v in nums_p)
+        * max(abs(v) for _, v in nums_q)
+    )
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    # the top monomial comes last and has the largest in-ring slot
+    span = max(max(s for s, _ in nums_p) + max(s for s, _ in nums_q), slots[-1]) + 1
+    offset = int.from_bytes(half.to_bytes(width, "little") * span, "little")
+    raw = (_pack(nums_p, width) * _pack(nums_q, width) + offset).to_bytes(span * width, "little")
+    if place != tuple(range(len(place))):
+        monomials = map(itemgetter(*place), monomials)  # back from position order
+    den = den_p * den_q
+    out: dict[Exponent, Coeff] = {}
+    for s, e in zip(islice(slots, ends[min(degree, len(ends) - 1)]), monomials):
+        i = s * width
+        c = int.from_bytes(raw[i : i + width], "little") - half
+        if c:
+            if den != 1:
+                c = Fraction(c, den)
+                if c.denominator == 1:
+                    c = c.numerator
+            out[e] = c
+    return out
 
 
 # -- free functions over Poly ----------------------------------------------

@@ -239,6 +239,86 @@ class TestConfig:
         )
         assert (status, out, err) == (0, "4\n", "")
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"roots": {"weights": [], "positive": [], "weyl_order": "1"}},
+            {
+                "roots": {
+                    "weights": [["-1", "1"], ["1", "-1"]],
+                    "positive": ["0"],
+                    "weyl_order": "1",
+                }
+            },
+            {
+                "tangent_bundle": [
+                    {"weight": ["1", "0"], "multiplicity": "5"},
+                    {"weight": ["0", "1"], "multiplicity": "3"},
+                    {"weight": "0", "multiplicity": "-2"},
+                ]
+            },
+            {
+                "ring": {"variables": "2", "truncations": ["4", "5"]},
+                "roots": {"weights": [], "positive": [], "weyl_order": "1"},
+                "tangent_bundle": [
+                    {"weight": ["1", "0"], "multiplicity": "4"},
+                    {"weight": ["0", "1"], "multiplicity": "5"},
+                    {"weight": "0", "multiplicity": "-2"},
+                ],
+                "weyl_action": [],
+            },
+        ],
+        ids=["torus", "weyl-order-1", "tangent", "unequal-truncations"],
+    )
+    def test_oracle_refuses_a_model_that_is_not_a_grassmannian(self, capsys, tmp_path, change):
+        doc = g24_config()
+        doc.update(change)
+        path = tmp_path / "not-g24.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(
+            capsys, "pairing", "--config", str(path), "--exps", "0,3", "--oracle"
+        )
+        assert (status, out) == (2, "")
+        assert "config error: --oracle: the Pieri oracle needs a G(k,n) presentation" in err
+
+    def test_oracle_accepts_any_presentation_of_a_grassmannian(self, capsys, tmp_path):
+        # shuffled and split tangent summands, a generating set other than the
+        # adjacent transpositions, a U(2)xU(1) block and a prefactor
+        roots = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+        def weight(i, j):
+            return [str(-1 if x == i else 1 if x == j else 0) for x in range(3)]
+
+        doc = {
+            "schema": "1",
+            "ring": {"variables": "3", "truncations": ["5", "5", "5"]},
+            "roots": {
+                "weights": [weight(i, j) for i, j in roots],
+                "positive": [str(r) for r, (i, j) in enumerate(roots) if i < j],
+                "weyl_generators": [["2", "1", "3"], ["2", "3", "1"]],
+                "weyl_order": "6",
+            },
+            "tangent_bundle": [
+                {"weight": "0", "multiplicity": "-3"},
+                {"weight": ["0", "0", "1"], "multiplicity": "5"},
+                {"weight": ["1", "0", "0"], "multiplicity": "2"},
+                {"weight": ["0", "1", "0"], "multiplicity": "5"},
+                {"weight": ["1", "0", "0"], "multiplicity": "3"},
+            ],
+            "orbifold_prefactor": "3",
+            "subgroup_roots": {
+                "indices": [str(roots.index((0, 1))), str(roots.index((1, 0)))],
+                "weyl_order": "2",
+            },
+        }
+        path = tmp_path / "g35.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(
+            capsys, "pairing", "--config", str(path), "--table", "--oracle"
+        )
+        assert (status, err) == (0, "")
+        assert "6,0,0 -> 15" in out.splitlines()
+
     def test_rational_strings_survive(self):
         doc = g24_config()
         doc["orbifold_prefactor"] = "3/4"

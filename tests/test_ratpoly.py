@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from abelianize.ratpoly import (
+    PAIR_LOOP_MAX_TERMS,
     Poly,
     Ring,
     Series,
@@ -17,6 +20,8 @@ from abelianize.ratpoly import (
     permute_poly,
     render_poly,
     symmetrize,
+    _product_packed,
+    _product_pairs,
 )
 
 
@@ -113,6 +118,90 @@ class TestArithmetic:
         assert p * p.inverse() == ring.one()
         with pytest.raises(ValueError):
             u1.inverse()
+
+
+@st.composite
+def operands_and_degree(draw):
+    k = draw(st.integers(1, 4))
+    ring = Ring(k, draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)))
+    exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations))
+    coeffs = st.one_of(
+        st.integers(-(2**200), 2**200),
+        st.integers(-3, 3),
+        st.fractions(max_denominator=2**120),
+    )
+    poly = st.dictionaries(exps, coeffs, max_size=40).map(lambda t: Poly(ring, t))
+    return draw(poly), draw(poly), draw(st.integers(-1, ring.top_degree))
+
+
+def tight_dense(ring):
+    """Every monomial of the ring with one coefficient M, chosen so that
+    #monomials * M^2, the packed kernel's bound on a product slot, has a bit
+    length divisible by 8: its top slot then needs every bit of the width."""
+    monomials = [e for d in range(ring.top_degree + 1) for e in ring.monomials_of_degree(d)]
+    m = isqrt(2**207 // len(monomials)) + 1
+    return Poly(ring, dict.fromkeys(monomials, m))
+
+
+def schoolbook_upto(p, q, degree):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if sum(e) <= degree:
+                out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.ring, out).terms
+
+
+R1 = Ring(1, [6])
+R22 = Ring(2, [3, 3])
+R4 = Ring(4, [2, 3, 2, 2])
+R444 = Ring(3, [4, 4, 4])
+V1, V2, V3 = R444.gens()
+
+
+class TestProductKernels:
+    @settings(deadline=None)
+    @given(operands_and_degree())
+    @example((tight_dense(R1), tight_dense(R1), R1.top_degree))
+    @example((tight_dense(R22), tight_dense(R22), R22.top_degree))
+    @example((tight_dense(R4), tight_dense(R4), R4.top_degree))
+    @example((R22.zero(), tight_dense(R22), R22.top_degree))
+    @example((R22.constant(Fraction(-7, 3)), tight_dense(R22), 2))
+    @example((R4.constant(5), R4.constant(2**200), 0))
+    @example((R4.constant(5), R4.constant(2**200), -1))
+    @example((R1.one() + R1.variable(0), R1.one() - R1.variable(0) / 3, 3))
+    # u3, u1, u2 take positions 0, 1, 2: a 3-cycle, not its own inverse
+    @example(((R444.one() + V1 + V2 / 2 + V3) ** 3, V1**2 + V2 - V3**3 / 5, 7))
+    def test_packed_kernel_equals_pair_loop(self, case):
+        p, q, degree = case
+        pairs = _product_pairs(p, q, degree)
+        assert _product_packed(p, q, degree) == pairs
+        assert pairs == schoolbook_upto(p, q, degree)
+        # canonical maps: integral coefficients are ints, so render is unchanged
+        for kernel in (_product_pairs, _product_packed):
+            for c in kernel(p, q, degree).values():
+                assert type(c) is int or c.denominator > 1
+
+    def test_tight_dense_fills_the_slot_width(self):
+        for ring in (R1, R22, R4):
+            p = tight_dense(ring)
+            bound = len(p.terms) * p.terms[(0,) * ring.k] ** 2
+            assert bound.bit_length() % 8 == 0
+            assert _product_packed(p, p, ring.top_degree)[ring.top_exponents] == bound
+
+    def test_product_upto_on_either_side_of_the_loop_threshold(self):
+        ring = Ring(3, [5, 5, 5])
+
+        def dense(top, coeff):
+            terms = {e: coeff(d) for d in range(top + 1) for e in ring.monomials_of_degree(d)}
+            return Poly(ring, terms)
+
+        small = dense(2, lambda d: d - 3)
+        large = dense(3, lambda d: Fraction(1, d + 2))
+        assert len(small.terms) <= PAIR_LOOP_MAX_TERMS < len(large.terms)
+        for a, b in [(small, small), (small, large), (large, small), (large, large)]:
+            assert a.product_upto(b, 7).terms == schoolbook_upto(a, b, 7)
 
 
 class TestCoefficients:
