@@ -4,8 +4,9 @@ Multiplicative classes are given by a univariate series with constant term 1
 (total Chern 1+x, Todd x/(1-exp(-x)), L-class x/tanh(x), or any custom
 series); applied to a split bundle they become finite exact products in the
 truncated ring.  On top of these sit the elliptic-operator index of a lifted
-bundle and the Euler-characteristic, signature, and generic multiplicative
-characteristic-number formulas, all evaluated on the torus side.
+bundle and one characteristic-number formula, whose total-Chern and L-class
+cases are the Euler characteristic and the signature, all evaluated on the
+torus side.
 
 The named series are generated from the exponential series by exact
 reciprocal/product recurrences rather than hard-coded tables.
@@ -54,14 +55,22 @@ def l_class_series(order: int) -> Series:
 
 
 def tanh_series(order: int) -> Series:
-    """tanh(x); zero constant term, so usable only through substitution."""
+    """tanh(x) = sinh(x)/cosh(x), which is x/(x/tanh x): the root factor of the
+    L-class, built independently of `root_factor_series`."""
     e = exp_series(order)
     sinh = Series([e.coeffs[j] if j % 2 == 1 else 0 for j in range(order + 1)])
     return sinh * _cosh_series(order).reciprocal()
 
 
+def root_factor_series(f: Series, order: int) -> Series:
+    """x/f(x) to the given order: the factor each root contributes to
+    `characteristic_number`; f needs a nonzero constant term."""
+    return Series((0, *f.truncated(order).reciprocal().coeffs[:order]))
+
+
 def euler_factor_series(order: int) -> Series:
-    """x/(1+x), the per-root factor of the Euler-characteristic formula."""
+    """x/(1+x), the root factor of the total Chern class, built independently
+    of `root_factor_series`."""
     geom = Series([1, 1]).truncated(order).reciprocal()
     return Series([0] + list(geom.coeffs[:order]))
 
@@ -151,12 +160,7 @@ def _positive_weights(
     weights = m.root_data.positive if positive is None else tuple(tuple(w) for w in positive)
     if set(weights) | {tuple(-x for x in w) for w in weights} != set(m.root_data.roots):
         raise ValueError("positive roots must be a positivity choice for the model's roots")
-    if subgroup is not None:
-        sub = set(subgroup.roots)
-        if not sub <= set(m.root_data.roots):
-            raise ValueError("subgroup roots must be contained in the model's roots")
-        weights = tuple(w for w in weights if w not in sub)
-    return weights
+    return m.outside_subgroup(weights, subgroup)
 
 
 def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
@@ -213,34 +217,26 @@ def index_group_two_term(
 # -- characteristic numbers --------------------------------------------------
 
 
+def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
+    """Characteristic number of the nonabelian quotient for a multiplicative
+    series f: the prefactored torus integral of f(tangent - E - E*) * e, with
+    E the positive-root bundle, as f(tangent) * prod over roots of x/f(x)."""
+    if f.constant_term != 1:
+        raise ValueError("a multiplicative class series must have constant term 1")
+    g = root_factor_series(f, m.ring.top_degree)
+    roots = [eval_series(g, root_euler_class(m.ring, w)) for w in m.root_data.roots]
+    return m.prefactor() * integrate_torus(m, mult_class(f, m.tangent_bundle), *roots)
+
+
 def euler_characteristic(m: QuotientModel) -> Fraction:
-    """Euler characteristic of the nonabelian quotient: the prefactored torus
-    integral of c(tangent) * prod e(alpha)/(1 + e(alpha))."""
-    D = m.ring.top_degree
-    factor = euler_factor_series(D)
-    roots = [eval_series(factor, root_euler_class(m.ring, w)) for w in m.root_data.roots]
-    c = mult_class(total_chern_series(D), m.tangent_bundle)
-    return m.prefactor() * integrate_torus(m, c, *roots)
+    """Euler characteristic of the nonabelian quotient: the characteristic
+    number of the total Chern class."""
+    return characteristic_number(m, total_chern_series(m.ring.top_degree))
 
 
 def signature(m: QuotientModel) -> Fraction:
-    """Signature of the nonabelian quotient: the prefactored torus integral
-    of L(tangent) * prod tanh(e(alpha)); zero off dimensions divisible by 4."""
+    """Signature of the nonabelian quotient: the characteristic number of the
+    L-class; zero in odd complex dimension."""
     if m.quotient_dim % 2 == 1:
         return Fraction(0)
-    D = m.ring.top_degree
-    th = tanh_series(D)
-    roots = [eval_series(th, root_euler_class(m.ring, w)) for w in m.root_data.roots]
-    L = mult_class(l_class_series(D), m.tangent_bundle)
-    return m.prefactor() * integrate_torus(m, L, *roots)
-
-
-def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
-    """Characteristic number of the nonabelian quotient for any multiplicative
-    series f: the prefactored torus integral of
-    f(tangent - E - E*) * prod e(alpha), with E the positive-root bundle."""
-    if f.constant_term != 1:
-        raise ValueError("a multiplicative class series must have constant term 1")
-    roots_bundle = root_bundle(m.ring, m.root_data.roots)
-    virtual = m.tangent_bundle + roots_bundle.negated()
-    return m.prefactor() * integrate_torus(m, mult_class(f, virtual), m.e_class())
+    return characteristic_number(m, l_class_series(m.ring.top_degree))

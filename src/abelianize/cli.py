@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--line",
         action="append",
         metavar="C1,...,Ck[:MULT]",
-        help="line-bundle summand of the lifted bundle (repeatable; default trivial)",
+        help="line-bundle summand, repeatable (default trivial); a leading - needs --line=-1,-1",
     )
     p.add_argument(
         "--check-two-term",

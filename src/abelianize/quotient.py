@@ -71,9 +71,6 @@ class SplitBundle:
             raise ValueError("cannot add bundles over different rings")
         return SplitBundle(self.ring, self.summands + other.summands)
 
-    def negated(self) -> SplitBundle:
-        return SplitBundle(self.ring, [(r, -m) for r, m in self.summands])
-
     def tensor(self, other: SplitBundle) -> SplitBundle:
         """Tensor product of split bundles: roots add, multiplicities multiply."""
         if self.ring != other.ring:
@@ -152,14 +149,12 @@ class QuotientModel:
                     )
         if len(root_data.roots) > ring.top_degree:
             raise ValueError("more roots than the torus quotient dimension allows")
+        self.root_data = root_data
         if subgroup is not None:
-            sub = set(subgroup.roots)
-            if not sub <= set(root_data.roots):
-                raise ValueError("subgroup roots must be contained in the model's roots")
+            self.outside_subgroup((), subgroup)  # the containment check
             if root_data.weyl_order % subgroup.weyl_order != 0:
                 raise ValueError("subgroup Weyl order must divide the group's Weyl order")
         self.ring = ring
-        self.root_data = root_data
         self.tangent_bundle = tangent_bundle
         self.orbifold_prefactor = prefactor
         self.weyl_action = action
@@ -175,14 +170,22 @@ class QuotientModel:
         """Product of root Euler classes: all roots, or the complement of a
         full-rank subgroup's roots."""
         if subgroup not in self._e_cache:
-            roots = self.root_data.roots
-            if subgroup is not None:
-                inside = set(subgroup.roots)
-                if not inside <= set(roots):
-                    raise ValueError("subgroup roots must be contained in the model's roots")
-                roots = tuple(w for w in roots if w not in inside)
+            roots = self.outside_subgroup(self.root_data.roots, subgroup)
             self._e_cache[subgroup] = e_product(self.ring, roots)
         return self._e_cache[subgroup]
+
+    def outside_subgroup(
+        self, weights: Iterable[Weight], subgroup: Subgroup | None
+    ) -> tuple[Weight, ...]:
+        """The given weights that are not roots of the subgroup, or all of
+        them without one; the subgroup's roots must be roots of the model."""
+        weights = tuple(weights)
+        if subgroup is None:
+            return weights
+        inside = set(subgroup.roots)
+        if not inside <= set(self.root_data.roots):
+            raise ValueError("subgroup roots must be contained in the model's roots")
+        return tuple(w for w in weights if w not in inside)
 
     def prefactor(self, subgroup: Subgroup | None = None) -> Fraction:
         """|W(H)|/|W(G)| times the orbifold prefactor, H being the full-rank

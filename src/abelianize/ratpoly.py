@@ -46,6 +46,11 @@ def normalize_coeff(c: Coeff) -> Coeff:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _canonical(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
+    """The term map with zero coefficients dropped and integral ones as int."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
+
+
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an exact value ('3/4', 7, Fraction) to Fraction, refusing floats."""
     if isinstance(value, float):
@@ -176,10 +181,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Maximal total degree of a term, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def is_homogeneous(self, d: int | None = None) -> bool:
         degrees = {sum(e) for e in self.terms}
         if d is not None:
@@ -211,12 +212,12 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, _canonical(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Poly | Coeff) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -233,7 +234,8 @@ class Poly:
             c = normalize_coeff(other)
             if not c:
                 return self.ring.zero()
-            return Poly(self.ring, {e: cc * c for e, cc in self.terms.items()})
+            scaled = {e: cc * c for e, cc in self.terms.items()}
+            return Poly._trusted(self.ring, _canonical(scaled))
         if not isinstance(other, Poly):
             return NotImplemented
         return self.product_upto(other, self.ring.top_degree)
@@ -329,7 +331,7 @@ def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
             e = tuple(map(add, e1, e2))
             if all(map(lt, e, truncs)):
                 out[e] = out.get(e, 0) + c1 * c2
-    return {e: c.numerator if c.denominator == 1 else c for e, c in out.items() if c}
+    return _canonical(out)
 
 
 @lru_cache(maxsize=8)

@@ -31,10 +31,6 @@ def normalize_partition(parts: Sequence[int]) -> Partition:
     return tuple(ps)
 
 
-def fits_in_box(lam: Partition, rows: int, cols: int) -> bool:
-    return len(lam) <= rows and all(p <= cols for p in lam)
-
-
 def partitions_in_box(rows: int, cols: int, size: int) -> Iterator[Partition]:
     """Partitions of `size` with at most `rows` parts, each at most `cols`."""
 

@@ -27,6 +27,7 @@ from abelianize.charclass import (
     l_class_series,
     lambda_alternating_ch,
     signature,
+    todd_series,
     total_chern_series,
 )
 from abelianize.presentation import (
@@ -115,6 +116,14 @@ def test_criterion_6_generic_class_formula_consistency():
         want = signature(m) if m.quotient_dim % 2 == 0 else Fraction(0)
         if lnum != want:
             failures.append((k, n, "l-class", lnum, want))
+        # independent references: binomials, the pairing sign count, Todd genus 1
+        if chern != comb(n, k):
+            failures.append((k, n, "total-chern vs binomial", chern, comb(n, k)))
+        if lnum != signature_from_pairing(m):
+            failures.append((k, n, "l-class vs pairing", lnum, signature_from_pairing(m)))
+        todd = characteristic_number(m, todd_series(D))
+        if todd != 1:
+            failures.append((k, n, "todd genus", todd))
     _verdict(6, "generic multiplicative formula vs Euler/signature", failures)
 
 

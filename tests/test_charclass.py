@@ -18,6 +18,7 @@ from abelianize.charclass import (
     characteristic_number,
     chern_character,
     euler_characteristic,
+    euler_factor_series,
     exterior_power,
     index_group,
     index_group_two_term,
@@ -25,6 +26,7 @@ from abelianize.charclass import (
     l_class_series,
     lambda_alternating_ch,
     mult_class,
+    root_factor_series,
     signature,
     tanh_series,
     todd_series,
@@ -94,6 +96,12 @@ class TestSeriesOracles:
     def test_tanh_matches_long_division(self):
         assert [Fraction(c) for c in tanh_series(9).coeffs] == oracle_tanh(9)
 
+    def test_root_factors_match_independent_references(self):
+        # x/f(x) is x/(1+x) for the total Chern class and tanh(x) for the L-class
+        for D in range(13):
+            assert root_factor_series(total_chern_series(D), D) == euler_factor_series(D)
+            assert root_factor_series(l_class_series(D), D) == tanh_series(D)
+
     def test_todd_evaluation(self):
         ring = Ring(1, [3])
         u = ring.variable(0)
@@ -129,7 +137,8 @@ class TestMultClass:
         u1, u2 = ring.gens()
         V = SplitBundle(ring, [(u1, 2), (u2 - u1, 1)])
         td = todd_series(ring.top_degree)
-        assert mult_class(td, V) * mult_class(td, V.negated()) == ring.one()
+        negated = SplitBundle(ring, [(u1, -2), (u2 - u1, -1)])
+        assert mult_class(td, V) * mult_class(td, negated) == ring.one()
 
     def test_multiplicative_over_direct_sum(self):
         ring = Ring(2, [4, 4])

@@ -1,6 +1,7 @@
 """Tests for the command-line driver and the config schema."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -92,6 +93,10 @@ class TestSubcommands:
         )
         assert status == 0
         assert out == "6\n"
+
+    def test_line_twist_with_a_leading_minus(self, capsys):
+        status, out, err = run(capsys, "index", "--grassmannian", "2", "4", "--line=-1,-1")
+        assert (status, out, err) == (0, "0\n", "")
 
     def test_presentation_csv(self, capsys):
         status, out, _ = run(
@@ -238,6 +243,35 @@ class TestConfig:
             capsys, "pairing", "--config", str(path), "--exps", "4,0", "--oracle"
         )
         assert (status, out, err) == (0, "4\n", "")
+
+    def test_charnum_on_an_orbifold_config_with_a_cancelling_tangent_pair(
+        self, capsys, tmp_path
+    ):
+        # G(3,6) with prefactor 2, a U(2)xU(1) block, and a tangent summand
+        # added and taken away again: every characteristic number doubles
+        doc = model_to_config(grassmannian_model(3, 6))
+        alpha, minus_alpha = ["-1", "1", "0"], ["1", "-1", "0"]
+        weights = doc["roots"]["weights"]
+        block = [i for i, w in enumerate(weights) if w in (alpha, minus_alpha)]
+        assert len(block) == 2
+        doc["orbifold_prefactor"] = "2"
+        doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+        doc["tangent_bundle"] += [
+            {"weight": alpha, "multiplicity": "1"},
+            {"weight": alpha, "multiplicity": "-1"},
+        ]
+        path = tmp_path / "g36-orbifold.json"
+        path.write_text(json.dumps(doc))
+        for choice in [
+            ("--class", "total-chern"),
+            ("--class", "todd"),
+            ("--class", "l-class"),
+            ("--series", "1,1/2,1/3,-1/4"),
+        ]:
+            status, out, err = run(capsys, "charnum", "--config", str(path), *choice)
+            _, plain, _ = run(capsys, "charnum", "--grassmannian", "3", "6", *choice)
+            assert (status, err) == (0, "")
+            assert Fraction(out) == 2 * Fraction(plain)
 
     @pytest.mark.parametrize(
         "change",

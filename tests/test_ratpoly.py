@@ -75,8 +75,15 @@ class TestArithmetic:
 
     def test_zero_is_empty_map(self):
         ring = Ring(2, [4, 4])
-        u1, _ = ring.gens()
+        u1, u2 = ring.gens()
         assert (u1 - u1).terms == {}
+        # sums and scalar multiples stay canonical: no zeros, integral values as int
+        third = u1 * Fraction(1, 3) + u2 * Fraction(2, 3)
+        assert (third - third).terms == {}
+        for whole in (third + third * 2, third * 3, third * Fraction(3, 2) * 2):
+            assert whole.terms == {(1, 0): 1, (0, 1): 2}
+            assert all(type(c) is int for c in whole.terms.values())
+        assert (-third).terms == {(1, 0): Fraction(-1, 3), (0, 1): Fraction(-2, 3)}
 
     def test_ring_mismatch_raises(self):
         a = Ring(2, [4, 4]).one()
