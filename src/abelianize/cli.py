@@ -8,6 +8,7 @@ configuration or usage errors, and 3 when an oracle check finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -313,7 +314,9 @@ def _cmd_oracle_check(args, out) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="abelianize",
         description=(

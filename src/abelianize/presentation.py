@@ -4,8 +4,9 @@ The rational cohomology of the nonabelian quotient is the ring of Weyl
 invariants of the torus-quotient ring modulo the ideal of invariants killed
 by multiplication with the root-class product e.  Everything here is
 degreewise exact linear algebra over Q: invariant bases are monomial orbit
-sums, ann(e) is a nullspace, Betti numbers are dimension differences, and
-the Poincare pairing is a matrix of quotient integrals.
+sums, ann(e) is a nullspace, the Poincare pairing is a matrix of quotient
+integrals, and a Betti number is a rank, not a dimension difference: that of
+multiplication by e on the invariants, by fraction-free integer elimination.
 
 A second, independent route to the signature counts eigenvalue signs of the
 middle-degree pairing matrix through its characteristic polynomial; Descartes'
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
@@ -54,10 +55,25 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def matrix_rank(rows: Matrix) -> int:
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    """Rank over Q by fraction-free Bareiss elimination: each row is scaled
+    to integers by the lcm of its denominators, and every update divides
+    exactly by the previous pivot."""
+    dens = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, len(m)):
+            a = m[i][c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
@@ -154,17 +170,20 @@ def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
     return [Poly(m.ring, {e: 1 for e in orbit}) for _, orbit in orbits]
 
 
+def _times_e(inv: list[Poly], e: Poly) -> Matrix:
+    """Coefficients of b*e for b in inv: a row per monomial, a column per b."""
+    products = [b * e for b in inv]
+    target = sorted({mono for p in products for mono in p.terms}, reverse=True)
+    return [[p.terms.get(mono, 0) for p in products] for mono in target]
+
+
 def ann_e_basis(m: QuotientModel, d: int, subgroup: Subgroup | None = None) -> list[Poly]:
     """Basis of the degree-d invariants annihilated by the root-class product,
     as the exact nullspace of the multiplication-by-e coefficient matrix."""
     inv = invariant_basis(m, d)
     if not inv:
         return []
-    e = m.e_class(subgroup)
-    products = [b * e for b in inv]
-    target = sorted({mono for p in products for mono in p.terms}, reverse=True)
-    rows = [[p.terms.get(mono, 0) for p in products] for mono in target]
-    kernel = nullspace([[Fraction(x) for x in row] for row in rows], len(inv))
+    kernel = nullspace(_times_e(inv, m.e_class(subgroup)), len(inv))
     if not kernel:
         return []
     reduced, _ = rref(kernel)
@@ -189,12 +208,12 @@ def quotient_top_degree(m: QuotientModel, subgroup: Subgroup | None = None) -> i
 
 
 def poincare_polynomial(m: QuotientModel, subgroup: Subgroup | None = None) -> list[int]:
-    """Betti numbers of the presented quotient: invariant dimension minus
-    ann(e) dimension per degree, trailing zeros trimmed."""
-    top = quotient_top_degree(m, subgroup)
+    """Betti numbers of the presented quotient: per degree, the rank of
+    multiplication by e on the invariants, trailing zeros trimmed."""
+    e = m.e_class(subgroup)
     betti = [
-        len(invariant_basis(m, d)) - len(ann_e_basis(m, d, subgroup))
-        for d in range(top + 1)
+        matrix_rank(_times_e(invariant_basis(m, d), e))
+        for d in range(quotient_top_degree(m, subgroup) + 1)
     ]
     while betti and betti[-1] == 0:
         betti.pop()

@@ -489,8 +489,11 @@ def permute_poly(p: Poly, perm: Sequence[int]) -> Poly:
     return Poly(p.ring, {permute_exponents(e, perm): c for e, c in p.terms.items()})
 
 
-def generate_permutation_group(generators: Iterable[Sequence[int]], k: int) -> list[Perm]:
-    """Enumerate the full group generated by permutations, identity included."""
+def generate_permutation_group(
+    generators: Iterable[Sequence[int]], k: int, limit: int | None = None
+) -> list[Perm]:
+    """Enumerate the full group generated by permutations, identity included.
+    With a limit, stop as soon as more than `limit` elements are found."""
     gens = [check_permutation(g, k) for g in generators]
     identity = tuple(range(k))
     seen = {identity}
@@ -503,6 +506,8 @@ def generate_permutation_group(generators: Iterable[Sequence[int]], k: int) -> l
                 if composed not in seen:
                     seen.add(composed)
                     nxt.append(composed)
+                    if limit is not None and len(seen) > limit:
+                        return sorted(seen)
         frontier = nxt
     return sorted(seen)
 

@@ -99,14 +99,21 @@ class RootData:
                 raise ValueError(f"root set is not stable under generator {g}")
         if not isinstance(self.weyl_order, int) or self.weyl_order < 1:
             raise ValueError(f"weyl_order must be a positive integer, got {self.weyl_order}")
-        # order check by enumeration, for permutation generators at small rank
-        if self.rank <= 8 and all(is_permutation_generator(g) for g in self.weyl_generators):
-            group = generate_permutation_group(self.weyl_generators, self.rank)
-            if len(group) != self.weyl_order:
-                raise ValueError(
-                    f"weyl_order {self.weyl_order} does not match generated group "
-                    f"of order {len(group)}"
-                )
+        # order check by enumeration.  W acts faithfully on its roots, so matrix
+        # generators are checked through the permutations they induce there.
+        gens, size = self.weyl_generators, self.rank
+        if not all(is_permutation_generator(g) for g in gens):
+            index = {w: i for i, w in enumerate(self.roots)}
+            gens = [tuple(index[apply_generator_to_weight(g, w)] for w in self.roots) for g in gens]
+            size = len(self.roots)
+        elif self.rank > 8:
+            return
+        order = len(generate_permutation_group(gens, size, limit=self.weyl_order))
+        if order != self.weyl_order:
+            found = order if order < self.weyl_order else f"greater than {self.weyl_order}"
+            raise ValueError(
+                f"weyl_order {self.weyl_order} does not match generated group of order {found}"
+            )
 
     @property
     def negative(self) -> tuple[Weight, ...]:

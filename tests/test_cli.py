@@ -1,6 +1,9 @@
 """Tests for the command-line driver and the config schema."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +100,18 @@ class TestSubcommands:
     def test_line_twist_with_a_leading_minus(self, capsys):
         status, out, err = run(capsys, "index", "--grassmannian", "2", "4", "--line=-1,-1")
         assert (status, out, err) == (0, "0\n", "")
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        g24 = ("--grassmannian", "2", "4")
+        assert run(capsys, "index", *g24, "--line=1,1") == (0, "6\n", "")
+        assert run(capsys, "index", *g24) == (0, "1\n", "")
+        for argv, code in [(("index", *g24, "--line"), 2), (("--help",), 0)]:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(list(argv))
+            assert exit_info.value.code == code
+            capsys.readouterr()
+            assert run(capsys, "betti", *g24) == (0, "1,1,2,1,1\n", "")
 
     def test_presentation_csv(self, capsys):
         status, out, _ = run(
@@ -425,9 +440,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="weyl_action"):
             model_from_config(doc)
 
+    @pytest.mark.parametrize("declared, found", [("4", "2"), ("1", "greater than 1")])
+    def test_matrix_generator_with_wrong_weyl_order_exits_2(
+        self, capsys, tmp_path, declared, found
+    ):
+        # the coordinate swap of G(2,4) as a matrix has order 2
+        doc = g24_config()
+        doc["roots"]["weyl_generators"] = [{"matrix": [["0", "1"], ["1", "0"]]}]
+        doc["roots"]["weyl_order"] = declared
+        path = tmp_path / "swap.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "euler", "--config", str(path))
+        assert (status, out) == (2, "")
+        assert err == (
+            f"config error: {path}.roots: weyl_order {declared} "
+            f"does not match generated group of order {found}\n"
+        )
+
     def test_config_dump_round_trips_through_cli(self, capsys, tmp_path):
         status, out, _ = run(capsys, "config-dump", "--grassmannian", "2", "4")
         assert status == 0
         path = tmp_path / "dumped.json"
         path.write_text(out)
         assert load_config(str(path)) == grassmannian_model(2, 4)
+
+
+def test_python_m_runs_the_cli_in_a_fresh_interpreter():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, code, out in [
+        (("betti", "--grassmannian", "2", "4"), 0, "1,1,2,1,1\n"),
+        (("frobnicate",), 2, ""),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "abelianize", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (code, out)

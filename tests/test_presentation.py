@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from abelianize.config import model_from_config, model_to_config
 from abelianize.quotient import grassmannian_model, integrate_group
 from abelianize.charclass import euler_characteristic, signature
 from abelianize.presentation import (
@@ -16,6 +18,8 @@ from abelianize.presentation import (
     pairing_matrix,
     poincare_polynomial,
     presentation_report,
+    quotient_top_degree,
+    rref,
     signature_from_pairing,
 )
 
@@ -43,7 +47,46 @@ def gaussian_binomial(n, k):
     return num
 
 
+BIG = 2**100
+ENTRIES = [
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 8x8 matrices of low rank: free rows and small integer
+    combinations of them (zero and repeated rows among these), shuffled, with
+    some columns zeroed."""
+    ncols = draw(st.integers(0, 8))
+    entry = draw(st.sampled_from(ENTRIES))
+    free = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    rows = list(free)
+    for _ in range(draw(st.integers(0, 8 - len(free)))):
+        coeffs = [draw(st.integers(-2, 2)) for _ in free]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, free)), 0) for j in range(ncols)])
+    rows = draw(st.permutations(rows))
+    zeroed = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    return [[0 if j in zeroed else x for j, x in enumerate(row)] for row in rows]
+
+
+# three free rows of 100-bit entries and their sum: rounding any quotient
+# breaks the dependency
+WIDE_FREE = [[pow(3, 70 + 4 * i + j, BIG) - BIG // 2 for j in range(4)] for i in range(3)]
+WIDE_RANK_3 = WIDE_FREE + [[sum(column) for column in zip(*WIDE_FREE)]]
+
+
 class TestLinearAlgebra:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    @example(WIDE_RANK_3)
+    @example([[0, 1], [1, 1], [1, 1]])
+    def test_rank_matches_rref(self, rows):
+        assert matrix_rank(rows) == len(rref(rows)[1])
+
     def test_rank(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert matrix_rank(rows) == 1
@@ -159,6 +202,32 @@ class TestPoincarePolynomial:
         for k, n in [(1, 4), (2, 4), (2, 5), (3, 6)]:
             m = grassmannian_model(k, n)
             assert sum(poincare_polynomial(m)) == euler_characteristic(m)
+
+
+def _subgroup_configs():
+    """G(3,6) with a U(2)xU(1) block and G(2,5) with the torus as subgroup,
+    each as a config model."""
+    u2u1 = model_to_config(grassmannian_model(3, 6))
+    block = [i for i, w in enumerate(u2u1["roots"]["weights"]) if w[2] == "0"]
+    u2u1["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+    torus = model_to_config(grassmannian_model(2, 5))
+    torus["subgroup_roots"] = {"indices": [], "weyl_order": "1"}
+    return [model_from_config(doc) for doc in (u2u1, torus)]
+
+
+class TestRankRoute:
+    def test_betti_is_invariants_minus_ann(self):
+        cases = [(grassmannian_model(k, n), None) for k in range(1, 4) for n in range(k, 8)]
+        for m in _subgroup_configs():
+            cases += [(m, None), (m, m.subgroup)]
+        for m, sub in cases:
+            diff = [
+                len(invariant_basis(m, d)) - len(ann_e_basis(m, d, sub))
+                for d in range(quotient_top_degree(m, sub) + 1)
+            ]
+            while diff and diff[-1] == 0:
+                diff.pop()
+            assert poincare_polynomial(m, sub) == diff
 
 
 class TestPairingMatrix:

@@ -273,6 +273,7 @@ class TestSymmetrize:
         gens = [(1, 0, 2), (1, 2, 0)]
         group = generate_permutation_group(gens, 3)
         assert len(group) == 6
+        assert len(generate_permutation_group(gens, 3, limit=2)) == 3
         p = symmetrize(ring.monomial((3, 1, 0)), gens)
         assert set(p.terms.values()) == {1}
         assert len(p.terms) == 6  # distinct exponents, full orbit
