@@ -3,10 +3,15 @@
 The rational cohomology of the nonabelian quotient is the ring of Weyl
 invariants of the torus-quotient ring modulo the ideal of invariants killed
 by multiplication with the root-class product e.  Everything here is
-degreewise exact linear algebra over Q: invariant bases are monomial orbit
-sums, ann(e) is a nullspace, the Poincare pairing is a matrix of quotient
-integrals, and a Betti number is a rank, not a dimension difference: that of
-multiplication by e on the invariants, by fraction-free integer elimination.
+degreewise exact linear algebra over Q on one invariant basis per degree,
+built once per report.  Invariant bases are monomial orbit sums.
+`ann_e_basis` takes a degree's basis and returns ann(e) in it as a nullspace.
+`pairing_matrix` takes two bases; its entries are the prefactor times
+`integrate_torus(a, b, e)`, the quotient integral (1/|W|) of a*b*e over the
+torus quotient.  A Betti number is a rank, not a dimension difference: that
+of multiplication by e on the invariants.  All elimination is one
+fraction-free Gauss-Jordan routine: `rref` divides its result by the common
+pivot and `matrix_rank` counts its pivots.
 
 A second, independent route to the signature counts eigenvalue signs of the
 middle-degree pairing matrix through its characteristic polynomial; Descartes'
@@ -30,56 +35,53 @@ Matrix = list[list[Fraction]]
 # -- exact rational linear algebra ------------------------------------------
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices, exact over Q."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _echelon(rows: Matrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss).
+
+    Each row is scaled to integers by the lcm of its denominators.  Each pivot
+    column is then cleared above and below its pivot, and every update divides
+    exactly by the previous pivot, so all pivots end equal to the last one.
+    Returns the integer matrix, the pivot columns and that common pivot.
+    """
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                a = row[c]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        prev = p
+        if len(pivots) == len(m):
             break
-    return m, pivots
+    return m, pivots, prev
+
+
+def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot column indices, exact over Q: the
+    fraction-free echelon form divided by its common pivot."""
+    m, pivots, p = _echelon(rows)
+    return [[Fraction(x, p) for x in row] for row in m], pivots
 
 
 def matrix_rank(rows: Matrix) -> int:
-    """Rank over Q by fraction-free Bareiss elimination: each row is scaled
-    to integers by the lcm of its denominators, and every update divides
-    exactly by the previous pivot."""
-    dens = [lcm(*(x.denominator for x in row)) for row in rows]
-    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[c]
-        for i in range(rank + 1, len(m)):
-            a = m[i][c]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        rank += 1
-    return rank
+    """Rank over Q: the number of pivots of the fraction-free echelon form."""
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel, one vector per free column, in column order."""
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
     reduced, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -94,19 +96,12 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
 
 def _primitive(vec: Sequence[Fraction]) -> list[int]:
     """Scale to a primitive integer vector with positive leading entry."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def charpoly(a: Matrix) -> list[Fraction]:
@@ -177,23 +172,16 @@ def _times_e(inv: list[Poly], e: Poly) -> Matrix:
     return [[p.terms.get(mono, 0) for p in products] for mono in target]
 
 
-def ann_e_basis(m: QuotientModel, d: int, subgroup: Subgroup | None = None) -> list[Poly]:
-    """Basis of the degree-d invariants annihilated by the root-class product,
-    as the exact nullspace of the multiplication-by-e coefficient matrix."""
-    inv = invariant_basis(m, d)
-    if not inv:
-        return []
+def ann_e_basis(m: QuotientModel, inv: list[Poly], subgroup: Subgroup | None = None) -> list[Poly]:
+    """Basis of the span of one degree's invariant basis `inv` annihilated by
+    the root-class product, as the exact nullspace of the multiplication-by-e
+    coefficient matrix."""
     kernel = nullspace(_times_e(inv, m.e_class(subgroup)), len(inv))
-    if not kernel:
-        return []
     reduced, _ = rref(kernel)
     basis = []
     for vec in reduced:
-        ints = _primitive(vec)
-        if all(x == 0 for x in ints):
-            continue
         combo = m.ring.zero()
-        for c, b in zip(ints, inv):
+        for c, b in zip(_primitive(vec), inv):
             if c:
                 combo = combo + b * c
         basis.append(combo)
@@ -221,16 +209,13 @@ def poincare_polynomial(m: QuotientModel, subgroup: Subgroup | None = None) -> l
 
 
 def pairing_matrix(
-    m: QuotientModel, d: int, subgroup: Subgroup | None = None
+    m: QuotientModel, rows: list[Poly], columns: list[Poly], subgroup: Subgroup | None = None
 ) -> Matrix:
-    """Gram matrix of the quotient pairing between the degree-d and
-    complementary-degree invariant bases."""
-    top = quotient_top_degree(m, subgroup)
-    if not 0 <= d <= top:
-        raise ValueError(f"degree {d} out of range 0..{top}")
+    """Gram matrix of the quotient pairing between two lists of invariants:
+    entry (a, b) is the prefactor times integrate_torus(a, b, e), e being the
+    root-class product."""
     pre, e = m.prefactor(subgroup), m.e_class(subgroup)
-    columns = [b * e for b in invariant_basis(m, top - d)]
-    return [[pre * integrate_torus(m, a, be) for be in columns] for a in invariant_basis(m, d)]
+    return [[pre * integrate_torus(m, a, b, e) for b in columns] for a in rows]
 
 
 def signature_from_pairing(m: QuotientModel) -> Fraction:
@@ -239,7 +224,8 @@ def signature_from_pairing(m: QuotientModel) -> Fraction:
     top = quotient_top_degree(m)
     if top % 2 == 1:
         return Fraction(0)
-    pos, neg, _ = eigenvalue_signs(pairing_matrix(m, top // 2))
+    middle = invariant_basis(m, top // 2)
+    pos, neg, _ = eigenvalue_signs(pairing_matrix(m, middle, middle))
     return Fraction(pos - neg)
 
 
@@ -270,13 +256,13 @@ def presentation_report(m: QuotientModel, subgroup: Subgroup | None = None) -> P
     """Degreewise summary of the quotient presentation; fails if the Betti
     sequence is not palindromic, which would contradict Poincare duality."""
     top = quotient_top_degree(m, subgroup)
+    bases = [invariant_basis(m, d) for d in range(top + 1)]
     rows = []
     betti = []
-    for d in range(top + 1):
-        inv = invariant_basis(m, d)
-        ann = ann_e_basis(m, d, subgroup)
+    for d, inv in enumerate(bases):
+        ann = ann_e_basis(m, inv, subgroup)
         b = len(inv) - len(ann)
-        rank = matrix_rank(pairing_matrix(m, d, subgroup))
+        rank = matrix_rank(pairing_matrix(m, inv, bases[top - d], subgroup))
         rows.append(
             DegreeRow(
                 degree=d,

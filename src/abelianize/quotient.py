@@ -151,7 +151,7 @@ class QuotientModel:
             raise ValueError("more roots than the torus quotient dimension allows")
         self.root_data = root_data
         if subgroup is not None:
-            self.outside_subgroup((), subgroup)  # the containment check
+            self.outside_subgroup((), subgroup)  # the containment and negation checks
             if root_data.weyl_order % subgroup.weyl_order != 0:
                 raise ValueError("subgroup Weyl order must divide the group's Weyl order")
         self.ring = ring
@@ -178,13 +178,16 @@ class QuotientModel:
         self, weights: Iterable[Weight], subgroup: Subgroup | None
     ) -> tuple[Weight, ...]:
         """The given weights that are not roots of the subgroup, or all of
-        them without one; the subgroup's roots must be roots of the model."""
+        them without one; the subgroup's roots must be roots of the model and
+        closed under negation."""
         weights = tuple(weights)
         if subgroup is None:
             return weights
         inside = set(subgroup.roots)
         if not inside <= set(self.root_data.roots):
             raise ValueError("subgroup roots must be contained in the model's roots")
+        if any(tuple(-x for x in w) not in inside for w in inside):
+            raise ValueError("subgroup roots must be closed under negation")
         return tuple(w for w in weights if w not in inside)
 
     def prefactor(self, subgroup: Subgroup | None = None) -> Fraction:

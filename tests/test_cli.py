@@ -394,6 +394,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="out of range"):
             model_from_config(doc)
 
+    def test_subgroup_roots_must_be_closed_under_negation(self, capsys, tmp_path):
+        # one root of G(2,4) without its negative is no subgroup's root system
+        doc = g24_config()
+        doc["subgroup_roots"] = {"indices": ["0"], "weyl_order": "1"}
+        path = tmp_path / "half-block.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "betti", "--config", str(path))
+        assert (status, out) == (2, "")
+        assert err == f"config error: {path}: subgroup roots must be closed under negation\n"
+
     def test_subgroup_block_round_trips(self):
         doc = g24_config()
         doc["subgroup_roots"] = {"indices": ["0", "1"], "weyl_order": "2"}
