@@ -16,7 +16,6 @@ from .ratpoly import (
     exp_series,
     parse_poly,
     render_poly,
-    symmetrize,
 )
 from .rootdata import RootData, Subgroup, e_product, root_euler_class, unitary_roots
 from .quotient import (
@@ -26,7 +25,6 @@ from .quotient import (
     grassmannian_model,
     integrate_group,
     integrate_torus,
-    root_bundle,
 )
 from .charclass import (
     chern_character,
@@ -63,7 +61,6 @@ __all__ = [
     "exp_series",
     "parse_poly",
     "render_poly",
-    "symmetrize",
     "RootData",
     "Subgroup",
     "e_product",
@@ -75,7 +72,6 @@ __all__ = [
     "grassmannian_model",
     "integrate_group",
     "integrate_torus",
-    "root_bundle",
     "chern_character",
     "characteristic_number",
     "euler_characteristic",

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 from .ratpoly import Poly, Series, eval_series, exp_series
-from .rootdata import Subgroup, Weight, root_euler_class
-from .quotient import QuotientModel, SplitBundle, integrate_torus, root_bundle
+from .rootdata import Subgroup, root_euler_class
+from .quotient import QuotientModel, SplitBundle, integrate_torus
 
 
 # -- named multiplicative series ------------------------------------------
@@ -89,15 +89,17 @@ CLASS_SERIES: dict[str, Callable[[int], Series]] = {
 def mult_class(f: Series, V: SplitBundle) -> Poly:
     """Apply a multiplicative series to a split bundle.
 
-    Each summand contributes f(root)^multiplicity; negative multiplicities go
-    through the series reciprocal, so virtual bundles are supported.
+    Each summand contributes f(root)^multiplicity, root being the Euler class
+    of its weight; negative multiplicities go through the series reciprocal,
+    so virtual bundles are supported.
     """
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
     f = f.truncated(V.ring.top_degree)
     f_inv = None
     out = V.ring.one()
-    for root, mult in V.summands:
+    for w, mult in V.summands:
+        root = root_euler_class(V.ring, w)
         if mult > 0:
             out = out * eval_series(f, root) ** mult
         else:
@@ -112,28 +114,23 @@ def chern_character(V: SplitBundle) -> Poly:
     multiplicative over tensor products of lines."""
     e = exp_series(V.ring.top_degree)
     out = V.ring.zero()
-    for root, mult in V.summands:
-        out = out + eval_series(e, root) * mult
+    for w, mult in V.summands:
+        out = out + eval_series(e, root_euler_class(V.ring, w)) * mult
     return out
 
 
 def exterior_power(V: SplitBundle, i: int) -> SplitBundle:
     """The i-th exterior power of a genuine split bundle: one line per
-    i-subset of its lines, with the subset's roots summed."""
+    i-subset of its lines, with the subset's weights summed."""
     if any(m < 0 for _, m in V.summands):
         raise ValueError("exterior powers need nonnegative multiplicities")
-    lines: list[Poly] = []
-    for root, mult in V.summands:
-        lines.extend([root] * mult)
+    lines = [w for w, mult in V.summands for _ in range(mult)]
     if i < 0 or i > len(lines):
         raise ValueError(f"exterior power index {i} out of range 0..{len(lines)}")
-    summands = []
-    for combo in combinations(range(len(lines)), i):
-        root = V.ring.zero()
-        for j in combo:
-            root = root + lines[j]
-        summands.append((root, 1))
-    return SplitBundle(V.ring, summands)
+    zero = (0,) * V.ring.k  # the sum of the empty subset
+    return SplitBundle(
+        V.ring, [(tuple(map(sum, zip(zero, *combo))), 1) for combo in combinations(lines, i)]
+    )
 
 
 def lambda_alternating_ch(E: SplitBundle) -> Poly:
@@ -144,23 +141,18 @@ def lambda_alternating_ch(E: SplitBundle) -> Poly:
     e = exp_series(E.ring.top_degree)
     out = E.ring.one()
     one = E.ring.one()
-    for root, mult in E.summands:
-        out = out * (one - eval_series(e, root)) ** mult
+    for w, mult in E.summands:
+        out = out * (one - eval_series(e, root_euler_class(E.ring, w))) ** mult
     return out
 
 
 # -- index of a lifted elliptic operator ------------------------------------
 
 
-def _positive_weights(
-    m: QuotientModel,
-    positive: Sequence[Weight] | None,
-    subgroup: Subgroup | None,
-) -> tuple[Weight, ...]:
-    weights = m.root_data.positive if positive is None else tuple(tuple(w) for w in positive)
-    if set(weights) | {tuple(-x for x in w) for w in weights} != set(m.root_data.roots):
-        raise ValueError("positive roots must be a positivity choice for the model's roots")
-    return m.outside_subgroup(weights, subgroup)
+def _positive_bundle(m: QuotientModel, subgroup: Subgroup | None) -> SplitBundle:
+    """The lines of the positive roots, those of the subgroup left out."""
+    weights = m.outside_subgroup(m.root_data.positive, subgroup)
+    return SplitBundle(m.ring, [(w, 1) for w in weights])
 
 
 def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
@@ -171,37 +163,31 @@ def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
 
 
 def index_group(
-    m: QuotientModel,
-    V_lift: SplitBundle,
-    positive: Sequence[Weight] | None = None,
-    subgroup: Subgroup | None = None,
+    m: QuotientModel, V_lift: SplitBundle, subgroup: Subgroup | None = None
 ) -> Fraction:
     """Index on the nonabelian quotient of the operator twisted by a bundle
     with the given lift, computed on the torus side as the integral of
     ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots.
 
-    The value is independent of the positivity choice; `positive` lets tests
-    exercise that.  With `subgroup` set, only the positive roots outside the
-    subgroup enter (the full-rank-subgroup variant).
+    The value is independent of the positivity choice of the model's root
+    data.  With `subgroup` set, only the positive roots outside the subgroup
+    enter (the full-rank-subgroup variant).
     """
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    E = root_bundle(m.ring, _positive_weights(m, positive, subgroup))
+    E = _positive_bundle(m, subgroup)
     td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
     return integrate_torus(m, chern_character(V_lift), td, lambda_alternating_ch(E))
 
 
 def index_group_two_term(
-    m: QuotientModel,
-    V_lift: SplitBundle,
-    positive: Sequence[Weight] | None = None,
-    subgroup: Subgroup | None = None,
+    m: QuotientModel, V_lift: SplitBundle, subgroup: Subgroup | None = None
 ) -> Fraction:
     """The same index as the difference of two torus-side indices, twisting by
     the even and odd exterior powers of the positive-root bundle."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    E = root_bundle(m.ring, _positive_weights(m, positive, subgroup))
+    E = _positive_bundle(m, subgroup)
     rank = E.rank
     even = SplitBundle(m.ring, [])
     odd = SplitBundle(m.ring, [])

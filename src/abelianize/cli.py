@@ -24,7 +24,7 @@ from .quotient import (
     integrate_torus,
 )
 from .ratpoly import Series, parse_poly, rat
-from .rootdata import root_euler_class, unitary_roots
+from .rootdata import unitary_roots
 
 
 def _fmt(value: Fraction, latex: bool = False) -> str:
@@ -84,13 +84,12 @@ def _subgroup_of(args, m: QuotientModel):
 # -- subcommands --------------------------------------------------------------
 
 
-def _multiplicities(summands) -> dict:
-    """Total multiplicity of each distinct Chern root, zeros dropped."""
+def _multiplicities(V: SplitBundle) -> dict:
+    """Total multiplicity of each distinct weight, zeros dropped."""
     out: dict = {}
-    for root, mult in summands:
-        key = frozenset(root.terms.items())
-        out[key] = out.get(key, 0) + mult
-    return {key: v for key, v in out.items() if v}
+    for w, mult in V.summands:
+        out[w] = out.get(w, 0) + mult
+    return {w: v for w, v in out.items() if v}
 
 
 def _grassmannian_n(m: QuotientModel) -> int:
@@ -102,7 +101,8 @@ def _grassmannian_n(m: QuotientModel) -> int:
     k = m.ring.k
     n = m.ring.truncations[0]
     unitary = unitary_roots(k)
-    grassmannian_tangent = [(m.ring.variable(i), n) for i in range(k)] + [(m.ring.zero(), -k)]
+    lines = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)]
+    grassmannian_tangent = SplitBundle(m.ring, lines + [((0,) * k, -k)])
     if set(m.ring.truncations) != {n}:
         reason = f"truncations {list(m.ring.truncations)} are not all equal"
     elif (
@@ -110,7 +110,7 @@ def _grassmannian_n(m: QuotientModel) -> int:
         or m.root_data.weyl_order != unitary.weyl_order
     ):
         reason = f"the roots and Weyl order are not those of U({k})"
-    elif _multiplicities(m.tangent_bundle.summands) != _multiplicities(grassmannian_tangent):
+    elif _multiplicities(m.tangent_bundle) != _multiplicities(grassmannian_tangent):
         reason = f"the tangent bundle is not {n} copies of each u_i minus {k} trivial lines"
     else:
         return n
@@ -245,7 +245,7 @@ def _cmd_charnum(args, out) -> int:
 
 def _parse_lines(entries: Sequence[str], m: QuotientModel) -> SplitBundle:
     if not entries:
-        return SplitBundle(m.ring, [(m.ring.zero(), 1)])
+        return SplitBundle(m.ring, [((0,) * m.ring.k, 1)])
     summands = []
     for entry in entries:
         body, _, mult_text = entry.partition(":")
@@ -261,7 +261,7 @@ def _parse_lines(entries: Sequence[str], m: QuotientModel) -> SplitBundle:
             raise ConfigError("--line", f"not an integer vector: {body!r}") from None
         if len(w) != m.ring.k:
             raise ConfigError("--line", f"expected {m.ring.k} components in {entry!r}")
-        summands.append((root_euler_class(m.ring, w), mult))
+        summands.append((w, mult))
     return SplitBundle(m.ring, summands)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .ratpoly import Ring
-from .rootdata import RootData, Subgroup, root_euler_class, unitary_roots
+from .rootdata import RootData, Subgroup, unitary_roots
 from .quotient import QuotientModel, SplitBundle
 
 SCHEMA_VERSION = "1"
@@ -127,14 +127,13 @@ def _parse_tangent(value: Any, ring: Ring, location: str) -> SplitBundle:
             raise ConfigError(loc, "expected an object with weight and multiplicity")
         raw_w = _require(entry, "weight", loc)
         if raw_w == "0" or raw_w == 0:
-            root = ring.zero()
+            w = [0] * ring.k
         else:
             w = _as_int_list(raw_w, f"{loc}.weight")
             if len(w) != ring.k:
                 raise ConfigError(f"{loc}.weight", f"expected {ring.k} components")
-            root = root_euler_class(ring, w)
         mult = _as_int(_require(entry, "multiplicity", loc), f"{loc}.multiplicity")
-        summands.append((root, mult))
+        summands.append((w, mult))
     return SplitBundle(ring, summands)
 
 
@@ -229,10 +228,10 @@ def model_to_config(m: QuotientModel) -> dict:
         },
         "tangent_bundle": [
             {
-                "weight": "0" if root.is_zero() else _weight_of_root(root),
+                "weight": [str(x) for x in w] if any(w) else "0",
                 "multiplicity": str(mult),
             }
-            for root, mult in m.tangent_bundle.summands
+            for w, mult in m.tangent_bundle.summands
         ],
         "orbifold_prefactor": str(m.orbifold_prefactor),
         "weyl_action": [[str(x + 1) for x in g] for g in m.weyl_action],
@@ -243,12 +242,3 @@ def model_to_config(m: QuotientModel) -> dict:
             "weyl_order": str(m.subgroup.weyl_order),
         }
     return doc
-
-
-def _weight_of_root(root) -> list[str]:
-    k = root.ring.k
-    w = [0] * k
-    for e, c in root.terms.items():
-        i = next(idx for idx, x in enumerate(e) if x)
-        w[i] = c
-    return [str(x) for x in w]

@@ -16,7 +16,7 @@ the ratio of Weyl orders.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .ratpoly import (
@@ -31,9 +31,9 @@ from .rootdata import (
     RootData,
     Subgroup,
     Weight,
+    as_weight,
     e_product,
     is_permutation_generator,
-    root_euler_class,
     unitary_roots,
 )
 
@@ -41,24 +41,24 @@ from .rootdata import (
 class SplitBundle:
     """A formal integer combination of line bundles over the model's ring.
 
-    Each summand is (chern root, multiplicity); roots are homogeneous of
-    degree 1 (or zero for trivial lines), multiplicities may be negative for
-    virtual bundles.
+    Each summand is (weight, multiplicity): a line is its torus weight, an
+    integer vector whose Chern root sum_i w_i u_i is formed only where a
+    class is evaluated (the zero weight is a trivial line); multiplicities
+    may be negative for virtual bundles.  An entry on a variable truncated
+    at 1 is stored as 0, since u_i = 0 there: equal weights, equal roots.
     """
 
     __slots__ = ("ring", "summands")
 
-    def __init__(self, ring: Ring, summands: Iterable[tuple[Poly, int]]):
+    def __init__(self, ring: Ring, summands: Iterable[tuple[Sequence[int], int]]):
         tidy = []
-        for root, mult in summands:
-            if root.ring != ring:
-                raise ValueError("chern root lives in the wrong ring")
-            if not root.is_homogeneous(1) and not root.is_zero():
-                raise ValueError(f"chern root must be homogeneous of degree 1 or zero: {root}")
+        for w, mult in summands:
+            w = as_weight(w, ring.k)
+            w = tuple(x if n > 1 else 0 for x, n in zip(w, ring.truncations))
             if not isinstance(mult, int):
                 raise ValueError(f"multiplicity must be an integer, got {mult!r}")
             if mult:
-                tidy.append((root, mult))
+                tidy.append((w, mult))
         self.ring = ring
         self.summands = tuple(tidy)
 
@@ -72,12 +72,16 @@ class SplitBundle:
         return SplitBundle(self.ring, self.summands + other.summands)
 
     def tensor(self, other: SplitBundle) -> SplitBundle:
-        """Tensor product of split bundles: roots add, multiplicities multiply."""
+        """Tensor product of split bundles: weights add, multiplicities multiply."""
         if self.ring != other.ring:
             raise ValueError("cannot tensor bundles over different rings")
         return SplitBundle(
             self.ring,
-            [(r1 + r2, m1 * m2) for r1, m1 in self.summands for r2, m2 in other.summands],
+            [
+                (tuple(map(add, w1, w2)), m1 * m2)
+                for w1, m1 in self.summands
+                for w2, m2 in other.summands
+            ],
         )
 
     def __eq__(self, other) -> bool:
@@ -86,13 +90,8 @@ class SplitBundle:
         return self.ring == other.ring and self.summands == other.summands
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"({r!s})x{m}" for r, m in self.summands)
+        inside = ", ".join(f"{w}x{m}" for w, m in self.summands)
         return f"SplitBundle[{inside}]"
-
-
-def root_bundle(ring: Ring, weights: Iterable[Weight]) -> SplitBundle:
-    """The direct sum of the line bundles attached to the given weights."""
-    return SplitBundle(ring, [(root_euler_class(ring, w), 1) for w in weights])
 
 
 class QuotientModel:
@@ -217,14 +216,13 @@ def grassmannian_model(k: int, n: int) -> QuotientModel:
     through the k-fold product of projective (n-1)-spaces.
 
     The tangent bundle uses the Euler-sequence splitting: n copies of each
-    hyperplane line per factor minus k trivial lines, so its total Chern
-    class is the product of (1+u_i)^n.
+    hyperplane line per factor (the unit weights) minus k trivial lines, so
+    its total Chern class is the product of (1+u_i)^n.
     """
     if k < 1 or n < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     ring = Ring(k, [n] * k)
-    summands: list[tuple[Poly, int]] = [(ring.variable(i), n) for i in range(k)]
-    summands.append((ring.zero(), -k))
+    summands = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)] + [((0,) * k, -k)]
     return QuotientModel(ring, unitary_roots(k), SplitBundle(ring, summands))
 
 

@@ -181,12 +181,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        if d is not None:
-            return degrees <= {d}
-        return len(degrees) <= 1
-
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * self.ring.k, 0))
 
@@ -525,18 +519,6 @@ def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponen
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
-
-
-def symmetrize(p: Poly, generators: Iterable[Sequence[int]]) -> Poly:
-    """Orbit-sum symmetrization under the group generated by variable
-    permutations: each input term contributes its coefficient on every
-    distinct monomial in its orbit, so the output is invariant."""
-    gens = [check_permutation(g, p.ring.k) for g in generators]
-    out: dict[Exponent, Coeff] = {}
-    for e, c in p.terms.items():
-        for image in exponent_orbit(e, gens):
-            out[image] = out.get(image, 0) + c
-    return Poly(p.ring, out)
 
 
 # -- univariate power series ----------------------------------------------

@@ -26,7 +26,7 @@ Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _as_weight(w: Sequence[int], rank: int) -> Weight:
+def as_weight(w: Sequence[int], rank: int) -> Weight:
     t = tuple(w)
     if len(t) != rank or any(not isinstance(x, int) for x in t):
         raise ValueError(f"weight {w} is not an integer vector of length {rank}")
@@ -63,8 +63,8 @@ class RootData:
         if rank < 1:
             raise ValueError("rank must be at least 1")
         self.rank = rank
-        self.roots = tuple(_as_weight(w, rank) for w in roots)
-        self.positive = tuple(_as_weight(w, rank) for w in positive)
+        self.roots = tuple(as_weight(w, rank) for w in roots)
+        self.positive = tuple(as_weight(w, rank) for w in positive)
         self.weyl_order = weyl_order
         gens = []
         for g in weyl_generators:

@@ -12,6 +12,7 @@ from math import comb
 from abelianize.ratpoly import Ring, elementary_symmetric, eval_series, exp_series
 from abelianize.rootdata import Subgroup
 from abelianize.quotient import (
+    QuotientModel,
     SplitBundle,
     chern_pairing,
     grassmannian_model,
@@ -133,18 +134,16 @@ def test_criterion_7_index_values_and_two_term_form():
     cases = []
     for n in range(1, 6):
         m = grassmannian_model(1, n)
-        V = SplitBundle(m.ring, [(m.ring.zero(), 1)])
+        V = SplitBundle(m.ring, [((0,), 1)])
         cases.append((f"CP^{n - 1} trivial", m, V, Fraction(1)))
     line = grassmannian_model(1, 2)
-    u = line.ring.variable(0)
     for twist in range(11):
-        V = SplitBundle(line.ring, [(u * twist, 1)])
+        V = SplitBundle(line.ring, [((twist,), 1)])
         cases.append((f"CP^1 twist {twist}", line, V, Fraction(twist + 1)))
     g24 = grassmannian_model(2, 4)
-    u1, u2 = g24.ring.gens()
     tableaux = sum(1 for a in range(1, 5) for b in range(a + 1, 5))  # height-2 column fillings
     cases.append(
-        ("G(2,4) Plucker line", g24, SplitBundle(g24.ring, [(u1 + u2, 1)]), Fraction(tableaux))
+        ("G(2,4) Plucker line", g24, SplitBundle(g24.ring, [((1, 1), 1)]), Fraction(tableaux))
     )
     for name, m, V, want in cases:
         got = index_group(m, V)
@@ -162,9 +161,10 @@ def test_criterion_8_k_identity_and_positivity_independence():
     ring = Ring(3, [4, 4, 4])
     u = ring.gens()
     roots = [u[1] - u[0], u[2] - u[1], u[2] - u[0]]
+    weights = [(-1, 1, 0), (0, -1, 1), (-1, 0, 1)]
     e = exp_series(ring.top_degree)
     for rank in range(1, 4):
-        E = SplitBundle(ring, [(r, 1) for r in roots[:rank]])
+        E = SplitBundle(ring, [(w, 1) for w in weights[:rank]])
         alt = ring.zero()
         for i in range(rank + 1):
             for combo in combinations(range(rank), i):
@@ -177,10 +177,9 @@ def test_criterion_8_k_identity_and_positivity_independence():
     # both positivity conventions give the same index
     for k, n in [(2, 4), (2, 5), (3, 5), (3, 6)]:
         m = grassmannian_model(k, n)
-        gens = m.ring.gens()
-        V = SplitBundle(m.ring, [(sum(gens, m.ring.zero()), 1)])
-        flipped = m.root_data.negative
-        if index_group(m, V) != index_group(m, V, positive=flipped):
+        V = SplitBundle(m.ring, [((1,) * k, 1)])
+        flipped = QuotientModel(m.ring, m.root_data.opposite(), m.tangent_bundle)
+        if index_group(m, V) != index_group(flipped, V):
             failures.append(("positivity", k, n))
     _verdict(8, "K-identity and positive-root independence", failures)
 
@@ -215,7 +214,7 @@ def test_criterion_10_subgroup_variant_degenerations():
             failures.append(("H=G", str(lift)[:40]))
     if m.e_class(whole) != m.ring.one():
         failures.append(("H=G e-product", str(m.e_class(whole))))
-    V = SplitBundle(m.ring, [(m.ring.zero(), 1)])
+    V = SplitBundle(m.ring, [((0, 0), 1)])
     if index_group(m, V, subgroup=torus) != index_group(m, V):
         failures.append(("H=T index",))
     if index_group(m, V, subgroup=whole) != index_torus(m, V):

@@ -12,7 +12,7 @@ import pytest
 
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
 from abelianize.rootdata import Subgroup
-from abelianize.quotient import SplitBundle, grassmannian_model
+from abelianize.quotient import QuotientModel, SplitBundle, grassmannian_model
 from abelianize.charclass import (
     CLASS_SERIES,
     characteristic_number,
@@ -123,43 +123,39 @@ class TestMultClass:
     def test_total_chern_of_line(self):
         ring = Ring(2, [4, 4])
         u1, _ = ring.gens()
-        V = SplitBundle(ring, [(u1, 1)])
+        V = SplitBundle(ring, [((1, 0), 1)])
         assert mult_class(total_chern_series(6), V) == ring.one() + u1
 
     def test_todd_of_rank_zero_virtual(self):
         ring = Ring(1, [5])
-        u = ring.variable(0)
-        V = SplitBundle(ring, [(u, 1), (u, -1)])
+        V = SplitBundle(ring, [((1,), 1), ((1,), -1)])
         assert mult_class(todd_series(4), V) == ring.one()
 
     def test_todd_times_todd_of_negative_is_one(self):
         ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        V = SplitBundle(ring, [(u1, 2), (u2 - u1, 1)])
+        V = SplitBundle(ring, [((1, 0), 2), ((-1, 1), 1)])
         td = todd_series(ring.top_degree)
-        negated = SplitBundle(ring, [(u1, -2), (u2 - u1, -1)])
+        negated = SplitBundle(ring, [((1, 0), -2), ((-1, 1), -1)])
         assert mult_class(td, V) * mult_class(td, negated) == ring.one()
 
     def test_multiplicative_over_direct_sum(self):
         ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        a = SplitBundle(ring, [(u1, 2)])
-        b = SplitBundle(ring, [(u2, 1), (u1 + u2, 1)])
+        a = SplitBundle(ring, [((1, 0), 2)])
+        b = SplitBundle(ring, [((0, 1), 1), ((1, 1), 1)])
         for name in CLASS_SERIES:
             f = CLASS_SERIES[name](ring.top_degree)
             assert mult_class(f, a + b) == mult_class(f, a) * mult_class(f, b)
 
     def test_degree_zero_part_is_one(self):
         ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        V = SplitBundle(ring, [(u1, 3), (u2, -2)])
+        V = SplitBundle(ring, [((1, 0), 3), ((0, 1), -2)])
         for name in CLASS_SERIES:
             c = mult_class(CLASS_SERIES[name](ring.top_degree), V)
             assert c.constant_term() == 1
 
     def test_requires_unit_constant_term(self):
         ring = Ring(1, [3])
-        V = SplitBundle(ring, [(ring.variable(0), 1)])
+        V = SplitBundle(ring, [((1,), 1)])
         with pytest.raises(ValueError):
             mult_class(Series([2, 1]), V)
 
@@ -174,28 +170,27 @@ class TestChernCharacter:
     def test_line_bundle(self):
         ring = Ring(1, [3])
         u = ring.variable(0)
-        V = SplitBundle(ring, [(u, 1)])
+        V = SplitBundle(ring, [((1,), 1)])
         assert chern_character(V) == ring.one() + u + u**2 / 2
 
     def test_virtual_difference(self):
         ring = Ring(1, [4])
         u = ring.variable(0)
-        V = SplitBundle(ring, [(ring.zero(), 1), (u, -1)])
+        V = SplitBundle(ring, [((0,), 1), ((1,), -1)])
         expected = -u - u**2 / 2 - u**3 / 6
         assert chern_character(V) == expected
 
     def test_additive(self):
         ring = Ring(2, [3, 3])
         u1, u2 = ring.gens()
-        V = SplitBundle(ring, [(u1, 1), (u2, 1)])
+        V = SplitBundle(ring, [((1, 0), 1), ((0, 1), 1)])
         e = exp_series(ring.top_degree)
         assert chern_character(V) == eval_series(e, u1) + eval_series(e, u2)
 
     def test_multiplicative_over_tensor_of_lines(self):
         ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        a = SplitBundle(ring, [(u1, 1)])
-        b = SplitBundle(ring, [(u2, 1)])
+        a = SplitBundle(ring, [((1, 0), 1)])
+        b = SplitBundle(ring, [((0, 1), 1)])
         assert chern_character(a.tensor(b)) == chern_character(a) * chern_character(b)
 
 
@@ -208,14 +203,14 @@ class TestLambdaAlternating:
     def test_single_root_factor(self):
         ring = Ring(2, [4, 4])
         u1, u2 = ring.gens()
-        E = SplitBundle(ring, [(u2 - u1, 1)])
+        E = SplitBundle(ring, [((-1, 1), 1)])
         e = exp_series(ring.top_degree)
         assert lambda_alternating_ch(E) == ring.one() - eval_series(e, u2 - u1)
 
     def test_rejects_virtual(self):
         ring = Ring(1, [3])
         with pytest.raises(ValueError):
-            lambda_alternating_ch(SplitBundle(ring, [(ring.variable(0), -1)]))
+            lambda_alternating_ch(SplitBundle(ring, [((1,), -1)]))
 
     @pytest.mark.parametrize("nlines", [1, 2, 3])
     def test_k_identity_brute_force(self, nlines):
@@ -224,7 +219,8 @@ class TestLambdaAlternating:
         ring = Ring(3, [3, 3, 3])
         u = ring.gens()
         roots = [u[1] - u[0], u[2] - u[1], u[2] - u[0]][:nlines]
-        E = SplitBundle(ring, [(r, 1) for r in roots])
+        weights = [(-1, 1, 0), (0, -1, 1), (-1, 0, 1)][:nlines]
+        E = SplitBundle(ring, [(w, 1) for w in weights])
         e = exp_series(ring.top_degree)
         alt = ring.zero()
         for i in range(nlines + 1):
@@ -237,30 +233,37 @@ class TestLambdaAlternating:
 
     def test_exterior_power_against_binomials(self):
         ring = Ring(2, [4, 4])
-        u1, _ = ring.gens()
-        E = SplitBundle(ring, [(u1, 3)])
+        E = SplitBundle(ring, [((1, 0), 3)])
         for i in range(4):
             assert exterior_power(E, i).rank == comb(3, i)
+
+    def test_exterior_power_sums_weights(self):
+        ring = Ring(2, [4, 4])
+        E = SplitBundle(ring, [((1, 0), 1), ((0, 1), 1), ((2, -1), 1)])
+        assert exterior_power(E, 0).summands == (((0, 0), 1),)
+        assert exterior_power(E, 1) == E
+        assert exterior_power(E, 2).summands == (((1, 1), 1), ((3, -1), 1), ((2, 0), 1))
+        assert exterior_power(E, 3).summands == (((3, 0), 1),)
+        doubled = SplitBundle(ring, [((1, 2), 2)])
+        assert exterior_power(doubled, 2).summands == (((2, 4), 1),)
 
 
 class TestIndex:
     def test_projective_space_todd_genus(self):
         for n in range(1, 6):
             m = grassmannian_model(1, n)
-            trivial = SplitBundle(m.ring, [(m.ring.zero(), 1)])
+            trivial = SplitBundle(m.ring, [((0,), 1)])
             assert index_group(m, trivial) == 1
 
     def test_line_bundles_on_the_projective_line(self):
         m = grassmannian_model(1, 2)
-        u = m.ring.variable(0)
         for twist in range(11):
-            V = SplitBundle(m.ring, [(u * twist, 1)])
+            V = SplitBundle(m.ring, [((twist,), 1)])
             assert index_group(m, V) == twist + 1
 
     def test_plucker_line_on_g24(self):
         m = grassmannian_model(2, 4)
-        u1, u2 = m.ring.gens()
-        V = SplitBundle(m.ring, [(u1 + u2, 1)])
+        V = SplitBundle(m.ring, [((1, 1), 1)])
         # oracle: column-strict fillings of a single column of height 2
         # with entries in 1..4
         tableaux = sum(1 for a in range(1, 5) for b in range(a + 1, 5))
@@ -270,11 +273,11 @@ class TestIndex:
     def test_two_term_form_agrees(self):
         models = [grassmannian_model(2, 4), grassmannian_model(2, 5), grassmannian_model(3, 5)]
         for m in models:
-            u = m.ring.gens()
+            k = m.ring.k
             bundles = [
-                SplitBundle(m.ring, [(m.ring.zero(), 1)]),
-                SplitBundle(m.ring, [(sum(u, m.ring.zero()), 1)]),
-                SplitBundle(m.ring, [(u[0] + u[1], 2), (u[0], -1)]),
+                SplitBundle(m.ring, [((0,) * k, 1)]),
+                SplitBundle(m.ring, [((1,) * k, 1)]),
+                SplitBundle(m.ring, [((1, 1) + (0,) * (k - 2), 2), ((1,) + (0,) * (k - 1), -1)]),
             ]
             for V in bundles:
                 assert index_group(m, V) == index_group_two_term(m, V)
@@ -282,21 +285,14 @@ class TestIndex:
     def test_positive_root_choice_does_not_matter(self):
         for k, n in [(2, 4), (2, 5), (3, 5)]:
             m = grassmannian_model(k, n)
-            u = m.ring.gens()
-            V = SplitBundle(m.ring, [(sum(u, m.ring.zero()), 1)])
-            flipped = m.root_data.negative
-            assert index_group(m, V) == index_group(m, V, positive=flipped)
-            assert index_group_two_term(m, V) == index_group_two_term(m, V, positive=flipped)
-
-    def test_invalid_positive_choice_rejected(self):
-        m = grassmannian_model(2, 4)
-        V = SplitBundle(m.ring, [(m.ring.zero(), 1)])
-        with pytest.raises(ValueError):
-            index_group(m, V, positive=[(2, 2)])
+            V = SplitBundle(m.ring, [((1,) * k, 1)])
+            flipped = QuotientModel(m.ring, m.root_data.opposite(), m.tangent_bundle)
+            assert index_group(m, V) == index_group(flipped, V)
+            assert index_group_two_term(m, V) == index_group_two_term(flipped, V)
 
     def test_subgroup_variants(self):
         m = grassmannian_model(2, 4)
-        V = SplitBundle(m.ring, [(m.ring.zero(), 1)])
+        V = SplitBundle(m.ring, [((0, 0), 1)])
         torus = Subgroup((), 1)
         whole = Subgroup(m.root_data.roots, m.root_data.weyl_order)
         assert index_group(m, V, subgroup=torus) == index_group(m, V)

@@ -467,6 +467,23 @@ class TestConfig:
             f"does not match generated group of order {found}\n"
         )
 
+    def test_zero_weight_written_as_a_vector_dumps_as_zero(self, capsys, tmp_path):
+        doc = g24_config()
+        assert doc["tangent_bundle"][-1] == {"weight": "0", "multiplicity": "-2"}
+        doc["tangent_bundle"][-1]["weight"] = ["0", "0"]
+        assert model_from_config(doc) == grassmannian_model(2, 4)
+        path = tmp_path / "zero-vector.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "config-dump", "--config", str(path))
+        assert (status, err) == (0, "")
+        dumped = json.loads(out)
+        assert dumped["tangent_bundle"] == [
+            {"multiplicity": "4", "weight": ["1", "0"]},
+            {"multiplicity": "4", "weight": ["0", "1"]},
+            {"multiplicity": "-2", "weight": "0"},
+        ]
+        assert dumped == g24_config()
+
     def test_config_dump_round_trips_through_cli(self, capsys, tmp_path):
         status, out, _ = run(capsys, "config-dump", "--grassmannian", "2", "4")
         assert status == 0

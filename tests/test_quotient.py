@@ -15,7 +15,6 @@ from abelianize.quotient import (
     grassmannian_model,
     integrate_group,
     integrate_torus,
-    root_bundle,
 )
 from abelianize.schubert import oracle_chern_pairing
 from abelianize.presentation import ann_e_basis, invariant_basis
@@ -25,26 +24,50 @@ from abelianize.cli import pairing_degree_vectors
 class TestSplitBundle:
     def test_rank_and_sum(self):
         ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        V = SplitBundle(ring, [(u1, 3), (u2, -1), (ring.zero(), 2)])
+        V = SplitBundle(ring, [((1, 0), 3), ((0, 1), -1), ((0, 0), 2)])
         assert V.rank == 4
-        negated = SplitBundle(ring, [(u1, -3), (u2, 1), (ring.zero(), -2)])
+        negated = SplitBundle(ring, [((1, 0), -3), ((0, 1), 1), ((0, 0), -2)])
         assert (V + negated).rank == 0
 
     def test_tensor_adds_roots(self):
         ring = Ring(2, [4, 4])
-        u1, u2 = ring.gens()
-        a = SplitBundle(ring, [(u1, 1)])
-        b = SplitBundle(ring, [(u2, 2)])
-        assert a.tensor(b).summands == ((u1 + u2, 2),)
+        a = SplitBundle(ring, [((1, 0), 1)])
+        b = SplitBundle(ring, [((0, 1), 2)])
+        assert a.tensor(b).summands == (((1, 1), 2),)
+        c = SplitBundle(ring, [((2, -1), 1), ((0, 0), -3)])
+        assert a.tensor(c).summands == (((3, -1), 1), ((1, 0), -3))
+        assert (a + b).tensor(c).summands == (
+            ((3, -1), 1),
+            ((1, 0), -3),
+            ((2, 0), 2),
+            ((0, 1), -6),
+        )
 
-    def test_rejects_nonlinear_roots(self):
+    def test_weights_are_kept_as_tuples(self):
         ring = Ring(2, [4, 4])
-        u1, _ = ring.gens()
-        with pytest.raises(ValueError):
-            SplitBundle(ring, [(u1 * u1, 1)])
-        with pytest.raises(ValueError):
-            SplitBundle(ring, [(u1 + 1, 1)])
+        V = SplitBundle(ring, [([1, -2], 1), ((0, 0), 0)])
+        assert V.summands == (((1, -2), 1),)
+
+    def test_weight_entries_on_vanishing_variables_are_dropped(self):
+        # u1 = 0 when its truncation is 1, so (2, 3) and (0, 3) are one line
+        ring = Ring(2, [1, 4])
+        V = SplitBundle(ring, [((2, 3), 1), ((5, 0), -1)])
+        assert V.summands == (((0, 3), 1), ((0, 0), -1))
+        assert V == SplitBundle(ring, [((0, 3), 1), ((0, 0), -1)])
+        assert grassmannian_model(1, 1).tangent_bundle.summands == (((0,), 1), ((0,), -1))
+
+    def test_rejects_malformed_weights(self):
+        ring = Ring(2, [4, 4])
+        with pytest.raises(ValueError, match="length 2"):
+            SplitBundle(ring, [((1,), 1)])
+        with pytest.raises(ValueError, match="length 2"):
+            SplitBundle(ring, [((1, 0, 0), 1)])
+        with pytest.raises(ValueError, match="integer vector"):
+            SplitBundle(ring, [((1, Fraction(1, 2)), 1)])
+        with pytest.raises(ValueError, match="integer vector"):
+            SplitBundle(ring, [((1.0, 0), 1)])
+        with pytest.raises(ValueError, match="multiplicity"):
+            SplitBundle(ring, [((1, 0), Fraction(1))])
 
 
 class TestGrassmannianModel:
@@ -54,6 +77,7 @@ class TestGrassmannianModel:
         assert m.root_data.weyl_order == 2
         assert m.ring.top_exponents == (3, 3)
         assert m.quotient_dim == 4
+        assert m.tangent_bundle.summands == (((1, 0), 4), ((0, 1), 4), ((0, 0), -2))
 
     def test_abelian_case(self):
         m = grassmannian_model(1, 5)
@@ -79,13 +103,13 @@ class TestGrassmannianModel:
 
     def test_tangent_rank_must_match_dimension(self):
         ring = Ring(2, [4, 4])
-        bad = SplitBundle(ring, [(ring.variable(0), 4)])
+        bad = SplitBundle(ring, [((1, 0), 4)])
         with pytest.raises(ValueError, match="rank"):
             QuotientModel(ring, unitary_roots(2), bad)
 
     def test_unequal_truncations_need_compatible_action(self):
         ring = Ring(2, [3, 5])
-        tangent = SplitBundle(ring, [(ring.variable(0), 3), (ring.variable(1), 5), (ring.zero(), -2)])
+        tangent = SplitBundle(ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])
         with pytest.raises(ValueError, match="truncation"):
             QuotientModel(ring, unitary_roots(2), tangent)
 
@@ -112,7 +136,7 @@ class TestIntegrateTorus:
 
 def torus_model(ring: Ring) -> QuotientModel:
     """A model with no roots over the ring: only its top monomial matters."""
-    tangent = SplitBundle(ring, [(ring.zero(), ring.top_degree)])
+    tangent = SplitBundle(ring, [((0,) * ring.k, ring.top_degree)])
     return QuotientModel(ring, RootData(ring.k, [], []), tangent)
 
 
@@ -271,6 +295,5 @@ class TestChernPairing:
 class TestRootBundle:
     def test_positive_bundle_roots(self):
         m = grassmannian_model(2, 4)
-        E = root_bundle(m.ring, m.root_data.positive)
-        u1, u2 = m.ring.gens()
-        assert E.summands == ((u2 - u1, 1),)
+        E = SplitBundle(m.ring, [(w, 1) for w in m.root_data.positive])
+        assert E.summands == (((-1, 1), 1),)

@@ -12,14 +12,16 @@ from abelianize.ratpoly import (
     Poly,
     Ring,
     Series,
+    check_permutation,
     elementary_symmetric,
     eval_series,
     exp_series,
+    exponent_orbit,
     generate_permutation_group,
     parse_poly,
+    permute_exponents,
     permute_poly,
     render_poly,
-    symmetrize,
     _product_packed,
     _product_pairs,
 )
@@ -259,14 +261,27 @@ class TestElementarySymmetric:
         assert p2 == s1**2 - 2 * s2
 
 
+def orbit_sum(p, generators):
+    """Symmetrize p as `invariant_basis` forms its orbit sums: each term puts
+    its coefficient on every monomial of its `exponent_orbit`."""
+    gens = [check_permutation(g, p.ring.k) for g in generators]
+    out = {}
+    for e, c in p.terms.items():
+        for image in exponent_orbit(e, gens):
+            out[image] = out.get(image, 0) + c
+    return Poly(p.ring, out)
+
+
 class TestSymmetrize:
     SWAP = [(1, 0)]
 
     def test_orbit_sum_examples(self):
         ring = Ring(2, [4, 4])
         u1, u2 = ring.gens()
-        assert symmetrize(u1**2, self.SWAP) == u1**2 + u2**2
-        assert symmetrize(u1 * u2, self.SWAP) == u1 * u2
+        assert exponent_orbit((2, 0), self.SWAP) == {(2, 0), (0, 2)}
+        assert exponent_orbit((1, 1), self.SWAP) == {(1, 1)}
+        assert orbit_sum(u1**2, self.SWAP) == u1**2 + u2**2
+        assert orbit_sum(u1 * u2, self.SWAP) == u1 * u2
 
     def test_orbit_sum_of_monomial_has_unit_coefficients(self):
         ring = Ring(3, [4, 4, 4])
@@ -274,8 +289,11 @@ class TestSymmetrize:
         group = generate_permutation_group(gens, 3)
         assert len(group) == 6
         assert len(generate_permutation_group(gens, 3, limit=2)) == 3
-        p = symmetrize(ring.monomial((3, 1, 0)), gens)
+        orbit = exponent_orbit((3, 1, 0), gens)
+        assert orbit == {permute_exponents((3, 1, 0), g) for g in group}
+        p = orbit_sum(ring.monomial((3, 1, 0)), gens)
         assert set(p.terms.values()) == {1}
+        assert set(p.terms) == orbit
         assert len(p.terms) == 6  # distinct exponents, full orbit
 
     def test_orbit_sum_is_invariant(self):
@@ -283,14 +301,21 @@ class TestSymmetrize:
         ring = Ring(3, [3, 3, 3])
         gens = [(1, 0, 2), (0, 2, 1)]
         for _ in range(15):
-            q = symmetrize(random_poly(rng, ring), gens)
+            q = orbit_sum(random_poly(rng, ring), gens)
             for g in gens:
                 assert permute_poly(q, g) == q
+            for e in q.terms:
+                orbit = exponent_orbit(e, gens)
+                assert all({permute_exponents(x, g) for x in orbit} == orbit for g in gens)
 
     def test_arity_mismatch(self):
         ring = Ring(3, [3, 3, 3])
         with pytest.raises(ValueError):
-            symmetrize(ring.one(), [(1, 0)])
+            check_permutation((1, 0), 3)
+        with pytest.raises(ValueError):
+            check_permutation((0, 0, 1), 3)
+        with pytest.raises(ValueError):
+            orbit_sum(ring.one(), [(1, 0)])
 
 
 class TestSeries:
