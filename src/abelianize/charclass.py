@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Callable
 
 from .ratpoly import Poly, Series, eval_series, exp_series
-from .rootdata import Subgroup, root_euler_class
+from .rootdata import root_euler_class
 from .quotient import QuotientModel, SplitBundle, integrate_torus
 
 
@@ -149,10 +149,9 @@ def lambda_alternating_ch(E: SplitBundle) -> Poly:
 # -- index of a lifted elliptic operator ------------------------------------
 
 
-def _positive_bundle(m: QuotientModel, subgroup: Subgroup | None) -> SplitBundle:
-    """The lines of the positive roots, those of the subgroup left out."""
-    weights = m.outside_subgroup(m.root_data.positive, subgroup)
-    return SplitBundle(m.ring, [(w, 1) for w in weights])
+def _positive_bundle(m: QuotientModel) -> SplitBundle:
+    """The lines of the positive roots."""
+    return SplitBundle(m.ring, [(w, 1) for w in m.root_data.positive])
 
 
 def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
@@ -162,42 +161,34 @@ def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
     return integrate_torus(m, chern_character(V), td)
 
 
-def index_group(
-    m: QuotientModel, V_lift: SplitBundle, subgroup: Subgroup | None = None
-) -> Fraction:
+def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     """Index on the nonabelian quotient of the operator twisted by a bundle
     with the given lift, computed on the torus side as the integral of
     ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots.
 
     The value is independent of the positivity choice of the model's root
-    data.  With `subgroup` set, only the positive roots outside the subgroup
-    enter (the full-rank-subgroup variant).
+    data.
     """
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    E = _positive_bundle(m, subgroup)
+    E = _positive_bundle(m)
     td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
     return integrate_torus(m, chern_character(V_lift), td, lambda_alternating_ch(E))
 
 
-def index_group_two_term(
-    m: QuotientModel, V_lift: SplitBundle, subgroup: Subgroup | None = None
-) -> Fraction:
-    """The same index as the difference of two torus-side indices, twisting by
-    the even and odd exterior powers of the positive-root bundle."""
+def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
+    """The same index as one torus-side index, twisting by the virtual bundle
+    sum_i (-1)^i Lambda^i E of the positive-root bundle E: the even exterior
+    powers less the odd ones."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    E = _positive_bundle(m, subgroup)
-    rank = E.rank
-    even = SplitBundle(m.ring, [])
-    odd = SplitBundle(m.ring, [])
-    for i in range(rank + 1):
-        piece = exterior_power(E, i)
-        if i % 2 == 0:
-            even = even + piece
-        else:
-            odd = odd + piece
-    return index_torus(m, V_lift.tensor(even)) - index_torus(m, V_lift.tensor(odd))
+    E = _positive_bundle(m)
+    alternating = [
+        (w, (-1) ** i * mult)
+        for i in range(E.rank + 1)
+        for w, mult in exterior_power(E, i).summands
+    ]
+    return index_torus(m, V_lift.tensor(SplitBundle(m.ring, alternating)))
 
 
 # -- characteristic numbers --------------------------------------------------

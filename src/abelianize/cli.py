@@ -36,14 +36,22 @@ def _fmt(value: Fraction, latex: bool = False) -> str:
 
 
 def _load_model(args) -> QuotientModel:
+    """The model of --grassmannian or --config; with --subgroup, its relative
+    model for the subgroup block."""
     if args.grassmannian is not None:
         k, n = args.grassmannian
         if k < 1 or n < k:
             raise ConfigError("--grassmannian", f"need 1 <= K <= N, got K={k}, N={n}")
-        return grassmannian_model(k, n)
-    if args.config is not None:
-        return load_config(args.config)
-    raise ConfigError("model", "supply either --grassmannian K N or --config PATH")
+        m = grassmannian_model(k, n)
+    elif args.config is not None:
+        m = load_config(args.config)
+    else:
+        raise ConfigError("model", "supply either --grassmannian K N or --config PATH")
+    if not getattr(args, "subgroup", False):
+        return m
+    if m.subgroup is None:
+        raise ConfigError("--subgroup", "the model carries no subgroup_roots block")
+    return m.relative()
 
 
 def _parse_exps(text: str, k: int) -> list[int]:
@@ -71,14 +79,6 @@ def pairing_degree_vectors(k: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield from rec(i + 1, remaining - weight * mi, prefix + (mi,))
 
     yield from rec(0, degree, ())
-
-
-def _subgroup_of(args, m: QuotientModel):
-    if getattr(args, "subgroup", False):
-        if m.subgroup is None:
-            raise ConfigError("--subgroup", "the model carries no subgroup_roots block")
-        return m.subgroup
-    return None
 
 
 # -- subcommands --------------------------------------------------------------
@@ -174,14 +174,14 @@ def _cmd_integrate(args, out) -> int:
     if args.torus:
         value = integrate_torus(m, lift)
     else:
-        value = integrate_group(m, lift, _subgroup_of(args, m))
+        value = integrate_group(m, lift)
     print(_fmt(value, args.latex), file=out)
     return 0
 
 
 def _cmd_betti(args, out) -> int:
     m = _load_model(args)
-    betti = presentation.poincare_polynomial(m, _subgroup_of(args, m))
+    betti = presentation.poincare_polynomial(m)
     if args.format == "csv":
         print("degree,betti", file=out)
         for d, b in enumerate(betti):
@@ -193,7 +193,7 @@ def _cmd_betti(args, out) -> int:
 
 def _cmd_presentation(args, out) -> int:
     m = _load_model(args)
-    report = presentation.presentation_report(m, _subgroup_of(args, m))
+    report = presentation.presentation_report(m)
     if args.format == "csv":
         print("degree,dim_invariants,dim_ann,betti", file=out)
         for row in report.rows:
@@ -268,10 +268,9 @@ def _parse_lines(entries: Sequence[str], m: QuotientModel) -> SplitBundle:
 def _cmd_index(args, out) -> int:
     m = _load_model(args)
     bundle = _parse_lines(args.line or [], m)
-    sub = _subgroup_of(args, m)
-    value = charclass.index_group(m, bundle, subgroup=sub)
+    value = charclass.index_group(m, bundle)
     if args.check_two_term:
-        other = charclass.index_group_two_term(m, bundle, subgroup=sub)
+        other = charclass.index_group_two_term(m, bundle)
         if other != value:
             print(
                 f"two-term form disagrees: {_fmt(value)} vs {_fmt(other)}",

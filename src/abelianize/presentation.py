@@ -26,7 +26,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
-from .rootdata import Subgroup
 from .quotient import QuotientModel, integrate_torus
 
 Matrix = list[list[Fraction]]
@@ -172,11 +171,11 @@ def _times_e(inv: list[Poly], e: Poly) -> Matrix:
     return [[p.terms.get(mono, 0) for p in products] for mono in target]
 
 
-def ann_e_basis(m: QuotientModel, inv: list[Poly], subgroup: Subgroup | None = None) -> list[Poly]:
+def ann_e_basis(m: QuotientModel, inv: list[Poly]) -> list[Poly]:
     """Basis of the span of one degree's invariant basis `inv` annihilated by
     the root-class product, as the exact nullspace of the multiplication-by-e
     coefficient matrix."""
-    kernel = nullspace(_times_e(inv, m.e_class(subgroup)), len(inv))
+    kernel = nullspace(_times_e(inv, m.e_class()), len(inv))
     reduced, _ = rref(kernel)
     basis = []
     for vec in reduced:
@@ -188,40 +187,28 @@ def ann_e_basis(m: QuotientModel, inv: list[Poly], subgroup: Subgroup | None = N
     return basis
 
 
-def quotient_top_degree(m: QuotientModel, subgroup: Subgroup | None = None) -> int:
-    """Top u-degree of the presented quotient ring."""
-    if subgroup is None:
-        return m.quotient_dim
-    return m.ring.top_degree - (len(m.root_data.roots) - len(subgroup.roots))
-
-
-def poincare_polynomial(m: QuotientModel, subgroup: Subgroup | None = None) -> list[int]:
+def poincare_polynomial(m: QuotientModel) -> list[int]:
     """Betti numbers of the presented quotient: per degree, the rank of
     multiplication by e on the invariants, trailing zeros trimmed."""
-    e = m.e_class(subgroup)
-    betti = [
-        matrix_rank(_times_e(invariant_basis(m, d), e))
-        for d in range(quotient_top_degree(m, subgroup) + 1)
-    ]
+    e = m.e_class()
+    betti = [matrix_rank(_times_e(invariant_basis(m, d), e)) for d in range(m.quotient_dim + 1)]
     while betti and betti[-1] == 0:
         betti.pop()
     return betti
 
 
-def pairing_matrix(
-    m: QuotientModel, rows: list[Poly], columns: list[Poly], subgroup: Subgroup | None = None
-) -> Matrix:
+def pairing_matrix(m: QuotientModel, rows: list[Poly], columns: list[Poly]) -> Matrix:
     """Gram matrix of the quotient pairing between two lists of invariants:
     entry (a, b) is the prefactor times integrate_torus(a, b, e), e being the
     root-class product."""
-    pre, e = m.prefactor(subgroup), m.e_class(subgroup)
+    pre, e = m.prefactor(), m.e_class()
     return [[pre * integrate_torus(m, a, b, e) for b in columns] for a in rows]
 
 
 def signature_from_pairing(m: QuotientModel) -> Fraction:
     """Signature as the exact eigenvalue-sign count of the middle-degree
     pairing matrix; zero when the quotient dimension is odd."""
-    top = quotient_top_degree(m)
+    top = m.quotient_dim
     if top % 2 == 1:
         return Fraction(0)
     middle = invariant_basis(m, top // 2)
@@ -252,17 +239,17 @@ class PresentationReport:
         return sum(self.betti)
 
 
-def presentation_report(m: QuotientModel, subgroup: Subgroup | None = None) -> PresentationReport:
+def presentation_report(m: QuotientModel) -> PresentationReport:
     """Degreewise summary of the quotient presentation; fails if the Betti
     sequence is not palindromic, which would contradict Poincare duality."""
-    top = quotient_top_degree(m, subgroup)
+    top = m.quotient_dim
     bases = [invariant_basis(m, d) for d in range(top + 1)]
     rows = []
     betti = []
     for d, inv in enumerate(bases):
-        ann = ann_e_basis(m, inv, subgroup)
+        ann = ann_e_basis(m, inv)
         b = len(inv) - len(ann)
-        rank = matrix_rank(pairing_matrix(m, inv, bases[top - d], subgroup))
+        rank = matrix_rank(pairing_matrix(m, inv, bases[top - d]))
         rows.append(
             DegreeRow(
                 degree=d,

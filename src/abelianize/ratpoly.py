@@ -684,6 +684,8 @@ def parse_poly(ring: Ring, text: str) -> Poly:
                 if pos < len(s) and s[pos] == "/":
                     pos += 1
                     den = read_int()
+                    if not den:
+                        raise fail("zero denominator")
                     coeff = coeff * Fraction(num, den)
                 else:
                     coeff = coeff * num

@@ -293,10 +293,14 @@ class TestIndex:
     def test_subgroup_variants(self):
         m = grassmannian_model(2, 4)
         V = SplitBundle(m.ring, [((0, 0), 1)])
-        torus = Subgroup((), 1)
-        whole = Subgroup(m.root_data.roots, m.root_data.weyl_order)
-        assert index_group(m, V, subgroup=torus) == index_group(m, V)
-        assert index_group(m, V, subgroup=whole) == index_torus(m, V)
+        torus, whole = (
+            QuotientModel(m.ring, m.root_data, m.tangent_bundle, subgroup=sub).relative()
+            for sub in (Subgroup((), 1), Subgroup(m.root_data.roots, m.root_data.weyl_order))
+        )
+        assert index_group(torus, V) == index_group(m, V)
+        assert index_group(whole, V) == index_torus(m, V)
+        assert index_group_two_term(torus, V) == index_group(m, V)
+        assert index_group_two_term(whole, V) == index_torus(m, V)
 
 
 class TestCharacteristicNumbers:

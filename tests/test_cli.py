@@ -15,7 +15,9 @@ from abelianize.config import (
     model_from_config,
     model_to_config,
 )
-from abelianize.quotient import grassmannian_model
+from abelianize.charclass import index_torus
+from abelianize.presentation import poincare_polynomial
+from abelianize.quotient import SplitBundle, grassmannian_model
 
 
 def run(capsys, *argv):
@@ -169,6 +171,25 @@ class TestSubcommands:
         assert status == 2
         status, _, err = run(capsys, "euler")
         assert status == 2
+
+    def test_zero_denominator_is_a_located_parse_error(self, capsys):
+        status, out, err = run(
+            capsys, "integrate", "--grassmannian", "2", "4", "--", "1/0*u1^2*u2^2"
+        )
+        assert (status, out) == (2, "")
+        assert err == (
+            "config error: expr: parse error at position 3 in '1/0*u1^2*u2^2': "
+            "zero denominator\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command", [["integrate", "--", "u1^2*u2^2"], ["betti"], ["presentation"], ["index"]]
+    )
+    def test_subgroup_needs_a_subgroup_block(self, capsys, command):
+        name, *rest = command
+        status, out, err = run(capsys, name, "--grassmannian", "2", "4", "--subgroup", *rest)
+        assert (status, out) == (2, "")
+        assert err == "config error: --subgroup: the model carries no subgroup_roots block\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -410,6 +431,21 @@ class TestConfig:
         m = model_from_config(doc)
         assert m.subgroup is not None
         assert model_from_config(model_to_config(m)) == m
+
+    def test_subgroup_flag_computes_on_the_relative_model(self, capsys, tmp_path):
+        # H = G = U(2): the relative model has no roots and prefactor 1
+        doc = g24_config()
+        doc["subgroup_roots"] = {"indices": ["0", "1"], "weyl_order": "2"}
+        path = tmp_path / "g24-whole.json"
+        path.write_text(json.dumps(doc))
+        rel = load_config(str(path)).relative()
+        cfg = ("--config", str(path), "--subgroup")
+        assert run(capsys, "integrate", *cfg, "--", "u1^3*u2^3") == (0, "1\n", "")
+        betti = ",".join(map(str, poincare_polynomial(rel))) + "\n"
+        assert run(capsys, "betti", *cfg) == (0, betti, "")
+        V = SplitBundle(rel.ring, [((1, 1), 1)])
+        index = f"{index_torus(rel, V)}\n"
+        assert run(capsys, "index", *cfg, "--line=1,1", "--check-two-term") == (0, index, "")
 
     def test_matrix_generator_accepted(self):
         doc = {

@@ -7,7 +7,8 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from abelianize.config import model_from_config, model_to_config
-from abelianize.quotient import grassmannian_model, integrate_group
+from abelianize.quotient import QuotientModel, grassmannian_model, integrate_group
+from abelianize.rootdata import Subgroup
 from abelianize.charclass import euler_characteristic, signature
 from abelianize.presentation import (
     ann_e_basis,
@@ -19,7 +20,6 @@ from abelianize.presentation import (
     pairing_matrix,
     poincare_polynomial,
     presentation_report,
-    quotient_top_degree,
     rref,
     signature_from_pairing,
 )
@@ -232,17 +232,17 @@ def _subgroup_configs():
 
 class TestRankRoute:
     def test_betti_is_invariants_minus_ann(self):
-        cases = [(grassmannian_model(k, n), None) for k in range(1, 4) for n in range(k, 8)]
+        cases = [grassmannian_model(k, n) for k in range(1, 4) for n in range(k, 8)]
         for m in _subgroup_configs():
-            cases += [(m, None), (m, m.subgroup)]
-        for m, sub in cases:
+            cases += [m, m.relative()]
+        for m in cases:
             diff = [
-                len(invariant_basis(m, d)) - len(ann_e_basis(m, invariant_basis(m, d), sub))
-                for d in range(quotient_top_degree(m, sub) + 1)
+                len(invariant_basis(m, d)) - len(ann_e_basis(m, invariant_basis(m, d)))
+                for d in range(m.quotient_dim + 1)
             ]
             while diff and diff[-1] == 0:
                 diff.pop()
-            assert poincare_polynomial(m, sub) == diff
+            assert poincare_polynomial(m) == diff
 
 
 class TestPairingMatrix:
@@ -288,14 +288,13 @@ class TestSubgroupPath:
     def test_trivial_subgroup_reproduces_default_presentation(self):
         # roots of the torus subgroup are empty, so the complement is all of
         # them and the relative Weyl prefactor equals 1/|W|
-        from abelianize.rootdata import Subgroup
-
         m = grassmannian_model(2, 4)
-        trivial = Subgroup((), 1)
-        assert poincare_polynomial(m, trivial) == poincare_polynomial(m)
+        sub = Subgroup((), 1)
+        trivial = QuotientModel(m.ring, m.root_data, m.tangent_bundle, subgroup=sub).relative()
+        assert poincare_polynomial(trivial) == poincare_polynomial(m)
         middle = invariant_basis(m, 2)
-        assert pairing_matrix(m, middle, middle, trivial) == pairing_matrix(m, middle, middle)
-        assert presentation_report(m, trivial).betti == presentation_report(m).betti
+        assert pairing_matrix(trivial, middle, middle) == pairing_matrix(m, middle, middle)
+        assert presentation_report(trivial).betti == presentation_report(m).betti
 
 
 class TestReport:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abelianize.ratpoly import Poly, Ring, elementary_symmetric, permute_poly
-from abelianize.rootdata import RootData, Subgroup, unitary_roots
+from abelianize.rootdata import RootData, Subgroup, e_product, unitary_roots
 from abelianize.quotient import (
     QuotientModel,
     SplitBundle,
@@ -237,25 +237,50 @@ class TestIntegrateGroup:
                     assert integrate_group(m, lift + z) == base
 
 
+def _with_subgroup(m, sub, prefactor=1):
+    return QuotientModel(m.ring, m.root_data, m.tangent_bundle, prefactor, subgroup=sub)
+
+
 class TestSubgroupVariant:
     def test_torus_subgroup_reduces_to_group_formula(self):
         m = grassmannian_model(2, 4)
-        trivial = Subgroup((), 1)
+        trivial = _with_subgroup(m, Subgroup((), 1)).relative()
         s1 = elementary_symmetric(m.ring, 1)
         for lift in [s1**4, s1**2, m.ring.one()]:
-            assert integrate_group(m, lift, trivial) == integrate_group(m, lift)
+            assert integrate_group(trivial, lift) == integrate_group(m, lift)
 
     def test_whole_group_subgroup_is_identity(self):
         m = grassmannian_model(2, 4)
-        whole = Subgroup(m.root_data.roots, m.root_data.weyl_order)
-        assert m.e_class(whole) == m.ring.one()
+        whole = _with_subgroup(m, Subgroup(m.root_data.roots, m.root_data.weyl_order)).relative()
+        assert whole.e_class() == m.ring.one()
         p = m.ring.monomial((3, 3))
-        assert integrate_group(m, p, whole) == integrate_torus(m, p)
+        assert integrate_group(whole, p) == integrate_torus(m, p)
 
     def test_malformed_subgroup_rejected(self):
         m = grassmannian_model(2, 4)
         with pytest.raises(ValueError, match="contained"):
-            integrate_group(m, m.ring.one(), Subgroup(((3, 3),), 1))
+            _with_subgroup(m, Subgroup(((3, 3),), 1))
+        with pytest.raises(ValueError, match="divide"):
+            _with_subgroup(m, Subgroup(m.root_data.roots, 3))
+
+    def test_relative_model(self):
+        # U(2)xU(1) in U(3) on G(3,6), orbifold prefactor 2
+        m = grassmannian_model(3, 6)
+        block = tuple(w for w in m.root_data.roots if w[2] == 0)
+        rel = _with_subgroup(m, Subgroup(block, 2), prefactor=2).relative()
+        assert rel.ring == m.ring and rel.tangent_bundle == m.tangent_bundle
+        assert rel.root_data.roots == tuple(w for w in m.root_data.roots if w not in block)
+        assert rel.root_data.positive == tuple(w for w in m.root_data.positive if w not in block)
+        assert (rel.root_data.weyl_generators, rel.root_data.weyl_order) == ((), 1)
+        assert rel.weyl_action == m.weyl_action
+        assert rel.subgroup is None
+        assert rel.prefactor() == 2 * Fraction(2, 6)
+        assert rel.quotient_dim == m.quotient_dim + len(block)
+        assert rel.e_class() * e_product(m.ring, block) == m.e_class()
+
+    def test_relative_needs_a_subgroup(self):
+        with pytest.raises(ValueError, match="no subgroup"):
+            grassmannian_model(2, 4).relative()
 
 
 class TestChernPairing:

@@ -382,9 +382,12 @@ class TestTextForm:
 
     def test_parse_rejects_garbage(self):
         ring = Ring(2, [4, 4])
-        for bad in ["", "u3", "u1^", "1 +", "u1 u2", "2//3"]:
+        for bad in ["", "u3", "u1^", "1 +", "u1 u2", "2//3", "1/0", "u1 - 3/00*u2"]:
             with pytest.raises(ValueError):
                 parse_poly(ring, bad)
+        located = r"at position 3 in '1/0\*u1\^2\*u2\^2': zero denominator"
+        with pytest.raises(ValueError, match=located):
+            parse_poly(ring, "1/0*u1^2*u2^2")
 
     def test_parse_accepts_spaces_and_signs(self):
         ring = Ring(2, [4, 4])

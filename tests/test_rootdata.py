@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from abelianize.quotient import grassmannian_model
+from abelianize.quotient import QuotientModel, grassmannian_model
 from abelianize.ratpoly import Ring, permute_poly
 from abelianize.rootdata import (
     RootData,
@@ -137,7 +137,7 @@ class TestEProduct:
         m = grassmannian_model(3, 4)
         rd = m.root_data
         sub = Subgroup((rd.roots[0], tuple(-x for x in rd.roots[0])), 2)
-        chosen = m.e_class(sub)
+        chosen = QuotientModel(m.ring, rd, m.tangent_bundle, subgroup=sub).relative().e_class()
         assert chosen == e_product(m.ring, [w for w in rd.roots if w not in sub.roots])
         assert {sum(e) for e in chosen.terms} == {4}
         assert chosen * e_product(m.ring, sub.roots) == m.e_class()
@@ -146,4 +146,4 @@ class TestEProduct:
         m = grassmannian_model(2, 4)
         foreign = Subgroup(((5, -5),), 1)
         with pytest.raises(ValueError, match="contained"):
-            m.e_class(foreign)
+            QuotientModel(m.ring, m.root_data, m.tangent_bundle, subgroup=foreign)
