@@ -202,7 +202,7 @@ def _cmd_presentation(args, out) -> int:
     for row in report.rows:
         print(
             f"degree {row.degree}: invariants {row.invariant_dim}, "
-            f"ann {row.ann_dim}, betti {row.betti}, pairing rank {row.pairing_rank}",
+            f"ann {row.ann_dim}, betti {row.betti}, pairing rank {row.betti}",
             file=out,
         )
         for z in row.ann_basis:

@@ -2,16 +2,16 @@
 
 The rational cohomology of the nonabelian quotient is the ring of Weyl
 invariants of the torus-quotient ring modulo the ideal of invariants killed
-by multiplication with the root-class product e.  Everything here is
-degreewise exact linear algebra over Q on one invariant basis per degree,
-built once per report.  Invariant bases are monomial orbit sums.
-`ann_e_basis` takes a degree's basis and returns ann(e) in it as a nullspace.
-`pairing_matrix` takes two bases; its entries are the prefactor times
-`integrate_torus(a, b, e)`, the quotient integral (1/|W|) of a*b*e over the
-torus quotient.  A Betti number is a rank, not a dimension difference: that
-of multiplication by e on the invariants.  All elimination is one
-fraction-free Gauss-Jordan routine: `rref` divides its result by the common
-pivot and `matrix_rank` counts its pivots.
+by multiplication with the root-class product e.  Everything here is exact
+linear algebra over Q on one invariant basis (monomial orbit sums) per degree
+d and one Gram matrix, `pairing_matrix`: entry (a, b) is the prefactor times
+`integrate_torus(a, b, e)`, for a of degree q - d and b of degree d, q the
+quotient dimension.  The torus-quotient ring has Poincare duality and a
+Weyl-invariant integral, so when e is Weyl-invariant, b*e = 0 exactly when b
+pairs to zero with every invariant of degree q - d: ann(e) is the Gram kernel
+and b_d its rank.  Models whose e a Weyl generator moves are refused.  All
+elimination is one fraction-free Gauss-Jordan routine: `rref` divides its
+result by the common pivot and `matrix_rank` counts its pivots.
 
 A second, independent route to the signature counts eigenvalue signs of the
 middle-degree pairing matrix through its characteristic polynomial; Descartes'
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .ratpoly import Exponent, Poly, exponent_orbit
+from .ratpoly import Exponent, Poly, exponent_orbit, permute_poly
 from .quotient import QuotientModel, integrate_torus
 
 Matrix = list[list[Fraction]]
@@ -80,26 +80,27 @@ def matrix_rank(rows: Matrix) -> int:
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel in reduced row echelon form, from one
+    elimination: the free-column basis of the column-reversed matrix, each
+    vector and their order read back in reverse."""
+    reduced, pivots = rref([row[::-1] for row in rows])
+    free = [c for c in reversed(range(ncols)) if c not in pivots]
     basis = []
     for c in free:
         v = [Fraction(0)] * ncols
         v[c] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][c]
-        basis.append(v)
+        basis.append(v[::-1])
     return basis
 
 
 def _primitive(vec: Sequence[Fraction]) -> list[int]:
-    """Scale to a primitive integer vector with positive leading entry."""
+    """Scale to a primitive integer vector; a kernel vector in rref leads
+    with 1, so its leading entry stays positive."""
     denom = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (denom // x.denominator) for x in vec]
     g = gcd(*ints) or 1
-    if next((x for x in ints if x), 0) < 0:
-        g = -g
     return [x // g for x in ints]
 
 
@@ -164,21 +165,12 @@ def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
     return [Poly(m.ring, {e: 1 for e in orbit}) for _, orbit in orbits]
 
 
-def _times_e(inv: list[Poly], e: Poly) -> Matrix:
-    """Coefficients of b*e for b in inv: a row per monomial, a column per b."""
-    products = [b * e for b in inv]
-    target = sorted({mono for p in products for mono in p.terms}, reverse=True)
-    return [[p.terms.get(mono, 0) for p in products] for mono in target]
-
-
-def ann_e_basis(m: QuotientModel, inv: list[Poly]) -> list[Poly]:
+def ann_e_basis(m: QuotientModel, inv: list[Poly], dual: list[Poly]) -> list[Poly]:
     """Basis of the span of one degree's invariant basis `inv` annihilated by
-    the root-class product, as the exact nullspace of the multiplication-by-e
-    coefficient matrix."""
-    kernel = nullspace(_times_e(inv, m.e_class()), len(inv))
-    reduced, _ = rref(kernel)
+    the root-class product: the canonical kernel of the Gram matrix against
+    `dual`, the invariant basis of the complementary degree."""
     basis = []
-    for vec in reduced:
+    for vec in nullspace(pairing_matrix(m, dual, inv), len(inv)):
         combo = m.ring.zero()
         for c, b in zip(_primitive(vec), inv):
             if c:
@@ -187,11 +179,27 @@ def ann_e_basis(m: QuotientModel, inv: list[Poly]) -> list[Poly]:
     return basis
 
 
-def poincare_polynomial(m: QuotientModel) -> list[int]:
-    """Betti numbers of the presented quotient: per degree, the rank of
-    multiplication by e on the invariants, trailing zeros trimmed."""
+def _graded_bases(m: QuotientModel) -> list[list[Poly]]:
+    """The invariant bases of degrees 0..q; only for a Weyl-invariant e is
+    ann(e) the kernel of the Gram matrix, so a model without one is refused."""
     e = m.e_class()
-    betti = [matrix_rank(_times_e(invariant_basis(m, d), e)) for d in range(m.quotient_dim + 1)]
+    for g in m.weyl_action:
+        if permute_poly(e, g) != e:
+            raise ValueError(
+                f"the root-class product e is not fixed by the Weyl generator "
+                f"{[i + 1 for i in g]}; Betti numbers and ann(e) need a Weyl-invariant e"
+            )
+    return [invariant_basis(m, d) for d in range(m.quotient_dim + 1)]
+
+
+def poincare_polynomial(m: QuotientModel) -> list[int]:
+    """Betti numbers of the presented quotient, trailing zeros trimmed: the
+    Gram matrix ranks of degrees d <= q/2, mirrored, since the matrix of
+    degree q - d is the transpose."""
+    top = m.quotient_dim
+    bases = _graded_bases(m)
+    half = [matrix_rank(pairing_matrix(m, bases[top - d], bases[d])) for d in range(top // 2 + 1)]
+    betti = half + half[: (top + 1) // 2][::-1]
     while betti and betti[-1] == 0:
         betti.pop()
     return betti
@@ -225,7 +233,6 @@ class DegreeRow:
     invariant_dim: int
     ann_dim: int
     betti: int
-    pairing_rank: int
     ann_basis: tuple[str, ...]
 
 
@@ -240,27 +247,20 @@ class PresentationReport:
 
 
 def presentation_report(m: QuotientModel) -> PresentationReport:
-    """Degreewise summary of the quotient presentation; fails if the Betti
-    sequence is not palindromic, which would contradict Poincare duality."""
+    """Degreewise summary of the quotient presentation: one invariant basis
+    and one Gram matrix per degree, b_d = dim - dim ann(e)."""
     top = m.quotient_dim
-    bases = [invariant_basis(m, d) for d in range(top + 1)]
+    bases = _graded_bases(m)
     rows = []
-    betti = []
     for d, inv in enumerate(bases):
-        ann = ann_e_basis(m, inv)
-        b = len(inv) - len(ann)
-        rank = matrix_rank(pairing_matrix(m, inv, bases[top - d]))
+        ann = ann_e_basis(m, inv, bases[top - d])
         rows.append(
             DegreeRow(
                 degree=d,
                 invariant_dim=len(inv),
                 ann_dim=len(ann),
-                betti=b,
-                pairing_rank=rank,
+                betti=len(inv) - len(ann),
                 ann_basis=tuple(str(z) for z in ann),
             )
         )
-        betti.append(b)
-    if betti != betti[::-1]:
-        raise ValueError(f"Betti numbers are not palindromic: {betti}")
-    return PresentationReport(rows=tuple(rows), betti=tuple(betti))
+    return PresentationReport(rows=tuple(rows), betti=tuple(row.betti for row in rows))

@@ -191,8 +191,9 @@ def test_criterion_9_integrals_well_defined_modulo_annihilator():
         s1 = elementary_symmetric(m.ring, 1)
         s2 = elementary_symmetric(m.ring, 2)
         lifts = [s1 ** (k * (n - k)), s2 ** (k * (n - k) // 2), m.ring.one(), s1 * s2]
-        for d in range(m.quotient_dim + 1):
-            for z in ann_e_basis(m, invariant_basis(m, d)):
+        q = m.quotient_dim
+        for d in range(q + 1):
+            for z in ann_e_basis(m, invariant_basis(m, d), invariant_basis(m, q - d)):
                 for lift in lifts:
                     if integrate_group(m, lift + z) != integrate_group(m, lift):
                         failures.append((k, n, d, str(z)[:40]))

@@ -447,6 +447,42 @@ class TestConfig:
         index = f"{index_torus(rel, V)}\n"
         assert run(capsys, "index", *cfg, "--line=1,1", "--check-two-term") == (0, index, "")
 
+    def test_betti_and_presentation_refuse_a_block_subgroup(self, capsys, tmp_path):
+        # U(2)xU(1) in U(3): the complement roots +-(u1-u3), +-(u2-u3) are not
+        # moved into themselves by the transposition of u2 and u3, so e is not
+        # Weyl-invariant and ann(e) is not the kernel of the Gram matrix
+        doc = model_to_config(grassmannian_model(3, 6))
+        block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
+        doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+        path = tmp_path / "g36-block.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["betti"], ["presentation"], ["presentation", "--format", "csv"]):
+            status, out, err = run(capsys, *argv, "--config", str(path), "--subgroup")
+            assert (status, out) == (2, "")
+            assert err == (
+                "error: the root-class product e is not fixed by the Weyl generator "
+                "[1, 3, 2]; Betti numbers and ann(e) need a Weyl-invariant e\n"
+            )
+
+    def test_betti_and_presentation_on_trivial_blocks(self, capsys, tmp_path):
+        # H = T keeps every root, so --subgroup prints the plain numbers;
+        # H = G keeps none, and e = 1 gives the invariants of the torus ring
+        torus = model_to_config(grassmannian_model(2, 5))
+        torus["subgroup_roots"] = {"indices": [], "weyl_order": "1"}
+        whole = g24_config()
+        whole["subgroup_roots"] = {"indices": ["0", "1"], "weyl_order": "2"}
+        cases = [("torus", torus, ("--grassmannian", "2", "5")), ("whole", whole, None)]
+        for name, doc, plain in cases:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            cfg = ("--config", str(path), "--subgroup")
+            assert run(capsys, "betti", *cfg) == (0, "1,1,2,2,2,1,1\n", "")
+            status, out, err = run(capsys, "presentation", *cfg)
+            assert (status, err) == (0, "")
+            assert out.endswith("betti: 1,1,2,2,2,1,1\ntotal: 10\n")
+            if plain:
+                assert out == run(capsys, "presentation", *plain)[1]
+
     def test_matrix_generator_accepted(self):
         doc = {
             "schema": "1",

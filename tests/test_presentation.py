@@ -93,14 +93,21 @@ class TestLinearAlgebra:
             assert (reduced, pivots) == ([[] for _ in rows], [])
             assert matrix_rank(rows) == 0
             return
-        expected, expected_pivots = sympy.Matrix(
+        matrix = sympy.Matrix(
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
-        ).rref()
+        )
+        expected, expected_pivots = matrix.rref()
         assert pivots == list(expected_pivots)
         assert reduced == [
             [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(rows))
         ]
         assert matrix_rank(rows) == len(expected_pivots)
+        # the one-elimination kernel is the canonical (rref) kernel basis
+        kernel = [list(v) for v in matrix.nullspace()]
+        canonical = sympy.Matrix(kernel).rref()[0].tolist() if kernel else []
+        assert nullspace(rows, len(rows[0])) == [
+            [Fraction(int(x.p), int(x.q)) for x in row] for row in canonical
+        ]
 
     def test_rank(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
@@ -160,26 +167,33 @@ class TestInvariantBasis:
                     assert permute_poly(b, g) == b
 
 
+def ann(m, d):
+    """ann(e) in degree d, paired against the invariants of degree q - d
+    (none when d exceeds the quotient dimension q)."""
+    dual = invariant_basis(m, m.quotient_dim - d) if d <= m.quotient_dim else []
+    return ann_e_basis(m, invariant_basis(m, d), dual)
+
+
 class TestAnnihilator:
     def test_trivial_in_low_degree(self):
         m = grassmannian_model(2, 4)
-        assert ann_e_basis(m, invariant_basis(m, 1)) == []
+        assert ann(m, 1) == []
 
     def test_degree_five_is_all_invariants(self):
         m = grassmannian_model(2, 4)
-        assert len(ann_e_basis(m, invariant_basis(m, 5))) == 1
+        assert len(ann(m, 5)) == 1
 
     def test_abelian_model_annihilates_nothing(self):
         m = grassmannian_model(1, 5)
         for d in range(5):
-            assert ann_e_basis(m, invariant_basis(m, d)) == []
+            assert ann(m, d) == []
 
     def test_elements_kill_e(self):
         for k, n in [(2, 4), (2, 5), (3, 5)]:
             m = grassmannian_model(k, n)
             e = m.e_class()
             for d in range(m.quotient_dim + 1):
-                for z in ann_e_basis(m, invariant_basis(m, d)):
+                for z in ann(m, d):
                     assert (z * e).is_zero()
 
     def test_ideal_property(self):
@@ -188,7 +202,7 @@ class TestAnnihilator:
         m = grassmannian_model(2, 5)
         e = m.e_class()
         for d in range(m.quotient_dim + 1):
-            for z in ann_e_basis(m, invariant_basis(m, d)):
+            for z in ann(m, d):
                 for dd in range(1, 3):
                     for g in invariant_basis(m, dd):
                         assert ((z * g) * e).is_zero()
@@ -196,7 +210,7 @@ class TestAnnihilator:
     def test_ann_pairs_to_zero_against_everything(self):
         m = grassmannian_model(2, 4)
         for d in range(m.quotient_dim + 1):
-            for z in ann_e_basis(m, invariant_basis(m, d)):
+            for z in ann(m, d):
                 for dd in range(m.quotient_dim + 1 - d):
                     for b in invariant_basis(m, dd):
                         assert integrate_group(m, z * b) == 0
@@ -209,9 +223,9 @@ class TestPoincarePolynomial:
         assert poincare_polynomial(grassmannian_model(2, 5)) == [1, 1, 2, 2, 2, 1, 1]
 
     def test_gaussian_binomial_oracle(self):
-        for k in range(1, 4):
-            for n in range(k, 7):
-                assert poincare_polynomial(grassmannian_model(k, n)) == gaussian_binomial(n, k)
+        cases = [(k, n) for k in range(1, 4) for n in range(k, 7)] + [(4, 6), (4, 7)]
+        for k, n in cases:
+            assert poincare_polynomial(grassmannian_model(k, n)) == gaussian_binomial(n, k)
 
     def test_total_is_euler_characteristic(self):
         for k, n in [(1, 4), (2, 4), (2, 5), (3, 6)]:
@@ -230,19 +244,54 @@ def _subgroup_configs():
     return [model_from_config(doc) for doc in (u2u1, torus)]
 
 
+def product_route(m):
+    """The independent reference: per degree, b*e by full Poly products for
+    every invariant b, then sympy's rank of the coefficient matrix (the Betti
+    number) and its nullspace in rref (ann(e), as primitive integer
+    combinations of the invariant basis)."""
+    e = m.e_class()
+    betti, anns = [], []
+    for d in range(m.quotient_dim + 1):
+        inv = invariant_basis(m, d)
+        products = [b * e for b in inv]
+        monos = sorted({x for p in products for x in p.terms})
+        matrix = sympy.zeros(len(monos), len(inv))
+        for j, p in enumerate(products):
+            for i, x in enumerate(monos):
+                c = Fraction(p.terms.get(x, 0))
+                matrix[i, j] = sympy.Rational(c.numerator, c.denominator)
+        betti.append(matrix.rank())
+        kernel = [list(v) for v in matrix.nullspace()]
+        basis = []
+        for row in sympy.Matrix(kernel).rref()[0].tolist() if kernel else []:
+            scale = sympy.ilcm(*(x.q for x in row))
+            ints = [int(x * scale) for x in row]
+            g = sympy.igcd(*ints)
+            basis.append(sum((b * (c // g) for c, b in zip(ints, inv) if c), m.ring.zero()))
+        anns.append(basis)
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return betti, anns
+
+
 class TestRankRoute:
-    def test_betti_is_invariants_minus_ann(self):
+    def test_matches_the_product_route(self):
         cases = [grassmannian_model(k, n) for k in range(1, 4) for n in range(k, 8)]
-        for m in _subgroup_configs():
-            cases += [m, m.relative()]
+        cases.append(grassmannian_model(4, 6))
+        u2u1, torus = _subgroup_configs()
+        cases += [u2u1, torus, torus.relative()]
         for m in cases:
-            diff = [
-                len(invariant_basis(m, d)) - len(ann_e_basis(m, invariant_basis(m, d)))
-                for d in range(m.quotient_dim + 1)
-            ]
-            while diff and diff[-1] == 0:
-                diff.pop()
-            assert poincare_polynomial(m) == diff
+            betti, anns = product_route(m)
+            assert poincare_polynomial(m) == betti
+            assert [ann(m, d) for d in range(m.quotient_dim + 1)] == anns
+
+    def test_relative_block_model_is_refused(self):
+        # the complement roots of U(2)xU(1) in U(3) are not Weyl-stable, so
+        # their e is not Weyl-invariant and ann(e) is no Gram kernel
+        rel = _subgroup_configs()[0].relative()
+        for route in (poincare_polynomial, presentation_report):
+            with pytest.raises(ValueError, match="not fixed by the Weyl generator"):
+                route(rel)
 
 
 class TestPairingMatrix:
@@ -303,14 +352,15 @@ class TestReport:
         assert report.betti == (1, 1, 2, 1, 1)
         assert report.total == 6
         for row in report.rows:
-            assert row.pairing_rank == row.betti
             assert row.invariant_dim - row.ann_dim == row.betti
 
     def test_each_degree_is_built_once(self, monkeypatch):
-        # one invariant basis and one b*e matrix per degree of G(3,6), 0..9
+        # G(3,6), q = 9: the report builds one invariant basis and one Gram
+        # matrix per degree d (its columns); the Betti numbers rank only the
+        # 5 of degrees d <= 4
         import abelianize.presentation as presentation
 
-        degrees = {"invariant_basis": [], "_times_e": []}
+        degrees = {"invariant_basis": [], "pairing_matrix": []}
 
         def count(name, degree_of):
             original = getattr(presentation, name)
@@ -322,10 +372,14 @@ class TestReport:
             monkeypatch.setattr(presentation, name, counted)
 
         count("invariant_basis", lambda args: args[1])
-        count("_times_e", lambda args: sum(next(iter(args[0][0].terms))))
-        presentation_report(grassmannian_model(3, 6))
+        count("pairing_matrix", lambda args: sum(next(iter(args[2][0].terms))))
+        m = grassmannian_model(3, 6)
+        presentation_report(m)
         assert sorted(degrees["invariant_basis"]) == list(range(10))
-        assert sorted(degrees["_times_e"]) == list(range(10))
+        assert sorted(degrees["pairing_matrix"]) == list(range(10))
+        degrees["pairing_matrix"].clear()
+        poincare_polynomial(m)
+        assert sorted(degrees["pairing_matrix"]) == [0, 1, 2, 3, 4]
 
     def test_projective_space_has_trivial_ann(self):
         report = presentation_report(grassmannian_model(1, 3))

@@ -232,8 +232,9 @@ class TestIntegrateGroup:
             m = grassmannian_model(k, n)
             lift = elementary_symmetric(m.ring, 1) ** (k * (n - k))
             base = integrate_group(m, lift)
-            for d in range(m.quotient_dim + 1):
-                for z in ann_e_basis(m, invariant_basis(m, d)):
+            q = m.quotient_dim
+            for d in range(q + 1):
+                for z in ann_e_basis(m, invariant_basis(m, d), invariant_basis(m, q - d)):
                     assert integrate_group(m, lift + z) == base
 
 
