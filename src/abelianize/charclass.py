@@ -6,7 +6,7 @@ series); applied to a split bundle they become finite exact products in the
 truncated ring.  On top of these sit the elliptic-operator index of a lifted
 bundle and one characteristic-number formula, whose total-Chern and L-class
 cases are the Euler characteristic and the signature, all evaluated on the
-torus side.
+torus side, as sums over fixed points where `orbit_points` admits them.
 
 The named series are generated from the exponential series by exact
 reciprocal/product recurrences rather than hard-coded tables.
@@ -20,7 +20,7 @@ from typing import Callable
 
 from .ratpoly import Poly, Series, eval_series, exp_series
 from .rootdata import root_euler_class
-from .quotient import QuotientModel, SplitBundle, integrate_torus
+from .quotient import QuotientModel, SplitBundle, integrate_points, integrate_torus, orbit_points
 
 
 # -- named multiplicative series ------------------------------------------
@@ -154,6 +154,11 @@ def _positive_bundle(m: QuotientModel) -> SplitBundle:
     return SplitBundle(m.ring, [(w, 1) for w in m.root_data.positive])
 
 
+def _quotient_tangent(m: QuotientModel) -> SplitBundle:
+    """The tangent bundle less all root lines: f(it) * e = f(tangent) * prod x/f(x)."""
+    return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in m.root_data.roots])
+
+
 def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
     """Index of the twisted Dolbeault operator on the torus quotient:
     the integral of ch(V) * Td(tangent)."""
@@ -167,10 +172,17 @@ def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots.
 
     The value is independent of the positivity choice of the model's root
-    data.
+    data.  Where `orbit_points` admits the model and the lift, W fixes the
+    other factors, and by the Weyl denominator formula the last one averages
+    over W to the product over all roots over |W|, which is prod x/Td(x)
+    over |W|: the torus integral of ch(lift) * Td(tangent - roots) * e.
     """
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
+    points = orbit_points(m, V_lift)
+    if points is not None:
+        td, order = todd_series(m.quotient_dim), m.root_data.weyl_order
+        return integrate_points(m, points, td, _quotient_tangent(m), V_lift) / order
     E = _positive_bundle(m)
     td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
     return integrate_torus(m, chern_character(V_lift), td, lambda_alternating_ch(E))
@@ -197,9 +209,13 @@ def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
 def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
     """Characteristic number of the nonabelian quotient for a multiplicative
     series f: the prefactored torus integral of f(tangent - E - E*) * e, with
-    E the positive-root bundle, as f(tangent) * prod over roots of x/f(x)."""
+    E the positive-root bundle: a sum over fixed points where `orbit_points`
+    admits the model, else f(tangent) * prod over roots of x/f(x) expanded."""
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
+    points = orbit_points(m)
+    if points is not None:
+        return m.prefactor() * integrate_points(m, points, f, _quotient_tangent(m))
     g = root_factor_series(f, m.ring.top_degree)
     roots = [eval_series(g, root_euler_class(m.ring, w)) for w in m.root_data.roots]
     return m.prefactor() * integrate_torus(m, mult_class(f, m.tangent_bundle), *roots)

@@ -84,14 +84,6 @@ def pairing_degree_vectors(k: int, degree: int) -> Iterator[tuple[int, ...]]:
 # -- subcommands --------------------------------------------------------------
 
 
-def _multiplicities(V: SplitBundle) -> dict:
-    """Total multiplicity of each distinct weight, zeros dropped."""
-    out: dict = {}
-    for w, mult in V.summands:
-        out[w] = out.get(w, 0) + mult
-    return {w: v for w, v in out.items() if v}
-
-
 def _grassmannian_n(m: QuotientModel) -> int:
     """The n of G(k,n), k = m.ring.k, when the model presents it: equal
     truncations n, the roots of U(k) with Weyl order k!, and tangent summands
@@ -110,7 +102,7 @@ def _grassmannian_n(m: QuotientModel) -> int:
         or m.root_data.weyl_order != unitary.weyl_order
     ):
         reason = f"the roots and Weyl order are not those of U({k})"
-    elif _multiplicities(m.tangent_bundle) != _multiplicities(grassmannian_tangent):
+    elif m.tangent_bundle.multiplicities() != grassmannian_tangent.multiplicities():
         reason = f"the tangent bundle is not {n} copies of each u_i minus {k} trivial lines"
     else:
         return n

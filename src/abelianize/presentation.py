@@ -6,12 +6,13 @@ by multiplication with the root-class product e.  Everything here is exact
 linear algebra over Q on one invariant basis (monomial orbit sums) per degree
 d and one Gram matrix, `pairing_matrix`: entry (a, b) is the prefactor times
 `integrate_torus(a, b, e)`, for a of degree q - d and b of degree d, q the
-quotient dimension.  The torus-quotient ring has Poincare duality and a
-Weyl-invariant integral, so when e is Weyl-invariant, b*e = 0 exactly when b
-pairs to zero with every invariant of degree q - d: ann(e) is the Gram kernel
-and b_d its rank.  Models whose e a Weyl generator moves are refused.  All
-elimination is one fraction-free Gauss-Jordan routine: `rref` divides its
-result by the common pivot and `matrix_rank` counts its pivots.
+quotient dimension; the matrix of degree q - d is its transpose.  The
+torus-quotient ring has Poincare duality and a Weyl-invariant integral, so
+when e is Weyl-invariant, b*e = 0 exactly when b pairs to zero with every
+invariant of degree q - d: ann(e) is the Gram kernel and b_d its rank.
+Models whose e a Weyl generator moves are refused.  All elimination is one
+fraction-free Gauss-Jordan routine: `rref` divides its result by the common
+pivot and `matrix_rank` counts its pivots.
 
 A second, independent route to the signature counts eigenvalue signs of the
 middle-degree pairing matrix through its characteristic polynomial; Descartes'
@@ -165,12 +166,12 @@ def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
     return [Poly(m.ring, {e: 1 for e in orbit}) for _, orbit in orbits]
 
 
-def ann_e_basis(m: QuotientModel, inv: list[Poly], dual: list[Poly]) -> list[Poly]:
+def ann_e_basis(m: QuotientModel, inv: list[Poly], gram: Matrix) -> list[Poly]:
     """Basis of the span of one degree's invariant basis `inv` annihilated by
-    the root-class product: the canonical kernel of the Gram matrix against
-    `dual`, the invariant basis of the complementary degree."""
+    the root-class product: the canonical kernel of `gram`, the Gram matrix of
+    the invariant basis of the complementary degree (rows) against `inv`."""
     basis = []
-    for vec in nullspace(pairing_matrix(m, dual, inv), len(inv)):
+    for vec in nullspace(gram, len(inv)):
         combo = m.ring.zero()
         for c, b in zip(_primitive(vec), inv):
             if c:
@@ -248,19 +249,24 @@ class PresentationReport:
 
 def presentation_report(m: QuotientModel) -> PresentationReport:
     """Degreewise summary of the quotient presentation: one invariant basis
-    and one Gram matrix per degree, b_d = dim - dim ann(e)."""
+    per degree and one Gram matrix per degree d <= q/2, whose transpose is
+    the matrix of degree q - d; b_d = dim - dim ann(e)."""
     top = m.quotient_dim
     bases = _graded_bases(m)
-    rows = []
-    for d, inv in enumerate(bases):
-        ann = ann_e_basis(m, inv, bases[top - d])
-        rows.append(
-            DegreeRow(
-                degree=d,
-                invariant_dim=len(inv),
-                ann_dim=len(ann),
-                betti=len(inv) - len(ann),
-                ann_basis=tuple(str(z) for z in ann),
-            )
+    anns: list[list[Poly]] = [[] for _ in bases]
+    for d in range(top // 2 + 1):
+        gram = pairing_matrix(m, bases[top - d], bases[d])
+        anns[d] = ann_e_basis(m, bases[d], gram)
+        if top - d != d:
+            anns[top - d] = ann_e_basis(m, bases[top - d], [list(col) for col in zip(*gram)])
+    rows = tuple(
+        DegreeRow(
+            degree=d,
+            invariant_dim=len(inv),
+            ann_dim=len(ann),
+            betti=len(inv) - len(ann),
+            ann_basis=tuple(str(z) for z in ann),
         )
-    return PresentationReport(rows=tuple(rows), betti=tuple(row.betti for row in rows))
+        for d, (inv, ann) in enumerate(zip(bases, anns))
+    )
+    return PresentationReport(rows=rows, betti=tuple(row.betti for row in rows))

@@ -5,32 +5,38 @@ truncated ring presenting the torus quotient's cohomology, root data for the
 nonabelian group, the (split) tangent bundle of the torus quotient, an
 orbifold prefactor, and the Weyl action on the ring variables.
 
-Every formula is one prefactor, `QuotientModel.prefactor`, times one
-operation, `integrate_torus`: the coefficient of the unique top monomial in a
-product of factors.  Integration over the nonabelian quotient multiplies a
-lifted class by the product of all root Euler classes and divides by the Weyl
-group order.  The full-rank-subgroup variant is the same formulas on another
-model, `QuotientModel.relative`: the complement roots and the ratio of Weyl
-orders.
+Every formula is one prefactor, `QuotientModel.prefactor`, times one torus
+integral.  Integration over the nonabelian quotient multiplies a lifted class
+by the product of all root Euler classes and divides by the Weyl group order.
+The full-rank-subgroup variant is the same formulas on another model,
+`QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
+A torus integral is the top-monomial coefficient of a product of `Poly`
+factors, `integrate_torus`, or, for a class given as a series and bundles, a
+sum over fixed points, `integrate_points`, where `orbit_points` admits it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from itertools import accumulate, combinations, product, repeat
+from math import comb, factorial, lcm, prod
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .ratpoly import (
     Perm,
     Poly,
     Ring,
+    Series,
     check_permutation,
     elementary_symmetric,
+    generate_permutation_group,
     rat,
 )
 from .rootdata import (
     RootData,
     Subgroup,
+    apply_generator_to_weight,
     as_weight,
     e_product,
     is_permutation_generator,
@@ -65,6 +71,13 @@ class SplitBundle:
     @property
     def rank(self) -> int:
         return sum(m for _, m in self.summands)
+
+    def multiplicities(self) -> dict:
+        """Total multiplicity of each distinct weight, zeros dropped."""
+        out: dict = {}
+        for w, mult in self.summands:
+            out[w] = out.get(w, 0) + mult
+        return {w: v for w, v in out.items() if v}
 
     def __add__(self, other: SplitBundle) -> SplitBundle:
         if self.ring != other.ring:
@@ -260,6 +273,99 @@ def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
         acc = acc.product_upto(f, degree)
     pair = last.terms.get
     return Fraction(sum(c * pair(tuple(map(sub, top, e)), 0) for e, c in acc.terms.items()))
+
+
+def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...], int] | None:
+    """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
+    that `integrate_points` sums over, each with the number of Weyl orbits
+    it stands for, or None where that reduction is not exact.
+
+    It needs every root to be e_j - e_i and the Weyl action to generate the
+    group of the roots' transpositions, of `weyl_order` elements, fixing the
+    roots, the tangent summands and every given bundle.  That group permutes
+    blocks of variables; a point with two equal entries in a block is a zero
+    of a root, and every other orbit is free and holds one point increasing
+    along each block.  The mirror a_i -> n_i - 1 - a_i negates all weights,
+    which keeps a top-degree summand, so an orbit and its mirror share one.
+    """
+    k, rd = m.ring.k, m.root_data
+    if any(sorted(w) != [-1, *[0] * (k - 2), 1] for w in rd.roots):
+        return None
+    # the transposition of the -1 and the +1 entry of each root
+    swaps = {tuple(x - w[x] * (w.index(1) - w.index(-1)) for x in range(k)) for w in rd.roots}
+    order = rd.weyl_order
+    group = generate_permutation_group(m.weyl_action, k, limit=order)
+    if len(group) != order or group != generate_permutation_group(swaps, k, limit=order):
+        return None
+    for V in (SplitBundle(m.ring, [(w, 1) for w in rd.roots]), m.tangent_bundle, *bundles):
+        weights = V.multiplicities()
+        for g in m.weyl_action:
+            if {apply_generator_to_weight(g, w): c for w, c in weights.items()} != weights:
+                return None
+    blocks = sorted({tuple(sorted({g[i] for g in group})) for i in range(k)})
+    sizes = [m.ring.truncations[b[0]] for b in blocks]
+    variables = sum(blocks, ())
+    slot = [variables.index(i) for i in range(k)]
+    counts: dict[tuple[int, ...], int] = {}
+    for choice in product(*(combinations(range(n), len(b)) for n, b in zip(sizes, blocks))):
+        mirror = [tuple(n - 1 - x for x in reversed(c)) for n, c in zip(sizes, choice)]
+        key = min(tuple(flat[s] for s in slot) for flat in (sum(choice, ()), sum(mirror, ())))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def integrate_points(
+    m: QuotientModel,
+    points: dict[tuple[int, ...], int],
+    f: Series,
+    V: SplitBundle,
+    twist: SplitBundle | None = None,
+) -> Fraction:
+    """Integral over the torus quotient of ch(twist) * f(V) * e, e the product
+    of the root Euler classes and f a series with constant term 1, by
+    localization at the `points` of `orbit_points(m, twist)` (Atiyah-Bott).
+
+    The b-th torus weight on P^{n_i - 1} is t_b = 2b - (n_i - 1).  With every
+    Chern root scaled by lam, the class at a point is e(t) lam^r ch(twist)(lam)
+    exp(sum_j l_j p_j lam^j): r roots, l = log f, p_j the j-th power sum of
+    V's weights at t.  Its lam^top coefficient over prod_i prod_{b != a_i}
+    (t_{a_i} - t_b), summed over all points, is the integral.  With N = top
+    - r and c the lcm of the denominators of (j-1)! j l_j, the integers K_n =
+    n! c^n [lam^n] exp(...) satisfy K_n = sum_j C(n-1, j-1) c^j (j-1)! j l_j
+    p_j K_{n-j}.  Each orbit holds `weyl_order` points.
+    """
+    N = m.quotient_dim
+    f = f.truncated(N)
+    dlog = (Series([j * c for j, c in enumerate(f.coeffs)]) * f.reciprocal()).coeffs
+    scaled = [Fraction(factorial(j - 1) * x) for j, x in enumerate(dlog) if j]
+    c = lcm(*(x.denominator for x in scaled))
+    H = [0] + [int(x * c**j) for j, x in enumerate(scaled, 1)]
+    binomials = [[comb(n - 1, j) for j in range(n)] for n in range(N + 1)]
+    ch_scale = [comb(N, j) * c**j for j in range(N + 1)]
+    powers: dict[tuple[int, int], list[int]] = {}
+
+    def power_sums(bundle: SplitBundle, t: list[int]) -> list[int]:
+        sums = [0] * (N + 1)
+        for w, mult in bundle.summands:
+            row = (sum(map(mul, w, t)), mult)  # mult * (w . t)^j, j = 0..N
+            if row not in powers:
+                powers[row] = list(accumulate(repeat(row[0], N), mul, initial=mult))
+            sums = list(map(add, sums, powers[row]))
+        return sums
+
+    truncs, total = m.ring.truncations, 0
+    for a, count in points.items():
+        t = [2 * x - n + 1 for x, n in zip(a, truncs)]
+        G = list(map(mul, H, power_sums(V, t)))
+        K = [1]
+        for n in range(1, N + 1):
+            K.append(sum(map(mul, map(mul, binomials[n], G[1 : n + 1]), reversed(K))))
+        ch = power_sums(twist, t) if twist is not None else [1]
+        weight = count * prod(comb(n - 1, x) * (-1) ** (n - 1 - x) for x, n in zip(a, truncs))
+        e = prod(sum(map(mul, w, t)) for w in m.root_data.roots)
+        total += weight * e * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
+    den = factorial(N) * c**N * 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs)
+    return Fraction(total * m.root_data.weyl_order, den)
 
 
 def integrate_group(m: QuotientModel, lift: Poly) -> Fraction:

@@ -34,6 +34,7 @@ from abelianize.charclass import (
 from abelianize.presentation import (
     ann_e_basis,
     invariant_basis,
+    pairing_matrix,
     poincare_polynomial,
     signature_from_pairing,
 )
@@ -193,7 +194,9 @@ def test_criterion_9_integrals_well_defined_modulo_annihilator():
         lifts = [s1 ** (k * (n - k)), s2 ** (k * (n - k) // 2), m.ring.one(), s1 * s2]
         q = m.quotient_dim
         for d in range(q + 1):
-            for z in ann_e_basis(m, invariant_basis(m, d), invariant_basis(m, q - d)):
+            inv = invariant_basis(m, d)
+            gram = pairing_matrix(m, invariant_basis(m, q - d), inv)
+            for z in ann_e_basis(m, inv, gram):
                 for lift in lifts:
                     if integrate_group(m, lift + z) != integrate_group(m, lift):
                         failures.append((k, n, d, str(z)[:40]))

@@ -9,10 +9,17 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
-from abelianize.rootdata import Subgroup
-from abelianize.quotient import QuotientModel, SplitBundle, grassmannian_model
+from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_roots
+from abelianize.quotient import (
+    QuotientModel,
+    SplitBundle,
+    grassmannian_model,
+    integrate_torus,
+    orbit_points,
+)
 from abelianize.charclass import (
     CLASS_SERIES,
     characteristic_number,
@@ -332,3 +339,85 @@ class TestCharacteristicNumbers:
         m = grassmannian_model(1, 3)
         with pytest.raises(ValueError):
             characteristic_number(m, Series([0, 1]))
+
+
+# -- the fixed-point route against the product route ------------------------
+
+
+def product_characteristic_number(m, f):
+    """f(tangent) * prod over roots of x/f(x), expanded and integrated."""
+    g = root_factor_series(f, m.ring.top_degree)
+    roots = [eval_series(g, root_euler_class(m.ring, w)) for w in m.root_data.roots]
+    return m.prefactor() * integrate_torus(m, mult_class(f, m.tangent_bundle), *roots)
+
+
+def product_index(m, V):
+    """ch(V) * Td(tangent) * prod over positive roots of (1 - exp(root)),
+    expanded and integrated."""
+    E = SplitBundle(m.ring, [(w, 1) for w in m.root_data.positive])
+    td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
+    return integrate_torus(m, chern_character(V), td, lambda_alternating_ch(E))
+
+
+def symmetric_generating_sets(k):
+    """Generating sets of S_k as 0-based permutations: adjacent
+    transpositions, transpositions with 0, and (0 1) with a k-cycle."""
+
+    def swap(i, j):
+        g = list(range(k))
+        g[i], g[j] = g[j], g[i]
+        return tuple(g)
+
+    cycle = tuple(list(range(1, k)) + [0])
+    return [
+        [swap(i, i + 1) for i in range(k - 1)],
+        [swap(0, j) for j in range(1, k)],
+        [swap(0, 1), cycle] if k > 2 else [swap(i, i + 1) for i in range(k - 1)],
+    ]
+
+
+@st.composite
+def grassmannian_presentations(draw):
+    """G(k,n) as a config would present it: shuffled and split tangent
+    summands, any generating set of S_k for the roots and for the action,
+    either positivity and an orbifold prefactor."""
+    k, n = draw(st.sampled_from([(k, n) for k in (1, 2, 3) for n in range(k, 8)] + [(4, 6)]))
+    ring = Ring(k, [n] * k)
+    summands = [((0,) * k, -k)]
+    for i in range(k):
+        cut = draw(st.integers(0, n))
+        summands += [(tuple(int(i == j) for j in range(k)), part) for part in (cut, n - cut)]
+    unitary = unitary_roots(k)
+    roots = RootData(
+        k, unitary.roots, unitary.positive, draw(st.sampled_from(symmetric_generating_sets(k))),
+        unitary.weyl_order,
+    )
+    if draw(st.booleans()):
+        roots = roots.opposite()
+    return QuotientModel(
+        ring,
+        roots,
+        SplitBundle(ring, draw(st.permutations(summands))),
+        draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4)),
+        draw(st.sampled_from(symmetric_generating_sets(k))),
+    )
+
+
+class TestPointRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grassmannian_presentations(),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=8),
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 3).filter(bool)), min_size=1, max_size=2
+        ),
+    )
+    @example(grassmannian_model(4, 6), [Fraction(1, 2), Fraction(-2, 3), 3], [(1, 2), (-1, -1)])
+    def test_points_equal_products(self, m, coeffs, lines):
+        # uniform twists d,...,d with any multiplicity are Weyl-invariant, so
+        # the gate admits every model and twist drawn here
+        f = Series([1, *coeffs]).truncated(m.ring.top_degree)
+        V = SplitBundle(m.ring, [((d,) * m.ring.k, mult) for d, mult in lines])
+        assert orbit_points(m, V) is not None
+        assert characteristic_number(m, f) == product_characteristic_number(m, f)
+        assert index_group(m, V) == product_index(m, V)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from abelianize import cli
+from abelianize import charclass, cli
 from abelianize.config import (
     ConfigError,
     load_config,
@@ -98,6 +98,15 @@ class TestSubcommands:
         )
         assert status == 0
         assert out == "6\n"
+
+    def test_g5_10_reaches_its_closed_forms(self, capsys):
+        # C(10,5) = 252 is the Euler characteristic and the Weyl dimension of
+        # the Pluecker line; the Todd genus is 1, the dimension 25 is odd
+        g = ("--grassmannian", "5", "10")
+        assert run(capsys, "euler", *g) == (0, "252\n", "")
+        assert run(capsys, "charnum", *g, "--class", "todd") == (0, "1\n", "")
+        assert run(capsys, "signature", *g) == (0, "0\n", "")
+        assert run(capsys, "index", *g, "--line=1,1,1,1,1") == (0, "252\n", "")
 
     def test_line_twist_with_a_leading_minus(self, capsys):
         status, out, err = run(capsys, "index", "--grassmannian", "2", "4", "--line=-1,-1")
@@ -224,6 +233,57 @@ class TestSubcommands:
 
 def g24_config() -> dict:
     return model_to_config(grassmannian_model(2, 4))
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The torus-integral routes the class formulas take, in call order."""
+    calls = []
+    for name in ("integrate_points", "integrate_torus"):
+
+        def spy(*args, _name=name, _original=getattr(charclass, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(charclass, name, spy)
+    return calls
+
+
+class TestRouteGate:
+    def test_invariant_twist_runs_on_points(self, capsys, routes):
+        assert run(capsys, "index", "--grassmannian", "2", "4", "--line=1,1") == (0, "6\n", "")
+        assert routes == ["integrate_points"]
+
+    @pytest.mark.parametrize("line, value", [("1,2", "20"), ("2,1", "0")])
+    def test_non_invariant_twist_runs_products(self, capsys, routes, line, value):
+        g24 = ("--grassmannian", "2", "4")
+        assert run(capsys, "index", *g24, f"--line={line}") == (0, f"{value}\n", "")
+        assert routes == ["integrate_torus"]
+
+    def test_relative_block_model_runs_products(self, capsys, routes, tmp_path):
+        # U(2)xU(1) in U(3): Weyl order 1, but G's action of order 6
+        doc = model_to_config(grassmannian_model(3, 6))
+        block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
+        doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+        path = tmp_path / "g36-block.json"
+        path.write_text(json.dumps(doc))
+        argv = ("index", "--config", str(path), "--subgroup", "--line=1,1,1")
+        assert run(capsys, *argv) == (0, "20\n", "")
+        assert routes == ["integrate_torus"]
+
+    def test_empty_weyl_action_runs_products(self, capsys, routes, tmp_path):
+        doc = g24_config()
+        doc["roots"] = "unitary:2"
+        doc["weyl_action"] = []
+        path = tmp_path / "g24-no-action.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "euler", "--config", str(path)) == (0, "6\n", "")
+        assert routes == ["integrate_torus"]
+
+    def test_two_term_check_crosses_the_routes(self, capsys, routes):
+        g37 = ("--grassmannian", "3", "7")
+        assert run(capsys, "index", *g37, "--line=1,1,1", "--check-two-term") == (0, "35\n", "")
+        assert routes == ["integrate_points", "integrate_torus"]
 
 
 class TestConfig:

@@ -15,9 +15,10 @@ from abelianize.quotient import (
     grassmannian_model,
     integrate_group,
     integrate_torus,
+    orbit_points,
 )
 from abelianize.schubert import oracle_chern_pairing
-from abelianize.presentation import ann_e_basis, invariant_basis
+from abelianize.presentation import ann_e_basis, invariant_basis, pairing_matrix
 from abelianize.cli import pairing_degree_vectors
 
 
@@ -134,6 +135,35 @@ class TestIntegrateTorus:
             integrate_torus(m, Ring(2, [5, 5]).one())
 
 
+class TestOrbitPoints:
+    def test_g24_points_pair_with_their_mirrors(self):
+        # the increasing pairs in range(4): (0,1) and (2,3) mirror each other,
+        # as do (0,2) and (1,3), while (0,3) and (1,2) are their own mirrors
+        points = orbit_points(grassmannian_model(2, 4))
+        assert points == {(0, 1): 2, (0, 2): 2, (0, 3): 1, (1, 2): 1}
+
+    def test_one_point_per_free_orbit(self):
+        for k, n in [(1, 5), (2, 6), (3, 7), (4, 8)]:
+            assert sum(orbit_points(grassmannian_model(k, n)).values()) == comb(n, k)
+        # no roots and no Weyl group: every point of P^1 x P^2 is an orbit
+        ring = Ring(2, [2, 3])
+        points = orbit_points(torus_model(ring))
+        assert sum(points.values()) == 6 and all(a[0] == 0 for a in points)
+
+    def test_refuses_what_it_cannot_reduce(self):
+        m = grassmannian_model(2, 4)
+        scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
+        block = ((-1, 1, 0), (1, -1, 0))  # U(2)xU(1) in U(3): Weyl order 1, action of order 6
+        models = [
+            QuotientModel(m.ring, scaled, m.tangent_bundle),
+            QuotientModel(m.ring, m.root_data, m.tangent_bundle, weyl_action=[]),
+            _with_subgroup(grassmannian_model(3, 6), Subgroup(block, 2)).relative(),
+        ]
+        assert [orbit_points(x) for x in models] == [None, None, None]
+        assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1)])) is None
+        assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1), ((2, 1), 1)])) is not None
+
+
 def torus_model(ring: Ring) -> QuotientModel:
     """A model with no roots over the ring: only its top monomial matters."""
     tangent = SplitBundle(ring, [((0,) * ring.k, ring.top_degree)])
@@ -234,7 +264,9 @@ class TestIntegrateGroup:
             base = integrate_group(m, lift)
             q = m.quotient_dim
             for d in range(q + 1):
-                for z in ann_e_basis(m, invariant_basis(m, d), invariant_basis(m, q - d)):
+                inv = invariant_basis(m, d)
+                gram = pairing_matrix(m, invariant_basis(m, q - d), inv)
+                for z in ann_e_basis(m, inv, gram):
                     assert integrate_group(m, lift + z) == base
 
 
