@@ -6,7 +6,8 @@ series); applied to a split bundle they become finite exact products in the
 truncated ring.  On top of these sit the elliptic-operator index of a lifted
 bundle and one characteristic-number formula, whose total-Chern and L-class
 cases are the Euler characteristic and the signature, all evaluated on the
-torus side, as sums over fixed points where `orbit_points` admits them.
+torus side as sums over fixed points.  The two-term form of the index stays
+on products, as an evaluation that shares no kernel with the point sums.
 
 The named series are generated from the exponential series by exact
 reciprocal/product recurrences rather than hard-coded tables.
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .ratpoly import Poly, Series, eval_series, exp_series
 from .rootdata import root_euler_class
-from .quotient import QuotientModel, SplitBundle, integrate_points, integrate_torus, orbit_points
+from .quotient import QuotientModel, SplitBundle, all_points, orbit_points
+from .quotient import integrate_points, integrate_torus
 
 
 # -- named multiplicative series ------------------------------------------
@@ -56,21 +58,15 @@ def l_class_series(order: int) -> Series:
 
 def tanh_series(order: int) -> Series:
     """tanh(x) = sinh(x)/cosh(x), which is x/(x/tanh x): the root factor of the
-    L-class, built independently of `root_factor_series`."""
+    L-class, a reference for x/f(x) built from sinh and cosh."""
     e = exp_series(order)
     sinh = Series([e.coeffs[j] if j % 2 == 1 else 0 for j in range(order + 1)])
     return sinh * _cosh_series(order).reciprocal()
 
 
-def root_factor_series(f: Series, order: int) -> Series:
-    """x/f(x) to the given order: the factor each root contributes to
-    `characteristic_number`; f needs a nonzero constant term."""
-    return Series((0, *f.truncated(order).reciprocal().coeffs[:order]))
-
-
 def euler_factor_series(order: int) -> Series:
-    """x/(1+x), the root factor of the total Chern class, built independently
-    of `root_factor_series`."""
+    """x/(1+x), the root factor of the total Chern class, a reference for
+    x/f(x) built from the geometric series."""
     geom = Series([1, 1]).truncated(order).reciprocal()
     return Series([0] + list(geom.coeffs[:order]))
 
@@ -96,16 +92,11 @@ def mult_class(f: Series, V: SplitBundle) -> Poly:
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
     f = f.truncated(V.ring.top_degree)
-    f_inv = None
+    f_inv = f.reciprocal() if any(mult < 0 for _, mult in V.summands) else None
     out = V.ring.one()
     for w, mult in V.summands:
-        root = root_euler_class(V.ring, w)
-        if mult > 0:
-            out = out * eval_series(f, root) ** mult
-        else:
-            if f_inv is None:
-                f_inv = f.reciprocal()
-            out = out * eval_series(f_inv, root) ** (-mult)
+        g = f if mult > 0 else f_inv
+        out = out * eval_series(g, root_euler_class(V.ring, w)) ** abs(mult)
     return out
 
 
@@ -139,8 +130,7 @@ def lambda_alternating_ch(E: SplitBundle) -> Poly:
     if any(m < 0 for _, m in E.summands):
         raise ValueError("the alternating exterior Chern character needs a genuine bundle")
     e = exp_series(E.ring.top_degree)
-    out = E.ring.one()
-    one = E.ring.one()
+    out = one = E.ring.one()
     for w, mult in E.summands:
         out = out * (one - eval_series(e, root_euler_class(E.ring, w))) ** mult
     return out
@@ -149,58 +139,56 @@ def lambda_alternating_ch(E: SplitBundle) -> Poly:
 # -- index of a lifted elliptic operator ------------------------------------
 
 
-def _positive_bundle(m: QuotientModel) -> SplitBundle:
-    """The lines of the positive roots."""
-    return SplitBundle(m.ring, [(w, 1) for w in m.root_data.positive])
-
-
-def _quotient_tangent(m: QuotientModel) -> SplitBundle:
-    """The tangent bundle less all root lines: f(it) * e = f(tangent) * prod x/f(x)."""
-    return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in m.root_data.roots])
+def _tangent_less(m: QuotientModel, weights: Sequence[tuple[int, ...]]) -> SplitBundle:
+    """The tangent bundle less one line of each weight."""
+    return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in weights])
 
 
 def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
     """Index of the twisted Dolbeault operator on the torus quotient:
-    the integral of ch(V) * Td(tangent)."""
-    td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
-    return integrate_torus(m, chern_character(V), td)
+    the integral of ch(V) * Td(tangent), over all fixed points."""
+    td = todd_series(m.ring.top_degree)
+    return integrate_points(m, all_points(m.ring), (), td, m.tangent_bundle, V)
 
 
 def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     """Index on the nonabelian quotient of the operator twisted by a bundle
     with the given lift, computed on the torus side as the integral of
-    ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots.
+    ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots,
+    by a sum over fixed points; independent of the positivity choice.
 
-    The value is independent of the positivity choice of the model's root
-    data.  Where `orbit_points` admits the model and the lift, W fixes the
-    other factors, and by the Weyl denominator formula the last one averages
-    over W to the product over all roots over |W|, which is prod x/Td(x)
-    over |W|: the torus integral of ch(lift) * Td(tangent - roots) * e.
-    """
+    Where `orbit_points` admits the model and the lift, W fixes the other
+    factors, and by the Weyl denominator formula the last one averages over
+    W to prod x/Td(x) over all roots over |W|: ch(lift) * Td(tangent -
+    roots) * e, one point per orbit of |W| points.  Elsewhere, over all
+    points, 1 - e^x = -x e^x / Td(x) makes the last factor prod (-alpha) *
+    ch(L_2rho) / Td(E), E the positive-root bundle and L_2rho = det E."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    points = orbit_points(m, V_lift)
+    points, roots = orbit_points(m, V_lift), m.root_data.roots
     if points is not None:
-        td, order = todd_series(m.quotient_dim), m.root_data.weyl_order
-        return integrate_points(m, points, td, _quotient_tangent(m), V_lift) / order
-    E = _positive_bundle(m)
-    td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
-    return integrate_torus(m, chern_character(V_lift), td, lambda_alternating_ch(E))
+        td = todd_series(m.quotient_dim)
+        return integrate_points(m, points, roots, td, _tangent_less(m, roots), V_lift)
+    positive = m.root_data.positive
+    E = SplitBundle(m.ring, [(w, 1) for w in positive])
+    negated = [tuple(-x for x in w) for w in positive]
+    td = todd_series(m.ring.top_degree - len(negated))
+    V = V_lift.tensor(exterior_power(E, E.rank))
+    return integrate_points(m, all_points(m.ring), negated, td, _tangent_less(m, positive), V)
 
 
 def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     """The same index as one torus-side index, twisting by the virtual bundle
     sum_i (-1)^i Lambda^i E of the positive-root bundle E: the even exterior
-    powers less the odd ones."""
+    powers less the odd ones, whose Chern character is prod (1 - exp(root))
+    over E.  It is the integral of ch(lift) * Td(tangent) * that character
+    as a product of `Poly` factors, so `index --check-two-term` compares the
+    fixed-point sum with an evaluation on the other kernel."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    E = _positive_bundle(m)
-    alternating = [
-        (w, (-1) ** i * mult)
-        for i in range(E.rank + 1)
-        for w, mult in exterior_power(E, i).summands
-    ]
-    return index_torus(m, V_lift.tensor(SplitBundle(m.ring, alternating)))
+    td = mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
+    alternating = lambda_alternating_ch(SplitBundle(m.ring, [(w, 1) for w in m.root_data.positive]))
+    return integrate_torus(m, chern_character(V_lift), td, alternating)
 
 
 # -- characteristic numbers --------------------------------------------------
@@ -208,23 +196,23 @@ def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
 
 def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
     """Characteristic number of the nonabelian quotient for a multiplicative
-    series f: the prefactored torus integral of f(tangent - E - E*) * e, with
-    E the positive-root bundle: a sum over fixed points where `orbit_points`
-    admits the model, else f(tangent) * prod over roots of x/f(x) expanded."""
+    series f: the prefactored torus integral of f(tangent) times x/f(x) at
+    each root, which is f(tangent - roots) * e, summed over one point per
+    Weyl orbit where `orbit_points` admits the model, else over all points.
+    The series is read to the quotient dimension."""
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
-    points = orbit_points(m)
-    if points is not None:
-        return m.prefactor() * integrate_points(m, points, f, _quotient_tangent(m))
-    g = root_factor_series(f, m.ring.top_degree)
-    roots = [eval_series(g, root_euler_class(m.ring, w)) for w in m.root_data.roots]
-    return m.prefactor() * integrate_torus(m, mult_class(f, m.tangent_bundle), *roots)
+    roots = m.root_data.roots
+    points, scale = orbit_points(m), m.orbifold_prefactor  # an orbit holds |W| points
+    if points is None:
+        points, scale = all_points(m.ring), m.prefactor()
+    return scale * integrate_points(m, points, roots, f, _tangent_less(m, roots))
 
 
 def euler_characteristic(m: QuotientModel) -> Fraction:
     """Euler characteristic of the nonabelian quotient: the characteristic
     number of the total Chern class."""
-    return characteristic_number(m, total_chern_series(m.ring.top_degree))
+    return characteristic_number(m, total_chern_series(m.quotient_dim))
 
 
 def signature(m: QuotientModel) -> Fraction:
@@ -232,4 +220,4 @@ def signature(m: QuotientModel) -> Fraction:
     L-class; zero in odd complex dimension."""
     if m.quotient_dim % 2 == 1:
         return Fraction(0)
-    return characteristic_number(m, l_class_series(m.ring.top_degree))
+    return characteristic_number(m, l_class_series(m.quotient_dim))

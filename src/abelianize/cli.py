@@ -223,13 +223,13 @@ def _cmd_charnum(args, out) -> int:
             coeffs = [rat(part) for part in args.series.split(",")]
         except (ValueError, ZeroDivisionError, TypeError):
             raise ConfigError("--series", f"not a rational list: {args.series!r}") from None
-        f = Series(coeffs).truncated(m.ring.top_degree)
+        f = Series(coeffs).truncated(m.quotient_dim)
     else:
         builder = charclass.CLASS_SERIES.get(args.klass)
         if builder is None:
             known = ", ".join(sorted(charclass.CLASS_SERIES))
             raise ConfigError("--class", f"unknown class {args.klass!r}; known: {known}")
-        f = builder(m.ring.top_degree)
+        f = builder(m.quotient_dim)
     value = charclass.characteristic_number(m, f)
     print(_fmt(value, args.latex), file=out)
     return 0

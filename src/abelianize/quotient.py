@@ -12,7 +12,8 @@ The full-rank-subgroup variant is the same formulas on another model,
 `QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
 A torus integral is the top-monomial coefficient of a product of `Poly`
 factors, `integrate_torus`, or, for a class given as a series and bundles, a
-sum over fixed points, `integrate_points`, where `orbit_points` admits it.
+sum over fixed points, `integrate_points`: over Weyl orbits where
+`orbit_points` admits the class, else over `all_points`.
 """
 
 from __future__ import annotations
@@ -285,8 +286,7 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
     roots, the tangent summands and every given bundle.  That group permutes
     blocks of variables; a point with two equal entries in a block is a zero
     of a root, and every other orbit is free and holds one point increasing
-    along each block.  The mirror a_i -> n_i - 1 - a_i negates all weights,
-    which keeps a top-degree summand, so an orbit and its mirror share one.
+    along each block, so the points are `all_points` of those blocks.
     """
     k, rd = m.ring.k, m.root_data
     if any(sorted(w) != [-1, *[0] * (k - 2), 1] for w in rd.roots):
@@ -302,10 +302,19 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
         for g in m.weyl_action:
             if {apply_generator_to_weight(g, w): c for w, c in weights.items()} != weights:
                 return None
-    blocks = sorted({tuple(sorted({g[i] for g in group})) for i in range(k)})
-    sizes = [m.ring.truncations[b[0]] for b in blocks]
+    return all_points(m.ring, sorted({tuple(sorted({g[i] for g in group})) for i in range(k)}))
+
+
+def all_points(ring: Ring, blocks: Sequence[tuple[int, ...]] = ()) -> dict[tuple[int, ...], int]:
+    """Every fixed point a of prod P^{n_i - 1} (u_i at the a_i-th weight),
+    or, given blocks of variables, the points increasing along each block;
+    one per mirror pair a, n - 1 - a, with the number of points it stands
+    for.  The mirror negates every weight, which multiplies a top-degree
+    class and the point's denominator by the same sign (-1)^top."""
+    blocks = blocks or [(i,) for i in range(ring.k)]
+    sizes = [ring.truncations[b[0]] for b in blocks]
     variables = sum(blocks, ())
-    slot = [variables.index(i) for i in range(k)]
+    slot = [variables.index(i) for i in range(ring.k)]
     counts: dict[tuple[int, ...], int] = {}
     for choice in product(*(combinations(range(n), len(b)) for n, b in zip(sizes, blocks))):
         mirror = [tuple(n - 1 - x for x in reversed(c)) for n, c in zip(sizes, choice)]
@@ -317,27 +326,30 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
 def integrate_points(
     m: QuotientModel,
     points: dict[tuple[int, ...], int],
+    roots: Sequence[Sequence[int]],
     f: Series,
     V: SplitBundle,
     twist: SplitBundle | None = None,
 ) -> Fraction:
     """Integral over the torus quotient of ch(twist) * f(V) * e, e the product
-    of the root Euler classes and f a series with constant term 1, by
-    localization at the `points` of `orbit_points(m, twist)` (Atiyah-Bott).
+    of the Euler classes of `roots` and f a series with constant term 1, by
+    localization (Atiyah-Bott): the sum over `points` of the class at each
+    point times the number of points it stands for.
 
     The b-th torus weight on P^{n_i - 1} is t_b = 2b - (n_i - 1).  With every
     Chern root scaled by lam, the class at a point is e(t) lam^r ch(twist)(lam)
     exp(sum_j l_j p_j lam^j): r roots, l = log f, p_j the j-th power sum of
-    V's weights at t.  Its lam^top coefficient over prod_i prod_{b != a_i}
-    (t_{a_i} - t_b), summed over all points, is the integral.  With N = top
-    - r and c the lcm of the denominators of (j-1)! j l_j, the integers K_n =
-    n! c^n [lam^n] exp(...) satisfy K_n = sum_j C(n-1, j-1) c^j (j-1)! j l_j
-    p_j K_{n-j}.  Each orbit holds `weyl_order` points.
-    """
-    N = m.quotient_dim
-    f = f.truncated(N)
-    dlog = (Series([j * c for j, c in enumerate(f.coeffs)]) * f.reciprocal()).coeffs
-    scaled = [Fraction(factorial(j - 1) * x) for j, x in enumerate(dlog) if j]
+    V's weights at t; its lam^top coefficient is divided by prod_i prod_{b !=
+    a_i} (t_{a_i} - t_b).  With N = top - r and c the lcm of the denominators
+    of (j-1)! j l_j, the integers K_n = n! c^n [lam^n] exp(...) satisfy K_n =
+    sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j}; x f' = f * sum_j j l_j x^j
+    gives the j l_j in one recurrence."""
+    N = m.ring.top_degree - len(roots)
+    f = f.truncated(N).coeffs
+    dlog = [0] * (N + 1)  # dlog[j] = j l_j
+    for j in range(1, N + 1):
+        dlog[j] = j * f[j] - sum(f[i] * dlog[j - i] for i in range(1, j))
+    scaled = [factorial(j - 1) * x for j, x in enumerate(dlog) if j]
     c = lcm(*(x.denominator for x in scaled))
     H = [0] + [int(x * c**j) for j, x in enumerate(scaled, 1)]
     binomials = [[comb(n - 1, j) for j in range(n)] for n in range(N + 1)]
@@ -356,16 +368,18 @@ def integrate_points(
     truncs, total = m.ring.truncations, 0
     for a, count in points.items():
         t = [2 * x - n + 1 for x, n in zip(a, truncs)]
+        e = prod(sum(map(mul, w, t)) for w in roots)
+        if not e:
+            continue
         G = list(map(mul, H, power_sums(V, t)))
         K = [1]
         for n in range(1, N + 1):
             K.append(sum(map(mul, map(mul, binomials[n], G[1 : n + 1]), reversed(K))))
         ch = power_sums(twist, t) if twist is not None else [1]
         weight = count * prod(comb(n - 1, x) * (-1) ** (n - 1 - x) for x, n in zip(a, truncs))
-        e = prod(sum(map(mul, w, t)) for w in m.root_data.roots)
         total += weight * e * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
     den = factorial(N) * c**N * 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs)
-    return Fraction(total * m.root_data.weyl_order, den)
+    return Fraction(total, den)
 
 
 def integrate_group(m: QuotientModel, lift: Poly) -> Fraction:

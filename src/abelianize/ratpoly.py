@@ -273,23 +273,21 @@ class Poly:
         return result
 
     def inverse(self) -> Poly:
-        """Multiplicative inverse; exists iff the constant term is nonzero.
-
-        Writes p = c*(1 - q) with q nilpotent and sums the geometric series,
-        which terminates at the ring's top degree.
-        """
-        c = self.constant_term()
+        """Multiplicative inverse; exists iff the constant term c is nonzero.
+        Built degree by degree: with p_j the degree-j part of p, the degree-d
+        part of the inverse is g_d = -(1/c) sum_{j=1..d} p_j g_{d-j}."""
+        ring, c = self.ring, self.constant_term()
         if c == 0:
             raise ValueError("polynomial with zero constant term is not invertible")
-        q = self.ring.one() - self * (Fraction(1) / c)
-        acc = self.ring.one()
-        power = self.ring.one()
-        for _ in range(self.ring.top_degree):
-            power = power * q
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * (Fraction(1) / c)
+        terms: list[dict[Exponent, Coeff]] = [{} for _ in range(ring.top_degree + 1)]
+        for e, x in self.terms.items():
+            terms[sum(e)][e] = x
+        p = [Poly._trusted(ring, t) for t in terms]
+        g = [ring.constant(1 / c)]
+        for d in range(1, ring.top_degree + 1):
+            parts = (p[j].product_upto(g[d - j], d) for j in range(1, d + 1) if p[j].terms)
+            g.append(sum(parts, ring.zero()) * (-1 / c))
+        return Poly._trusted(ring, {e: x for part in g for e, x in part.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

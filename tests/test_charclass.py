@@ -9,7 +9,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
 from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_roots
@@ -33,12 +33,17 @@ from abelianize.charclass import (
     l_class_series,
     lambda_alternating_ch,
     mult_class,
-    root_factor_series,
     signature,
     tanh_series,
     todd_series,
     total_chern_series,
 )
+
+
+def root_factor_series(f, order):
+    """x/f(x) to the given order: the factor each root contributes to a
+    characteristic number on the product route."""
+    return Series((0, *f.truncated(order).reciprocal().coeffs[:order]))
 
 
 # -- independent series oracle (naive long division) -------------------------
@@ -421,3 +426,52 @@ class TestPointRoute:
         assert orbit_points(m, V) is not None
         assert characteristic_number(m, f) == product_characteristic_number(m, f)
         assert index_group(m, V) == product_index(m, V)
+
+
+@st.composite
+def refused_models(draw):
+    """Models the orbit gate refuses: G(k,n) with an empty `weyl_action`, and
+    the relative model of a U(2)xU(1) block of U(3); or a G(k,n) for a twist
+    the Weyl group does not fix."""
+    kind = draw(st.sampled_from(["plain", "no-action", "block"]))
+    if kind == "block":
+        m = grassmannian_model(3, draw(st.integers(3, 5)))
+        alone = draw(st.integers(0, 2))  # the variable of the U(1) factor
+        block = [w for w in m.root_data.roots if w[alone] == 0]
+        sub = Subgroup(block, 2)
+        return QuotientModel(m.ring, m.root_data, m.tangent_bundle, subgroup=sub).relative()
+    k, n = draw(st.sampled_from([(2, 4), (2, 5), (2, 6), (3, 5)]))
+    m = grassmannian_model(k, n)
+    if kind == "no-action":
+        m = QuotientModel(m.ring, m.root_data, m.tangent_bundle, weyl_action=[])
+    return m
+
+
+class TestAllPoints:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        refused_models(),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=6),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                st.integers(-2, 3).filter(bool),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    @example(grassmannian_model(2, 4), [], [([1, 2, 0], 1)])
+    def test_all_points_equal_products(self, m, coeffs, lines):
+        k = m.ring.k
+        V = SplitBundle(m.ring, [(w[:k], mult) for w, mult in lines])
+        assume(orbit_points(m, V) is None)
+        f = Series([1, *coeffs]).truncated(m.ring.top_degree)
+        if orbit_points(m) is None:
+            assert characteristic_number(m, f) == product_characteristic_number(m, f)
+        index = index_group(m, V)
+        assert index == product_index(m, V)
+        assert index_group_two_term(m, V) == index
+        assert index_torus(m, V) == integrate_torus(
+            m, chern_character(V), mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
+        )

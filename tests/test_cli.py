@@ -15,9 +15,10 @@ from abelianize.config import (
     model_from_config,
     model_to_config,
 )
-from abelianize.charclass import index_torus
+from abelianize.charclass import chern_character, mult_class, todd_series
 from abelianize.presentation import poincare_polynomial
-from abelianize.quotient import SplitBundle, grassmannian_model
+from abelianize.quotient import SplitBundle, grassmannian_model, integrate_torus
+from abelianize.ratpoly import Poly
 
 
 def run(capsys, *argv):
@@ -237,9 +238,10 @@ def g24_config() -> dict:
 
 @pytest.fixture
 def routes(monkeypatch):
-    """The torus-integral routes the class formulas take, in call order."""
+    """The torus-integral routes the class formulas take, in call order;
+    `all_points` marks a sum over every fixed point instead of Weyl orbits."""
     calls = []
-    for name in ("integrate_points", "integrate_torus"):
+    for name in ("all_points", "integrate_points", "integrate_torus"):
 
         def spy(*args, _name=name, _original=getattr(charclass, name)):
             calls.append(_name)
@@ -255,12 +257,12 @@ class TestRouteGate:
         assert routes == ["integrate_points"]
 
     @pytest.mark.parametrize("line, value", [("1,2", "20"), ("2,1", "0")])
-    def test_non_invariant_twist_runs_products(self, capsys, routes, line, value):
+    def test_non_invariant_twist_runs_on_all_points(self, capsys, routes, line, value):
         g24 = ("--grassmannian", "2", "4")
         assert run(capsys, "index", *g24, f"--line={line}") == (0, f"{value}\n", "")
-        assert routes == ["integrate_torus"]
+        assert routes == ["all_points", "integrate_points"]
 
-    def test_relative_block_model_runs_products(self, capsys, routes, tmp_path):
+    def test_relative_block_model_runs_on_all_points(self, capsys, routes, tmp_path):
         # U(2)xU(1) in U(3): Weyl order 1, but G's action of order 6
         doc = model_to_config(grassmannian_model(3, 6))
         block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
@@ -269,16 +271,44 @@ class TestRouteGate:
         path.write_text(json.dumps(doc))
         argv = ("index", "--config", str(path), "--subgroup", "--line=1,1,1")
         assert run(capsys, *argv) == (0, "20\n", "")
-        assert routes == ["integrate_torus"]
+        assert routes == ["all_points", "integrate_points"]
 
-    def test_empty_weyl_action_runs_products(self, capsys, routes, tmp_path):
+    def test_empty_weyl_action_runs_on_all_points(self, capsys, routes, tmp_path):
         doc = g24_config()
         doc["roots"] = "unitary:2"
         doc["weyl_action"] = []
         path = tmp_path / "g24-no-action.json"
         path.write_text(json.dumps(doc))
         assert run(capsys, "euler", "--config", str(path)) == (0, "6\n", "")
-        assert routes == ["integrate_torus"]
+        assert routes == ["all_points", "integrate_points"]
+
+    def test_class_queries_form_no_product(self, capsys, monkeypatch, tmp_path):
+        products = []
+        original = Poly.product_upto
+
+        def spy(self, *args):
+            products.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Poly, "product_upto", spy)
+        doc = model_to_config(grassmannian_model(3, 5))
+        block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
+        doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+        path = tmp_path / "g35-block.json"
+        path.write_text(json.dumps(doc))
+        g35, cfg = ("--grassmannian", "3", "5"), ("--config", str(path))
+        for argv in (
+            ("euler", *g35),
+            ("signature", *g35),
+            ("charnum", *g35, "--class", "todd"),
+            ("charnum", *cfg, "--series", "1,1/2,-2/3"),
+            ("index", *g35, "--line=1,1,1"),
+            ("index", *g35, "--line=1,2,0"),
+            ("index", *cfg, "--subgroup", "--line=1,1,1"),
+        ):
+            status, _, err = run(capsys, *argv)
+            assert (status, err) == (0, "")
+        assert products == []
 
     def test_two_term_check_crosses_the_routes(self, capsys, routes):
         g37 = ("--grassmannian", "3", "7")
@@ -503,8 +533,10 @@ class TestConfig:
         assert run(capsys, "integrate", *cfg, "--", "u1^3*u2^3") == (0, "1\n", "")
         betti = ",".join(map(str, poincare_polynomial(rel))) + "\n"
         assert run(capsys, "betti", *cfg) == (0, betti, "")
+        # no roots are left, so the index is the torus one: ch(V) * Td(tangent)
         V = SplitBundle(rel.ring, [((1, 1), 1)])
-        index = f"{index_torus(rel, V)}\n"
+        td = mult_class(todd_series(rel.ring.top_degree), rel.tangent_bundle)
+        index = f"{integrate_torus(rel, chern_character(V), td)}\n"
         assert run(capsys, "index", *cfg, "--line=1,1", "--check-two-term") == (0, index, "")
 
     def test_betti_and_presentation_refuse_a_block_subgroup(self, capsys, tmp_path):

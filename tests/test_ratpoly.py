@@ -128,6 +128,27 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             u1.inverse()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inverse_is_the_geometric_series(self, data):
+        k = data.draw(st.integers(1, 3))
+        ring = Ring(k, data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+        exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations))
+        coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=7))
+        p = Poly(ring, data.draw(st.dictionaries(exps, coeffs, max_size=12)))
+        c = data.draw(st.one_of(st.integers(-4, 4), st.fractions(max_denominator=5)).filter(bool))
+        p = p - p.constant_term() + c
+        inv = p.inverse()
+        assert p * inv == ring.one()
+        # the reference: p = c (1 - q) with q nilpotent, so 1/p = (1/c) sum q^j
+        q = ring.one() - p * (1 / Fraction(c))
+        series, power = ring.one(), ring.one()
+        for _ in range(ring.top_degree):
+            power = power * q
+            series = series + power
+        assert inv == series * (1 / Fraction(c))
+        assert all(type(x) is int or x.denominator != 1 for x in inv.terms.values())
+
 
 @st.composite
 def operands_and_degree(draw):
