@@ -159,16 +159,16 @@ def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
 
     Where `orbit_points` admits the model and the lift, W fixes the other
     factors, and by the Weyl denominator formula the last one averages over
-    W to prod x/Td(x) over all roots over |W|: ch(lift) * Td(tangent -
-    roots) * e, one point per orbit of |W| points.  Elsewhere, over all
-    points, 1 - e^x = -x e^x / Td(x) makes the last factor prod (-alpha) *
+    W to prod x/Td(x) over all roots: the integral of ch(lift) *
+    Td(tangent - roots) * e over |W|.  Elsewhere, over all points,
+    1 - e^x = -x e^x / Td(x) makes the last factor prod (-alpha) *
     ch(L_2rho) / Td(E), E the positive-root bundle and L_2rho = det E."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
     points, roots = orbit_points(m, V_lift), m.root_data.roots
     if points is not None:
-        td = todd_series(m.quotient_dim)
-        return integrate_points(m, points, roots, td, _tangent_less(m, roots), V_lift)
+        td, V = todd_series(m.quotient_dim), _tangent_less(m, roots)
+        return integrate_points(m, points, roots, td, V, V_lift) / m.root_data.weyl_order
     positive = m.root_data.positive
     E = SplitBundle(m.ring, [(w, 1) for w in positive])
     negated = [tuple(-x for x in w) for w in positive]
@@ -197,16 +197,15 @@ def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
 def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
     """Characteristic number of the nonabelian quotient for a multiplicative
     series f: the prefactored torus integral of f(tangent) times x/f(x) at
-    each root, which is f(tangent - roots) * e, summed over one point per
-    Weyl orbit where `orbit_points` admits the model, else over all points.
-    The series is read to the quotient dimension."""
+    each root, which is f(tangent - roots) * e, summed over the Weyl orbits
+    of `orbit_points` where it admits the model, else over all points.  The
+    series is read to the quotient dimension."""
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
-    roots = m.root_data.roots
-    points, scale = orbit_points(m), m.orbifold_prefactor  # an orbit holds |W| points
+    roots, points = m.root_data.roots, orbit_points(m)
     if points is None:
-        points, scale = all_points(m.ring), m.prefactor()
-    return scale * integrate_points(m, points, roots, f, _tangent_less(m, roots))
+        points = all_points(m.ring)
+    return m.prefactor() * integrate_points(m, points, roots, f, _tangent_less(m, roots))
 
 
 def euler_characteristic(m: QuotientModel) -> Fraction:

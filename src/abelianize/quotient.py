@@ -3,7 +3,8 @@
 A `QuotientModel` packages everything the integration formulas need: the
 truncated ring presenting the torus quotient's cohomology, root data for the
 nonabelian group, the (split) tangent bundle of the torus quotient, an
-orbifold prefactor, and the Weyl action on the ring variables.
+orbifold prefactor, and the Weyl action on the ring variables, which only
+the presentation layer reads.
 
 Every formula is one prefactor, `QuotientModel.prefactor`, times one torus
 integral.  Integration over the nonabelian quotient multiplies a lifted class
@@ -12,8 +13,9 @@ The full-rank-subgroup variant is the same formulas on another model,
 `QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
 A torus integral is the top-monomial coefficient of a product of `Poly`
 factors, `integrate_torus`, or, for a class given as a series and bundles, a
-sum over fixed points, `integrate_points`: over Weyl orbits where
-`orbit_points` admits the class, else over `all_points`.
+sum over fixed points with counts, `integrate_points`.  `all_points` and,
+where the roots' reflections fix the class, `orbit_points` (one point per
+Weyl orbit, its count times |W|) are two quadratures of the same integral.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .ratpoly import (
     Series,
     check_permutation,
     elementary_symmetric,
-    generate_permutation_group,
     rat,
 )
 from .rootdata import (
@@ -278,38 +279,42 @@ def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
 
 def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...], int] | None:
     """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
-    that `integrate_points` sums over, each with the number of Weyl orbits
-    it stands for, or None where that reduction is not exact.
+    that `integrate_points` sums over for a Weyl-invariant class, each with
+    the number of points it stands for, or None where that reduction is not
+    exact.  A shape test that reads the roots and |W|, not `weyl_action`.
 
-    It needs every root to be e_j - e_i and the Weyl action to generate the
-    group of the roots' transpositions, of `weyl_order` elements, fixing the
-    roots, the tangent summands and every given bundle.  That group permutes
-    blocks of variables; a point with two equal entries in a block is a zero
-    of a root, and every other orbit is free and holds one point increasing
-    along each block, so the points are `all_points` of those blocks.
-    """
+    Every root must be e_j - e_i, with its transposition (i j) fixing the
+    roots, the tangent summands and every given bundle.  Then i and j share
+    a block exactly when e_j - e_i is a root, so the reflections generate
+    prod S_|b|; truncations must agree within each block and `weyl_order`
+    must be prod |b|!.  A point with two equal entries in a block is a zero
+    of a root; every other orbit is free, |W| points, one of them increasing
+    along each block: `all_points` of the blocks, each count times |W|."""
     k, rd = m.ring.k, m.root_data
     if any(sorted(w) != [-1, *[0] * (k - 2), 1] for w in rd.roots):
         return None
-    # the transposition of the -1 and the +1 entry of each root
-    swaps = {tuple(x - w[x] * (w.index(1) - w.index(-1)) for x in range(k)) for w in rd.roots}
-    order = rd.weyl_order
-    group = generate_permutation_group(m.weyl_action, k, limit=order)
-    if len(group) != order or group != generate_permutation_group(swaps, k, limit=order):
-        return None
-    for V in (SplitBundle(m.ring, [(w, 1) for w in rd.roots]), m.tangent_bundle, *bundles):
-        weights = V.multiplicities()
-        for g in m.weyl_action:
+    pairs = [(w.index(-1), w.index(1)) for w in rd.roots]
+    swaps = {tuple(j if x == i else i if x == j else x for x in range(k)) for i, j in pairs}
+    for weights in (
+        dict.fromkeys(rd.roots, 1),
+        m.tangent_bundle.multiplicities(),
+        *(V.multiplicities() for V in bundles),
+    ):
+        for g in swaps:
             if {apply_generator_to_weight(g, w): c for w, c in weights.items()} != weights:
                 return None
-    return all_points(m.ring, sorted({tuple(sorted({g[i] for g in group})) for i in range(k)}))
+    blocks = sorted({tuple(sorted({i, *(j for x, j in pairs if x == i)})) for i in range(k)})
+    truncs, order = m.ring.truncations, prod(factorial(len(b)) for b in blocks)
+    if rd.weyl_order != order or any(truncs[i] != truncs[b[0]] for b in blocks for i in b):
+        return None
+    return {a: count * order for a, count in all_points(m.ring, blocks).items()}
 
 
 def all_points(ring: Ring, blocks: Sequence[tuple[int, ...]] = ()) -> dict[tuple[int, ...], int]:
     """Every fixed point a of prod P^{n_i - 1} (u_i at the a_i-th weight),
     or, given blocks of variables, the points increasing along each block;
-    one per mirror pair a, n - 1 - a, with the number of points it stands
-    for.  The mirror negates every weight, which multiplies a top-degree
+    one per mirror pair a, n - 1 - a, counted 2, or 1 where a is its own
+    mirror.  The mirror negates every weight, which multiplies a top-degree
     class and the point's denominator by the same sign (-1)^top."""
     blocks = blocks or [(i,) for i in range(ring.k)]
     sizes = [ring.truncations[b[0]] for b in blocks]
@@ -334,7 +339,8 @@ def integrate_points(
     """Integral over the torus quotient of ch(twist) * f(V) * e, e the product
     of the Euler classes of `roots` and f a series with constant term 1, by
     localization (Atiyah-Bott): the sum over `points` of the class at each
-    point times the number of points it stands for.
+    point times its count, the number of points it stands for, so
+    `all_points` and `orbit_points` give the same integral.
 
     The b-th torus weight on P^{n_i - 1} is t_b = 2b - (n_i - 1).  With every
     Chern root scaled by lam, the class at a point is e(t) lam^r ch(twist)(lam)

@@ -27,13 +27,6 @@ Exponent = tuple[int, ...]
 Coeff = int | Fraction
 Perm = tuple[int, ...]
 
-#: `Poly.product_upto` runs the term-pair loop when the smaller operand has at
-#: most this many terms and the packed-integer kernel otherwise.  Timing both
-#: kernels on every product of a pass of each perfbench workload, any value
-#: from 6 to 17 gives the least total; below 6 the packed kernel's fixed cost
-#: shows, and at 18 the 18-term root factors of G(4,6) go to the slower loop.
-PAIR_LOOP_MAX_TERMS = 16
-
 
 def normalize_coeff(c: Coeff) -> Coeff:
     """Reduce a coefficient to int when integral; reject floats outright."""
@@ -239,16 +232,14 @@ class Poly:
     def product_upto(self, other: Poly, degree: int) -> Poly:
         """The product with every term of total degree above `degree` dropped.
 
-        This is the ring's one multiplication.  When either operand has at
-        most `PAIR_LOOP_MAX_TERMS` terms it loops over term pairs; otherwise
-        it multiplies the operands packed into two integers.  The packed
-        kernel's work grows with the number of monomials in the ring's box,
-        the loop's with the number of term pairs, so the loop also runs when
-        there are no more pairs than monomials.
+        This is the ring's one multiplication.  The packed kernel's work
+        grows with the number of monomials in the ring's box, the loop's with
+        the number of term pairs: it loops over term pairs when there are no
+        more pairs than monomials, and otherwise multiplies the operands
+        packed into two integers.
         """
         self._check_ring(other)
-        a, b = len(self.terms), len(other.terms)
-        if min(a, b) <= PAIR_LOOP_MAX_TERMS or a * b <= prod(self.ring.truncations):
+        if len(self.terms) * len(other.terms) <= prod(self.ring.truncations):
             kernel = _product_pairs
         else:
             kernel = _product_packed

@@ -4,6 +4,7 @@ The named series are checked against an independent long-division oracle
 before anything downstream relies on them.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -11,6 +12,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from abelianize import ratpoly
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
 from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_roots
 from abelianize.quotient import (
@@ -384,8 +386,9 @@ def symmetric_generating_sets(k):
 @st.composite
 def grassmannian_presentations(draw):
     """G(k,n) as a config would present it: shuffled and split tangent
-    summands, any generating set of S_k for the roots and for the action,
-    either positivity and an orbifold prefactor."""
+    summands, any generating set of S_k for the roots, either positivity and
+    an orbifold prefactor.  The action is a generating set of S_k, none, or
+    a 3-cycle alone: the orbit gate reads the roots, not the action."""
     k, n = draw(st.sampled_from([(k, n) for k in (1, 2, 3) for n in range(k, 8)] + [(4, 6)]))
     ring = Ring(k, [n] * k)
     summands = [((0,) * k, -k)]
@@ -399,12 +402,15 @@ def grassmannian_presentations(draw):
     )
     if draw(st.booleans()):
         roots = roots.opposite()
+    actions = [*symmetric_generating_sets(k), []]
+    if k >= 3:
+        actions.append([(1, 2, 0, *range(3, k))])
     return QuotientModel(
         ring,
         roots,
         SplitBundle(ring, draw(st.permutations(summands))),
         draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=4)),
-        draw(st.sampled_from(symmetric_generating_sets(k))),
+        draw(st.sampled_from(actions)),
     )
 
 
@@ -430,21 +436,39 @@ class TestPointRoute:
 
 @st.composite
 def refused_models(draw):
-    """Models the orbit gate refuses: G(k,n) with an empty `weyl_action`, and
-    the relative model of a U(2)xU(1) block of U(3); or a G(k,n) for a twist
-    the Weyl group does not fix."""
-    kind = draw(st.sampled_from(["plain", "no-action", "block"]))
+    """Models the orbit gate refuses: the relative model of a U(2)xU(1) block
+    of U(3); U(2) roots in four variables with a second Weyl generator that
+    swaps u3 and u4, so |W| = 4 is not the order the roots' reflections
+    generate; U(2) roots on variables of unequal truncations; or a G(k,n)
+    for a twist the Weyl group does not fix."""
+    kind = draw(st.sampled_from(["plain", "block", "order", "truncations"]))
+    unitary = unitary_roots(2)
     if kind == "block":
         m = grassmannian_model(3, draw(st.integers(3, 5)))
         alone = draw(st.integers(0, 2))  # the variable of the U(1) factor
         block = [w for w in m.root_data.roots if w[alone] == 0]
         sub = Subgroup(block, 2)
         return QuotientModel(m.ring, m.root_data, m.tangent_bundle, subgroup=sub).relative()
+    if kind == "order":
+        n1, n2 = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        ring = Ring(4, [n1, n1, n2, n2])
+        rd = RootData(
+            4,
+            [w + (0, 0) for w in unitary.roots],
+            [w + (0, 0) for w in unitary.positive],
+            [(1, 0, 2, 3), (0, 1, 3, 2)],
+            4,
+        )
+        lines = [(tuple(int(i == j) for j in range(4)), n) for i, n in enumerate(ring.truncations)]
+        return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
+    if kind == "truncations":
+        n1 = draw(st.integers(2, 4))
+        n2 = n1 + draw(st.integers(1, 2))
+        ring = Ring(2, [n1, n2])
+        tangent = SplitBundle(ring, [((1, 0), n1), ((0, 1), n1), ((0, 0), n2 - n1 - 2)])
+        return QuotientModel(ring, unitary, tangent, weyl_action=[])
     k, n = draw(st.sampled_from([(2, 4), (2, 5), (2, 6), (3, 5)]))
-    m = grassmannian_model(k, n)
-    if kind == "no-action":
-        m = QuotientModel(m.ring, m.root_data, m.tangent_bundle, weyl_action=[])
-    return m
+    return grassmannian_model(k, n)
 
 
 class TestAllPoints:
@@ -454,14 +478,14 @@ class TestAllPoints:
         st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=6),
         st.lists(
             st.tuples(
-                st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                st.lists(st.integers(-2, 2), min_size=4, max_size=4),
                 st.integers(-2, 3).filter(bool),
             ),
             min_size=1,
             max_size=2,
         ),
     )
-    @example(grassmannian_model(2, 4), [], [([1, 2, 0], 1)])
+    @example(grassmannian_model(2, 4), [], [([1, 2, 0, 0], 1)])
     def test_all_points_equal_products(self, m, coeffs, lines):
         k = m.ring.k
         V = SplitBundle(m.ring, [(w[:k], mult) for w, mult in lines])
@@ -475,3 +499,35 @@ class TestAllPoints:
         assert index_torus(m, V) == integrate_torus(
             m, chern_character(V), mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
         )
+
+
+def gl_weyl_dimension(lam):
+    """Dimension of the GL_n irreducible of highest weight lam, by the Weyl
+    dimension formula."""
+    n, num, den = len(lam), 1, 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    return Fraction(num, den)
+
+
+class TestNoGroupEnumeration:
+    def test_large_grassmannians_enumerate_no_group(self, monkeypatch):
+        # |W| = 9! = 362880: the gate must read the roots, not enumerate W
+        g910, g911 = grassmannian_model(9, 10), grassmannian_model(9, 11)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a permutation group was enumerated")
+
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "abelianize"]
+        bound = [m for m in bound if hasattr(m, "generate_permutation_group")]
+        assert ratpoly in bound
+        for module in bound:
+            monkeypatch.setattr(module, "generate_permutation_group", refuse)
+        assert euler_characteristic(g910) == 10
+        assert characteristic_number(g911, todd_series(g911.quotient_dim)) == 1
+        for m, d in [(g910, 2), (g911, 1), (g911, -1)]:
+            V = SplitBundle(m.ring, [((d,) * 9, 1)])
+            expected = gl_weyl_dimension([d] * 9 + [0] * (m.ring.truncations[0] - 9))
+            assert index_group(m, V) == expected

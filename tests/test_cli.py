@@ -273,14 +273,16 @@ class TestRouteGate:
         assert run(capsys, *argv) == (0, "20\n", "")
         assert routes == ["all_points", "integrate_points"]
 
-    def test_empty_weyl_action_runs_on_all_points(self, capsys, routes, tmp_path):
+    def test_empty_weyl_action_runs_on_orbit_points(self, capsys, routes, tmp_path):
+        # the gate reads the roots, so the action the presentation layer
+        # reads does not choose the route
         doc = g24_config()
         doc["roots"] = "unitary:2"
         doc["weyl_action"] = []
         path = tmp_path / "g24-no-action.json"
         path.write_text(json.dumps(doc))
         assert run(capsys, "euler", "--config", str(path)) == (0, "6\n", "")
-        assert routes == ["all_points", "integrate_points"]
+        assert routes == ["integrate_points"]
 
     def test_class_queries_form_no_product(self, capsys, monkeypatch, tmp_path):
         products = []

@@ -1,7 +1,7 @@
 """Tests for quotient models and the integration formulas."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,31 +135,78 @@ class TestIntegrateTorus:
             integrate_torus(m, Ring(2, [5, 5]).one())
 
 
+def u2_in_four_variables(weyl_order: int) -> QuotientModel:
+    """U(2) roots on u1, u2 of a ring in four variables, with the swap of u3
+    and u4 as a second Weyl generator when `weyl_order` is 4: a group that
+    is not the one the roots' reflections generate."""
+    ring = Ring(4, [3, 3, 2, 2])
+    unitary = unitary_roots(2)
+    roots = [w + (0, 0) for w in unitary.roots]
+    gens = [(1, 0, 2, 3), (0, 1, 3, 2)][: weyl_order // 2]
+    rd = RootData(4, roots, [w + (0, 0) for w in unitary.positive], gens, weyl_order)
+    lines = [(tuple(int(i == j) for j in range(4)), t) for i, t in enumerate(ring.truncations)]
+    return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
+
+
+def u2_with_truncations(n1: int, n2: int) -> QuotientModel:
+    """U(2) roots on P^{n1-1} x P^{n2-1}, with no Weyl action, since a swap
+    of the variables would not preserve unequal truncations."""
+    ring = Ring(2, [n1, n2])
+    tangent = SplitBundle(ring, [((1, 0), n1), ((0, 1), n1), ((0, 0), n2 - n1 - 2)])
+    return QuotientModel(ring, unitary_roots(2), tangent, weyl_action=[])
+
+
 class TestOrbitPoints:
     def test_g24_points_pair_with_their_mirrors(self):
         # the increasing pairs in range(4): (0,1) and (2,3) mirror each other,
-        # as do (0,2) and (1,3), while (0,3) and (1,2) are their own mirrors
+        # as do (0,2) and (1,3), while (0,3) and (1,2) are their own mirrors;
+        # each count is the size of its pair times |W| = 2
         points = orbit_points(grassmannian_model(2, 4))
-        assert points == {(0, 1): 2, (0, 2): 2, (0, 3): 1, (1, 2): 1}
+        assert points == {(0, 1): 4, (0, 2): 4, (0, 3): 2, (1, 2): 2}
 
     def test_one_point_per_free_orbit(self):
         for k, n in [(1, 5), (2, 6), (3, 7), (4, 8)]:
-            assert sum(orbit_points(grassmannian_model(k, n)).values()) == comb(n, k)
+            points = orbit_points(grassmannian_model(k, n))
+            assert sum(points.values()) == comb(n, k) * factorial(k)
+            assert all(list(a) == sorted(a) for a in points)
         # no roots and no Weyl group: every point of P^1 x P^2 is an orbit
         ring = Ring(2, [2, 3])
         points = orbit_points(torus_model(ring))
         assert sum(points.values()) == 6 and all(a[0] == 0 for a in points)
 
+    def test_reads_the_roots_not_the_weyl_action(self):
+        m = grassmannian_model(3, 5)
+        expected = orbit_points(m)
+        for action in ([], [(1, 2, 0)], [(1, 0, 2)]):
+            other = QuotientModel(m.ring, m.root_data, m.tangent_bundle, weyl_action=action)
+            assert orbit_points(other) == expected
+
     def test_refuses_what_it_cannot_reduce(self):
         m = grassmannian_model(2, 4)
         scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
-        block = ((-1, 1, 0), (1, -1, 0))  # U(2)xU(1) in U(3): Weyl order 1, action of order 6
+        block = ((-1, 1, 0), (1, -1, 0))  # U(2)xU(1) in U(3): Weyl order 1, blocks of order 2
+        # e_1 - e_0 and e_2 - e_1 without e_2 - e_0: not closed, so the pairs
+        # of variables in a root overlap instead of forming blocks; |W| = 24
+        # is the product of 2!, 3!, 2! over them, and RootData checks no
+        # order at rank 9
+        chain = [(-1, 1, 0), (1, -1, 0), (0, -1, 1), (0, 1, -1)]
+        chain = [w + (0,) * 6 for w in chain]
+        chain = RootData(9, chain, chain[::2], (), 24)
+        ring9 = Ring(9, [2] * 9)
+        lines = [(tuple(int(i == j) for j in range(9)), 2) for i in range(9)]
+        moved = SplitBundle(m.ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])  # u1, u2 unequal
         models = [
             QuotientModel(m.ring, scaled, m.tangent_bundle),
-            QuotientModel(m.ring, m.root_data, m.tangent_bundle, weyl_action=[]),
             _with_subgroup(grassmannian_model(3, 6), Subgroup(block, 2)).relative(),
+            u2_in_four_variables(4),  # |W| = 4, but the roots' reflections give 2
+            u2_with_truncations(3, 4),
+            QuotientModel(m.ring, m.root_data, moved),
+            QuotientModel(ring9, chain, SplitBundle(ring9, [*lines, ((0,) * 9, -9)])),
         ]
-        assert [orbit_points(x) for x in models] == [None, None, None]
+        assert [orbit_points(x) for x in models] == [None] * 6
+        # the same shapes with |W| = 2 or equal truncations are admitted
+        assert sum(orbit_points(u2_in_four_variables(2)).values()) == comb(3, 2) * 2 * 2 * 2
+        assert sum(orbit_points(u2_with_truncations(3, 3)).values()) == comb(3, 2) * 2
         assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1)])) is None
         assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1), ((2, 1), 1)])) is not None
 

@@ -2,13 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abelianize.ratpoly import (
-    PAIR_LOOP_MAX_TERMS,
     Poly,
     Ring,
     Series,
@@ -229,7 +228,8 @@ class TestProductKernels:
 
         small = dense(2, lambda d: d - 3)
         large = dense(3, lambda d: Fraction(1, d + 2))
-        assert len(small.terms) <= PAIR_LOOP_MAX_TERMS < len(large.terms)
+        box = prod(ring.truncations)
+        assert len(small.terms) ** 2 <= box < len(small.terms) * len(large.terms)
         for a, b in [(small, small), (small, large), (large, small), (large, large)]:
             assert a.product_upto(b, 7).terms == schoolbook_upto(a, b, 7)
 
