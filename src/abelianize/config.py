@@ -3,8 +3,10 @@
 A config is a single JSON document (schema "1") whose scalars are exact
 integer or rational strings, so no parser ever coerces a value through
 floating point.  It describes the ring, the root data (builtin "unitary:k"
-or explicit), the split tangent bundle, an optional orbifold prefactor, an
-optional full-rank-subgroup block, and an optional explicit Weyl action.
+or explicit, with Weyl generators given as permutations of the variables),
+the split tangent bundle, an optional orbifold prefactor, an optional
+full-rank-subgroup block, and an optional Weyl action on the ring variables,
+which the presentation uses together with the roots' transpositions.
 
 Errors carry the offending field's location so the CLI can point at it.
 """
@@ -69,14 +71,9 @@ def _require(mapping: dict, key: str, location: str) -> Any:
 
 
 def _parse_generator(value: Any, k: int, location: str):
-    """A Weyl generator: a 1-based permutation list, or {"matrix": rows}."""
-    if isinstance(value, dict):
-        rows = _require(value, "matrix", location)
-        if not isinstance(rows, list) or len(rows) != k:
-            raise ConfigError(f"{location}.matrix", f"expected {k} rows")
-        return tuple(
-            tuple(_as_int_list(row, f"{location}.matrix[{i}]")) for i, row in enumerate(rows)
-        )
+    """A Weyl generator: a 1-based permutation list of the variables."""
+    if not isinstance(value, list):
+        raise ConfigError(location, "expected a permutation list; W permutes the variables")
     images = _as_int_list(value, location)
     if sorted(images) != list(range(1, k + 1)):
         raise ConfigError(location, f"not a permutation of 1..{k}: {images}")
@@ -163,14 +160,9 @@ def model_from_config(doc: Any, location: str = "config") -> QuotientModel:
         raw = doc["weyl_action"]
         if not isinstance(raw, list):
             raise ConfigError(f"{location}.weyl_action", "expected a list of permutations")
-        weyl_action = []
-        for i, g in enumerate(raw):
-            gen = _parse_generator(g, k, f"{location}.weyl_action[{i}]")
-            if isinstance(gen[0], tuple):
-                raise ConfigError(
-                    f"{location}.weyl_action[{i}]", "the Weyl action must be permutations"
-                )
-            weyl_action.append(gen)
+        weyl_action = [
+            _parse_generator(g, k, f"{location}.weyl_action[{i}]") for i, g in enumerate(raw)
+        ]
     subgroup = None
     if "subgroup_roots" in doc:
         raw = doc["subgroup_roots"]
@@ -208,12 +200,6 @@ def model_to_config(m: QuotientModel) -> dict:
     """Serialize a model to the config schema; reloading gives an equal model."""
     rd = m.root_data
     root_index = {w: i for i, w in enumerate(rd.roots)}
-    gens_out = []
-    for g in rd.weyl_generators:
-        if isinstance(g[0], tuple):
-            gens_out.append({"matrix": [[str(x) for x in row] for row in g]})
-        else:
-            gens_out.append([str(x + 1) for x in g])
     doc: dict = {
         "schema": SCHEMA_VERSION,
         "ring": {
@@ -223,7 +209,7 @@ def model_to_config(m: QuotientModel) -> dict:
         "roots": {
             "weights": [[str(x) for x in w] for w in rd.roots],
             "positive": [str(root_index[w]) for w in rd.positive],
-            "weyl_generators": gens_out,
+            "weyl_generators": [[str(x + 1) for x in g] for g in rd.weyl_generators],
             "weyl_order": str(rd.weyl_order),
         },
         "tangent_bundle": [

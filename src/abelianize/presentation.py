@@ -10,7 +10,10 @@ quotient dimension; the matrix of degree q - d is its transpose.  The
 torus-quotient ring has Poincare duality and a Weyl-invariant integral, so
 when e is Weyl-invariant, b*e = 0 exactly when b pairs to zero with every
 invariant of degree q - d: ann(e) is the Gram kernel and b_d its rank.
-Models whose e a Weyl generator moves are refused.  All elimination is one
+W acts through the model's `weyl_action` together with the transpositions of
+the roots' blocks, so an action that does not generate W cannot shrink it.
+Models whose e a Weyl generator moves, or whose roots' reflections do not
+preserve the truncations, are refused.  All elimination is one
 fraction-free Gauss-Jordan routine: `rref` divides its result by the common
 pivot and `matrix_rank` counts its pivots.
 
@@ -150,10 +153,11 @@ def eigenvalue_signs(a: Matrix) -> tuple[int, int, int]:
 
 def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
     """Basis of the degree-d Weyl invariants: one monomial orbit sum per
-    orbit, ordered by descending lexicographically greatest representative."""
+    orbit under the Weyl action and the roots' transpositions, ordered by
+    descending lexicographically greatest representative."""
     if not 0 <= d <= m.ring.top_degree:
         raise ValueError(f"degree {d} out of range 0..{m.ring.top_degree}")
-    gens = m.weyl_action
+    gens = m.weyl_action + m.root_data.transpositions()
     seen: set[Exponent] = set()
     orbits: list[tuple[Exponent, frozenset[Exponent]]] = []
     for e in m.ring.monomials_of_degree(d):
@@ -182,7 +186,13 @@ def ann_e_basis(m: QuotientModel, inv: list[Poly], gram: Matrix) -> list[Poly]:
 
 def _graded_bases(m: QuotientModel) -> list[list[Poly]]:
     """The invariant bases of degrees 0..q; only for a Weyl-invariant e is
-    ann(e) the kernel of the Gram matrix, so a model without one is refused."""
+    ann(e) the kernel of the Gram matrix, so a model without one is refused,
+    as is a model whose roots' reflections leave the ring."""
+    truncs = m.ring.truncations
+    if any(truncs[i] != truncs[b[0]] for b in m.root_data.blocks or () for i in b):
+        raise ValueError(
+            f"the roots' reflections do not preserve the truncation exponents {list(truncs)}"
+        )
     e = m.e_class()
     for g in m.weyl_action:
         if permute_poly(e, g) != e:

@@ -33,15 +33,16 @@ from .ratpoly import (
     Series,
     check_permutation,
     elementary_symmetric,
+    permute_exponents,
     rat,
 )
 from .rootdata import (
     RootData,
     Subgroup,
-    apply_generator_to_weight,
     as_weight,
+    block_order,
     e_product,
-    is_permutation_generator,
+    reflection_blocks,
     unitary_roots,
 )
 
@@ -146,13 +147,7 @@ class QuotientModel:
         if prefactor <= 0:
             raise ValueError("orbifold prefactor must be positive")
         if weyl_action is None:
-            gens = root_data.weyl_generators
-            if not all(is_permutation_generator(g) for g in gens):
-                raise ValueError(
-                    "root data has matrix generators; supply an explicit "
-                    "permutation weyl_action"
-                )
-            weyl_action = gens
+            weyl_action = root_data.weyl_generators
         action = tuple(check_permutation(g, ring.k) for g in weyl_action)
         for g in action:
             for i in range(ring.k):
@@ -198,18 +193,21 @@ class QuotientModel:
 
     def relative(self) -> QuotientModel:
         """The model of the full-rank-subgroup formulas: the roots and
-        positive roots outside the subgroup H, with no Weyl generators and
-        order 1, the orbifold prefactor times |W(H)|/|W(G)|, and G's Weyl
-        action, so invariants stay those of G."""
+        positive roots outside the subgroup H, with the order prod |b|! of
+        their own reflections (1 where they form no blocks), the orbifold
+        prefactor times |W(H)|/|W(G)| times that order, so that `prefactor`
+        is the ratio, and G's Weyl action, so invariants stay those of G.
+        For H = T and W = prod S_|b|, that is the model's own roots, |W| and
+        prefactor."""
         if self.subgroup is None:
             raise ValueError("the model carries no subgroup")
         inside, rd = set(self.subgroup.roots), self.root_data
+        roots = [w for w in rd.roots if w not in inside]
+        order = block_order(reflection_blocks(roots, rd.rank))
         complement = RootData(
-            rd.rank,
-            [w for w in rd.roots if w not in inside],
-            [w for w in rd.positive if w not in inside],
+            rd.rank, roots, [w for w in rd.positive if w not in inside], (), order
         )
-        ratio = Fraction(self.subgroup.weyl_order, rd.weyl_order)
+        ratio = Fraction(self.subgroup.weyl_order * order, rd.weyl_order)
         return QuotientModel(
             self.ring,
             complement,
@@ -281,33 +279,24 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
     """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
     that `integrate_points` sums over for a Weyl-invariant class, each with
     the number of points it stands for, or None where that reduction is not
-    exact.  A shape test that reads the roots and |W|, not `weyl_action`.
+    exact.  A shape test on the roots' blocks and |W|, not `weyl_action`.
 
-    Every root must be e_j - e_i, with its transposition (i j) fixing the
-    roots, the tangent summands and every given bundle.  Then i and j share
-    a block exactly when e_j - e_i is a root, so the reflections generate
-    prod S_|b|; truncations must agree within each block and `weyl_order`
-    must be prod |b|!.  A point with two equal entries in a block is a zero
-    of a root; every other orbit is free, |W| points, one of them increasing
-    along each block: `all_points` of the blocks, each count times |W|."""
-    k, rd = m.ring.k, m.root_data
-    if any(sorted(w) != [-1, *[0] * (k - 2), 1] for w in rd.roots):
+    The roots must form blocks (`RootData.blocks`) with |W| = prod |b|!, so
+    the roots' reflections generate W; truncations must agree within each
+    block, and the reflections must fix the tangent summands and every given
+    bundle.  A point with two equal entries in a block is a zero of a root;
+    every other orbit is free, |W| points, one of them increasing along each
+    block: `all_points` of the blocks, each count times |W|."""
+    rd, truncs = m.root_data, m.ring.truncations
+    if rd.blocks is None or rd.weyl_order != block_order(rd.blocks):
         return None
-    pairs = [(w.index(-1), w.index(1)) for w in rd.roots]
-    swaps = {tuple(j if x == i else i if x == j else x for x in range(k)) for i, j in pairs}
-    for weights in (
-        dict.fromkeys(rd.roots, 1),
-        m.tangent_bundle.multiplicities(),
-        *(V.multiplicities() for V in bundles),
-    ):
-        for g in swaps:
-            if {apply_generator_to_weight(g, w): c for w, c in weights.items()} != weights:
+    if any(truncs[i] != truncs[b[0]] for b in rd.blocks for i in b):
+        return None
+    for weights in (m.tangent_bundle.multiplicities(), *(V.multiplicities() for V in bundles)):
+        for g in rd.transpositions():
+            if {permute_exponents(w, g): c for w, c in weights.items()} != weights:
                 return None
-    blocks = sorted({tuple(sorted({i, *(j for x, j in pairs if x == i)})) for i in range(k)})
-    truncs, order = m.ring.truncations, prod(factorial(len(b)) for b in blocks)
-    if rd.weyl_order != order or any(truncs[i] != truncs[b[0]] for b in blocks for i in b):
-        return None
-    return {a: count * order for a, count in all_points(m.ring, blocks).items()}
+    return {a: count * rd.weyl_order for a, count in all_points(m.ring, rd.blocks).items()}
 
 
 def all_points(ring: Ring, blocks: Sequence[tuple[int, ...]] = ()) -> dict[tuple[int, ...], int]:

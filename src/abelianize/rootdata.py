@@ -1,29 +1,38 @@
-"""Root systems, Weyl generators, and root Euler classes.
+"""Root systems, the Weyl group, and root Euler classes.
 
 A weight of the k-torus is an integer vector; it determines a line bundle on
 the torus quotient whose Euler class is the corresponding degree-1 linear
 form in the ring generators.  `RootData` bundles a root set, a choice of
 positive roots, Weyl generators, and the Weyl group order.
 
-Only the unitary family has a built-in constructor; other groups are
-supplied as explicit data (from the CLI config), with generators given either
-as variable permutations or as integer matrices acting on the weight lattice.
+This module is the one place that knows W.  W acts on the torus quotient
+prod P^{n_i - 1} and preserves its reduced symplectic class sum a_i u_i
+(a_i > 0), so it permutes the variables: every generator is a permutation.
+Where every root is e_j - e_i and the roots are closed under their
+reflections, the transpositions (i j), the variables fall into blocks,
+`reflection_blocks`, and the reflections generate prod S_|b|.  W is the
+group that these transpositions and the generators generate.  Only the
+unitary family has a built-in constructor; other groups are supplied as
+explicit data (from the CLI config).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .ratpoly import (
+    Perm,
     Poly,
     Ring,
     check_permutation,
     generate_permutation_group,
+    permute_exponents,
 )
 
 Weight = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
+Blocks = tuple[tuple[int, ...], ...]
 
 
 def as_weight(w: Sequence[int], rank: int) -> Weight:
@@ -33,31 +42,42 @@ def as_weight(w: Sequence[int], rank: int) -> Weight:
     return t
 
 
-def is_permutation_generator(g) -> bool:
-    """Generators are permutations (flat int tuples) or integer matrices."""
-    return bool(g) and not isinstance(g[0], tuple)
+def _swap(i: int, j: int, rank: int) -> Perm:
+    return tuple(j if x == i else i if x == j else x for x in range(rank))
 
 
-def apply_generator_to_weight(g, w: Weight) -> Weight:
-    if is_permutation_generator(g):
-        out = [0] * len(w)
-        for i, x in enumerate(w):
-            out[g[i]] = x
-        return tuple(out)
-    return tuple(sum(g[i][j] * w[j] for j in range(len(w))) for i in range(len(g)))
+def reflection_blocks(roots: Sequence[Weight], rank: int) -> Blocks | None:
+    """The blocks of variables that the roots' reflections permute: where
+    every root is e_j - e_i and the roots are closed under the
+    transpositions (i j), i and j share a block exactly when e_j - e_i is a
+    root, so the roots are the pairs inside the blocks.  No roots give one
+    block per variable.  None for roots of any other shape."""
+    if any(sorted(w) != [-1, *[0] * (rank - 2), 1] for w in roots):
+        return None
+    pairs = {(w.index(-1), w.index(1)) for w in roots}
+    blocks = {tuple(sorted({i, *(j for x, j in pairs if x == i)})) for i in range(rank)}
+    if pairs != {(i, j) for b in blocks for i in b for j in b if i != j}:
+        return None
+    return tuple(sorted(blocks))
+
+
+def block_order(blocks: Blocks | None) -> int:
+    """|prod S_|b|| = prod |b|!, the order of the group the roots'
+    reflections generate; 1 where there are no blocks."""
+    return prod(factorial(len(b)) for b in blocks or ())
 
 
 class RootData:
     """A root set with positivity choice, Weyl generators, and |W|."""
 
-    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order")
+    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks")
 
     def __init__(
         self,
         rank: int,
         roots: Iterable[Sequence[int]],
         positive: Iterable[Sequence[int]],
-        weyl_generators: Iterable[Sequence] = (),
+        weyl_generators: Iterable[Sequence[int]] = (),
         weyl_order: int = 1,
     ):
         if rank < 1:
@@ -66,17 +86,14 @@ class RootData:
         self.roots = tuple(as_weight(w, rank) for w in roots)
         self.positive = tuple(as_weight(w, rank) for w in positive)
         self.weyl_order = weyl_order
-        gens = []
-        for g in weyl_generators:
-            if is_permutation_generator(g):
-                gens.append(check_permutation(g, rank))
-            else:
-                m = tuple(tuple(row) for row in g)
-                if len(m) != rank or any(len(row) != rank for row in m):
-                    raise ValueError(f"matrix generator must be {rank}x{rank}: {g}")
-                gens.append(m)
-        self.weyl_generators = tuple(gens)
+        self.weyl_generators = tuple(check_permutation(g, rank) for g in weyl_generators)
+        self.blocks = reflection_blocks(self.roots, rank)
         self._validate()
+
+    def transpositions(self) -> tuple[Perm, ...]:
+        """The adjacent transpositions inside each block; with the
+        generators they generate W."""
+        return tuple(_swap(i, j, self.rank) for b in self.blocks or () for i, j in zip(b, b[1:]))
 
     def _validate(self) -> None:
         root_set = set(self.roots)
@@ -93,24 +110,22 @@ class RootData:
             raise ValueError("a root and its negative cannot both be positive")
         if pos | neg != root_set:
             raise ValueError("roots must split as positive roots and their negatives")
-        for g in self.weyl_generators:
-            image = {apply_generator_to_weight(g, w) for w in self.roots}
-            if image != root_set:
+        gens = self.weyl_generators
+        for g in gens:
+            if {permute_exponents(w, g) for w in self.roots} != root_set:
                 raise ValueError(f"root set is not stable under generator {g}")
         if not isinstance(self.weyl_order, int) or self.weyl_order < 1:
             raise ValueError(f"weyl_order must be a positive integer, got {self.weyl_order}")
-        # order check by enumeration.  W acts faithfully on its roots, so matrix
-        # generators are checked through the permutations they induce there.
-        gens, size = self.weyl_generators, self.rank
-        if not all(is_permutation_generator(g) for g in gens):
-            index = {w: i for i, w in enumerate(self.roots)}
-            gens = [tuple(index[apply_generator_to_weight(g, w)] for w in self.roots) for g in gens]
-            size = len(self.roots)
-        elif self.rank > 8:
-            return
-        order = len(generate_permutation_group(gens, size, limit=self.weyl_order))
+        # generators that permute within blocks add nothing to prod S_|b|;
+        # any other generator, or roots of another shape, need the group
+        blocks = self.blocks
+        if blocks is not None and all(g[i] in b for g in gens for b in blocks for i in b):
+            order = found = block_order(blocks)
+        else:
+            gens += self.transpositions()
+            order = len(generate_permutation_group(gens, self.rank, limit=self.weyl_order))
+            found = order if order <= self.weyl_order else f"greater than {self.weyl_order}"
         if order != self.weyl_order:
-            found = order if order < self.weyl_order else f"greater than {self.weyl_order}"
             raise ValueError(
                 f"weyl_order {self.weyl_order} does not match generated group of order {found}"
             )
@@ -161,27 +176,11 @@ def unitary_roots(k: int) -> RootData:
     symmetric group generated by adjacent transpositions."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    roots = []
-    positive = []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            w = [0] * k
-            w[i] = -1
-            w[j] = 1
-            roots.append(tuple(w))
-            if i < j:
-                positive.append(tuple(w))
-    gens = []
-    for i in range(k - 1):
-        g = list(range(k))
-        g[i], g[i + 1] = g[i + 1], g[i]
-        gens.append(tuple(g))
-    order = 1
-    for i in range(2, k + 1):
-        order *= i
-    return RootData(k, roots, positive, gens, order)
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    roots = [tuple(-1 if x == i else int(x == j) for x in range(k)) for i, j in pairs]
+    positive = [w for w, (i, j) in zip(roots, pairs) if i < j]
+    gens = [_swap(i, i + 1, k) for i in range(k - 1)]
+    return RootData(k, roots, positive, gens, factorial(k))
 
 
 def root_euler_class(ring: Ring, w: Sequence[int]) -> Poly:

@@ -12,7 +12,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from abelianize import ratpoly
+from abelianize import cli, ratpoly
+from abelianize.config import model_from_config
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
 from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_roots
 from abelianize.quotient import (
@@ -512,22 +513,47 @@ def gl_weyl_dimension(lam):
     return Fraction(num, den)
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Every loaded `abelianize` module that binds `generate_permutation_group`
+    gets a spy in its place that raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation group was enumerated")
+
+    bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "abelianize"]
+    bound = [m for m in bound if hasattr(m, "generate_permutation_group")]
+    assert ratpoly in bound
+    for module in bound:
+        monkeypatch.setattr(module, "generate_permutation_group", refuse)
+
+
 class TestNoGroupEnumeration:
-    def test_large_grassmannians_enumerate_no_group(self, monkeypatch):
+    def test_large_grassmannians_enumerate_no_group(self, no_enumeration):
         # |W| = 9! = 362880: the gate must read the roots, not enumerate W
         g910, g911 = grassmannian_model(9, 10), grassmannian_model(9, 11)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a permutation group was enumerated")
-
-        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "abelianize"]
-        bound = [m for m in bound if hasattr(m, "generate_permutation_group")]
-        assert ratpoly in bound
-        for module in bound:
-            monkeypatch.setattr(module, "generate_permutation_group", refuse)
         assert euler_characteristic(g910) == 10
         assert characteristic_number(g911, todd_series(g911.quotient_dim)) == 1
         for m, d in [(g910, 2), (g911, 1), (g911, -1)]:
             V = SplitBundle(m.ring, [((d,) * 9, 1)])
             expected = gl_weyl_dimension([d] * 9 + [0] * (m.ring.truncations[0] - 9))
             assert index_group(m, V) == expected
+
+    def test_models_are_built_without_enumerating(self, no_enumeration, capsys):
+        # |W| = prod |b|! is read off the roots' blocks when the generators
+        # permute within them, so building a model enumerates no group either
+        k = 9
+        doc = {
+            "schema": "1",
+            "ring": {"variables": str(k), "truncations": ["10"] * k},
+            "roots": f"unitary:{k}",
+            "tangent_bundle": [
+                *({"weight": [str(int(i == j)) for j in range(k)], "multiplicity": "10"}
+                  for i in range(k)),
+                {"weight": "0", "multiplicity": str(-k)},
+            ],
+        }
+        assert euler_characteristic(grassmannian_model(8, 9)) == 9
+        assert euler_characteristic(model_from_config(doc)) == 10
+        assert cli.main(["euler", "--grassmannian", "8", "9"]) == 0
+        assert capsys.readouterr().out == "9\n"

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from abelianize import charclass, cli
 from abelianize.config import (
@@ -19,6 +21,7 @@ from abelianize.charclass import chern_character, mult_class, todd_series
 from abelianize.presentation import poincare_polynomial
 from abelianize.quotient import SplitBundle, grassmannian_model, integrate_torus
 from abelianize.ratpoly import Poly
+from abelianize.schubert import oracle_betti
 
 
 def run(capsys, *argv):
@@ -405,6 +408,7 @@ class TestConfig:
         "change",
         [
             {"roots": {"weights": [], "positive": [], "weyl_order": "1"}},
+            # the roots' reflection generates W = S_2, so |W| = 1 is refused at load
             {
                 "roots": {
                     "weights": [["-1", "1"], ["1", "-1"]],
@@ -441,7 +445,13 @@ class TestConfig:
             capsys, "pairing", "--config", str(path), "--exps", "0,3", "--oracle"
         )
         assert (status, out) == (2, "")
-        assert "config error: --oracle: the Pieri oracle needs a G(k,n) presentation" in err
+        if change.get("roots", {}).get("weights"):
+            assert err == (
+                f"config error: {path}.roots: weyl_order 1 "
+                f"does not match generated group of order 2\n"
+            )
+        else:
+            assert "config error: --oracle: the Pieri oracle needs a G(k,n) presentation" in err
 
     def test_oracle_accepts_any_presentation_of_a_grassmannian(self, capsys, tmp_path):
         # shuffled and split tangent summands, a generating set other than the
@@ -577,52 +587,34 @@ class TestConfig:
             if plain:
                 assert out == run(capsys, "presentation", *plain)[1]
 
-    def test_matrix_generator_accepted(self):
-        doc = {
-            "schema": "1",
-            "ring": {"variables": "2", "truncations": ["3", "3"]},
-            "roots": {
-                "weights": [["1", "0"], ["-1", "0"]],
-                "positive": ["0"],
-                "weyl_generators": [{"matrix": [["-1", "0"], ["0", "-1"]]}],
-                "weyl_order": "2",
-            },
-            "tangent_bundle": [
-                {"weight": ["1", "0"], "multiplicity": "3"},
-                {"weight": ["0", "1"], "multiplicity": "3"},
-                {"weight": "0", "multiplicity": "-2"},
-            ],
-            "weyl_action": [["1", "2"]],
-        }
-        m = model_from_config(doc)
-        assert m.root_data.weyl_generators == (((-1, 0), (0, -1)),)
+    @pytest.mark.parametrize("field", ["roots.weyl_generators", "weyl_action"])
+    def test_matrix_generator_refused(self, capsys, tmp_path, field):
+        # W permutes the variables, so a generator is a permutation list; a
+        # matrix, here the coordinate swap of G(2,4), is refused where it stands
+        doc = g24_config()
+        swap = {"matrix": [["0", "1"], ["1", "0"]]}
+        if field == "weyl_action":
+            doc["weyl_action"] = [swap]
+        else:
+            doc["roots"]["weyl_generators"] = [swap]
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "euler", "--config", str(path))
+        assert (status, out) == (2, "")
+        assert err == (
+            f"config error: {path}.{field}[0]: "
+            "expected a permutation list; W permutes the variables\n"
+        )
 
-    def test_matrix_generators_need_explicit_action(self):
-        doc = {
-            "schema": "1",
-            "ring": {"variables": "2", "truncations": ["3", "3"]},
-            "roots": {
-                "weights": [["1", "0"], ["-1", "0"]],
-                "positive": ["0"],
-                "weyl_generators": [{"matrix": [["-1", "0"], ["0", "-1"]]}],
-                "weyl_order": "2",
-            },
-            "tangent_bundle": [
-                {"weight": ["1", "0"], "multiplicity": "3"},
-                {"weight": ["0", "1"], "multiplicity": "3"},
-                {"weight": "0", "multiplicity": "-2"},
-            ],
-        }
-        with pytest.raises(ConfigError, match="weyl_action"):
-            model_from_config(doc)
-
-    @pytest.mark.parametrize("declared, found", [("4", "2"), ("1", "greater than 1")])
+    @pytest.mark.parametrize("declared, found", [("4", "2"), ("1", "2")])
     def test_matrix_generator_with_wrong_weyl_order_exits_2(
         self, capsys, tmp_path, declared, found
     ):
-        # the coordinate swap of G(2,4) as a matrix has order 2
+        # the coordinate swap of G(2,4), once written as a matrix, is now the
+        # permutation [2, 1]; it permutes within the roots' one block, so the
+        # order found is exactly 2! on either side of the declared one
         doc = g24_config()
-        doc["roots"]["weyl_generators"] = [{"matrix": [["0", "1"], ["1", "0"]]}]
+        doc["roots"]["weyl_generators"] = [["2", "1"]]
         doc["roots"]["weyl_order"] = declared
         path = tmp_path / "swap.json"
         path.write_text(json.dumps(doc))
@@ -632,6 +624,116 @@ class TestConfig:
             f"config error: {path}.roots: weyl_order {declared} "
             f"does not match generated group of order {found}\n"
         )
+
+    def test_weyl_order_checked_at_any_rank(self, capsys, tmp_path):
+        # U(2) roots and a swap of u1, u2 in nine variables (truncations
+        # 3, 3, 2, ..., 2): |W| = 2, and the Euler number is 2^9 * 3 / 4 = 384
+        k = 9
+        pairs = ((0, 1), (1, 0))
+        weights = [[str(-1 if x == i else int(x == j)) for x in range(k)] for i, j in pairs]
+        doc = {
+            "schema": "1",
+            "ring": {"variables": str(k), "truncations": ["3", "3"] + ["2"] * (k - 2)},
+            "roots": {
+                "weights": weights,
+                "positive": ["0"],
+                "weyl_generators": [["2", "1", *map(str, range(3, k + 1))]],
+            },
+            "tangent_bundle": [
+                {"weight": [str(int(x == i)) for x in range(k)], "multiplicity": n}
+                for i, n in enumerate(["3", "3"] + ["2"] * (k - 2))
+            ]
+            + [{"weight": "0", "multiplicity": str(-k)}],
+        }
+        for order, expected in [("4", None), ("2", "384\n")]:
+            doc["roots"]["weyl_order"] = order
+            path = tmp_path / f"order-{order}.json"
+            path.write_text(json.dumps(doc))
+            status, out, err = run(capsys, "euler", "--config", str(path))
+            if expected is None:
+                assert (status, out) == (2, "")
+                assert err == (
+                    f"config error: {path}.roots: weyl_order 4 "
+                    f"does not match generated group of order 2\n"
+                )
+            else:
+                assert (status, out, err) == (0, expected, "")
+
+    def test_roots_generate_w_without_generators(self, capsys, tmp_path):
+        # G(2,4)'s roots with no generators: their reflection alone gives |W| = 2
+        doc = g24_config()
+        doc["roots"]["weyl_generators"] = []
+        doc["roots"]["weyl_order"] = "1"
+        path = tmp_path / "no-generators.json"
+        path.write_text(json.dumps(doc))
+        for command in ("euler", "betti"):
+            status, out, err = run(capsys, command, "--config", str(path))
+            assert (status, out) == (2, "")
+            assert err == (
+                f"config error: {path}.roots: weyl_order 1 "
+                f"does not match generated group of order 2\n"
+            )
+        doc["roots"]["weyl_order"] = "2"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "euler", "--config", str(path)) == (0, "6\n", "")
+        assert run(capsys, "betti", "--config", str(path)) == (0, "1,1,2,1,1\n", "")
+
+    def test_lone_three_cycle_with_the_roots_is_s3(self, capsys, tmp_path):
+        # G(3,5) with a lone 3-cycle: with the roots' transpositions it
+        # generates S_3, so |W| = 6, not 3
+        doc = model_to_config(grassmannian_model(3, 5))
+        doc["roots"]["weyl_generators"] = [["2", "3", "1"]]
+        doc["weyl_action"] = [["2", "3", "1"]]
+        path = tmp_path / "cycle.json"
+        for order in ("3", "6"):
+            doc["roots"]["weyl_order"] = order
+            path.write_text(json.dumps(doc))
+            status, out, err = run(capsys, "euler", "--config", str(path))
+            if order == "3":
+                assert (status, out) == (2, "")
+                assert err == (
+                    f"config error: {path}.roots: weyl_order 3 "
+                    f"does not match generated group of order 6\n"
+                )
+            else:
+                assert (status, out, err) == (0, "10\n", "")
+                assert run(capsys, "betti", "--config", str(path)) == (0, "1,1,2,2,2,1,1\n", "")
+
+    def test_empty_weyl_action_does_not_shrink_w(self, capsys, tmp_path):
+        # the presentation takes orbits under the action and the roots'
+        # transpositions, so an empty action still gives G(2,4)'s invariants
+        doc = g24_config()
+        doc["weyl_action"] = []
+        path = tmp_path / "empty-action.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "betti", "--config", str(path)) == (0, "1,1,2,1,1\n", "")
+        assert run(capsys, "presentation", "--config", str(path)) == run(
+            capsys, "presentation", "--grassmannian", "2", "4"
+        )
+
+    def test_presentation_refuses_reflections_that_leave_the_ring(self, capsys, tmp_path):
+        # U(2) roots on P^2 x P^3: the roots' reflection swaps u1 and u2,
+        # which the truncations 3 and 4 do not allow, so an orbit sum would
+        # leave the ring; an empty action used to hide that
+        doc = {
+            "schema": "1",
+            "ring": {"variables": "2", "truncations": ["3", "4"]},
+            "roots": "unitary:2",
+            "tangent_bundle": [
+                {"weight": ["1", "0"], "multiplicity": "3"},
+                {"weight": ["0", "1"], "multiplicity": "3"},
+                {"weight": "0", "multiplicity": "-1"},
+            ],
+            "weyl_action": [],
+        }
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps(doc))
+        for command in ("betti", "presentation"):
+            assert run(capsys, command, "--config", str(path)) == (
+                2,
+                "",
+                "error: the roots' reflections do not preserve the truncation exponents [3, 4]\n",
+            )
 
     def test_zero_weight_written_as_a_vector_dumps_as_zero(self, capsys, tmp_path):
         doc = g24_config()
@@ -656,6 +758,54 @@ class TestConfig:
         path = tmp_path / "dumped.json"
         path.write_text(out)
         assert load_config(str(path)) == grassmannian_model(2, 4)
+
+
+@st.composite
+def mutated_weyl_fields(draw):
+    """A G(k,n) config, k <= 3 and n <= 6, with its Weyl fields replaced: 0-3
+    random permutations as the roots' generators, `weyl_order` 1-7, and a
+    `weyl_action` absent, empty or random."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 6))
+    perms = st.permutations([str(i) for i in range(1, k + 1)])
+    doc = model_to_config(grassmannian_model(k, n))
+    doc["roots"]["weyl_generators"] = draw(st.lists(perms, max_size=3))
+    doc["roots"]["weyl_order"] = str(draw(st.integers(1, 7)))
+    action = draw(st.one_of(st.none(), st.lists(perms, max_size=3)))
+    if action is None:
+        del doc["weyl_action"]
+    else:
+        doc["weyl_action"] = action
+    doc["orbifold_prefactor"] = draw(st.sampled_from(["1", "2", "1/3"]))
+    return k, n, doc
+
+
+class TestWeylFieldsFuzz:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mutated_weyl_fields())
+    def test_answer_is_right_or_a_located_refusal(self, capsys, tmp_path, case):
+        # the roots of U(k) generate W = S_k whatever the generators, so a
+        # config loads exactly when it declares |W| = k!, and then answers right
+        k, n, doc = case
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        prefactor = Fraction(doc["orbifold_prefactor"])
+        expected = {
+            "euler": f"{comb(n, k) * prefactor}\n",
+            "betti": ",".join(map(str, oracle_betti(k, n))) + "\n",
+        }
+        for command, out in expected.items():
+            status, stdout, err = run(capsys, command, "--config", str(path))
+            if status == 0:
+                assert (stdout, err) == (out, "")
+            else:
+                assert (status, stdout) == (2, "")
+                assert err.startswith(f"config error: {path}")
+            assert (status == 0) == (doc["roots"]["weyl_order"] == str(factorial(k)))
 
 
 def test_python_m_runs_the_cli_in_a_fresh_interpreter():

@@ -186,12 +186,11 @@ class TestOrbitPoints:
         scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
         block = ((-1, 1, 0), (1, -1, 0))  # U(2)xU(1) in U(3): Weyl order 1, blocks of order 2
         # e_1 - e_0 and e_2 - e_1 without e_2 - e_0: not closed, so the pairs
-        # of variables in a root overlap instead of forming blocks; |W| = 24
-        # is the product of 2!, 3!, 2! over them, and RootData checks no
-        # order at rank 9
+        # of variables in a root overlap instead of forming blocks, and with
+        # no generators W is trivial
         chain = [(-1, 1, 0), (1, -1, 0), (0, -1, 1), (0, 1, -1)]
         chain = [w + (0,) * 6 for w in chain]
-        chain = RootData(9, chain, chain[::2], (), 24)
+        chain = RootData(9, chain, chain[::2], (), 1)
         ring9 = Ring(9, [2] * 9)
         lines = [(tuple(int(i == j) for j in range(9)), 2) for i in range(9)]
         moved = SplitBundle(m.ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])  # u1, u2 unequal

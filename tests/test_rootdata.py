@@ -40,9 +40,17 @@ class TestUnitaryRoots:
 
 
 class TestRootDataValidation:
-    def test_weyl_order_checked_by_enumeration(self):
-        with pytest.raises(ValueError, match="weyl_order"):
+    def test_weyl_order_checked_against_the_generated_group(self):
+        # within the roots' blocks |W| = prod |b|!, read off with no enumeration
+        with pytest.raises(ValueError, match="weyl_order 3 does not match .* of order 2$"):
             RootData(2, [(-1, 1), (1, -1)], [(-1, 1)], [(1, 0)], 3)
+        # a generator that swaps two blocks is enumerated with the blocks'
+        # transpositions: U(2) x U(2) with the blocks swapped has order 8
+        u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
+        swap = (2, 3, 0, 1)
+        assert RootData(4, u2, u2[::2], [swap], 8).blocks == ((0, 1), (2, 3))
+        with pytest.raises(ValueError, match="weyl_order 4 does not match .* greater than 4"):
+            RootData(4, u2, u2[::2], [swap], 4)
 
     def test_root_set_stability(self):
         # the swap sends (-2,1) to (1,-2), which is not a declared root
@@ -59,14 +67,13 @@ class TestRootDataValidation:
         with pytest.raises(ValueError):
             RootData(2, [(0, 0), (1, -1), (-1, 1)], [(1, -1)], [], 1)
 
-    def test_matrix_generator_stability(self):
-        # the negation matrix stabilizes a plus/minus pair
+    def test_non_permutation_generator_refused(self):
+        # W permutes the variables, so the negation matrix is no generator
         neg = ((-1, 0), (0, -1))
-        rd = RootData(2, [(1, 0), (-1, 0)], [(1, 0)], [neg], 2)
-        assert rd.weyl_generators == (neg,)
-        # the shear sends (1,0) to (1,1), which is not a declared root
-        with pytest.raises(ValueError, match="stable"):
-            RootData(2, [(1, 0), (-1, 0)], [(1, 0)], [((1, 0), (1, 1))], 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            RootData(2, [(1, 0), (-1, 0)], [(1, 0)], [neg], 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            RootData(2, [(-1, 1), (1, -1)], [(-1, 1)], [(1, 1)], 2)
 
     def test_opposite_swaps_positivity(self):
         rd = unitary_roots(3)

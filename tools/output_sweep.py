@@ -1,0 +1,126 @@
+"""Print one line per CLI query of a fixed sweep, for byte-identity checks.
+
+    python tools/output_sweep.py CHECKOUT > sweep.txt
+
+Runs every query in-process against the `abelianize` package and the
+benchmark workloads of the checkout at CHECKOUT, and prints, per query, the
+exit status, a hash of stdout and stderr, and the argv.  Two checkouts
+compare with `diff`: a line differs exactly where a query's exit status,
+stdout or stderr does.
+
+The queries are every model subcommand on each G(k,n) with k <= 4 and
+dimension k(n-k) <= 16, and on every config file the two benchmark
+workloads write at seeds 1-6; on the configs, the subcommands that take
+`--subgroup` run with and without it.  Config files are written to a
+temporary directory under relative paths, so error messages that name a
+path read the same for every checkout.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+
+SEEDS = range(1, 7)
+
+
+def _monomial(k: int, n: int, degree: int) -> str:
+    """u1^a1*...*uk^ak of the given degree with every a_i <= n - 1, or u1
+    when none exists."""
+    exps = []
+    for _ in range(k):
+        exps.append(min(degree, n - 1))
+        degree -= exps[-1]
+    if degree or not any(exps):
+        return "u1"
+    return "*".join(f"u{i}^{a}" for i, a in enumerate(exps, 1) if a)
+
+
+def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup: bool):
+    line = ",".join(["1"] * k)
+    plain = [
+        ("pairing", *model, "--table"),
+        ("integrate", *model, "--", _monomial(k, n, degree)),
+        ("betti", *model),
+        ("presentation", *model),
+        ("euler", *model),
+        ("signature", *model),
+        ("charnum", *model, "--class", "todd"),
+        ("index", *model, f"--line={line}"),
+        ("config-dump", *model),
+    ]
+    for argv in plain:
+        yield argv
+        if subgroup and argv[0] in ("integrate", "betti", "presentation", "index"):
+            yield (argv[0], *model, "--subgroup", *argv[1 + len(model):])
+
+
+def _config_shape(path: str) -> tuple[int, int, int]:
+    """k, the first truncation and the quotient dimension a config declares,
+    or (1, 1, 0) where it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        k = int(doc["ring"]["variables"])
+        truncs = [int(x) for x in doc["ring"]["truncations"]]
+        roots = doc["roots"]
+        count = k * (k - 1) if isinstance(roots, str) else len(roots["weights"])
+        return k, truncs[0], sum(truncs) - k - count
+    except (OSError, ValueError, KeyError, TypeError, IndexError):
+        return 1, 1, 0
+
+
+def sweep(checkout: str) -> list[tuple[str, ...]]:
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    from abelianize import cli
+    import workloads
+
+    print(f"abelianize from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    argvs = []
+    for k in range(1, 5):
+        n = k
+        while k * (n - k) <= 16:
+            argvs.extend(_queries(("--grassmannian", str(k), str(n)), k, n, k * (n - k), False))
+            n += 1
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            load = workloads.build(name, seed, os.path.join("configs", f"{name}-{seed}"))
+            load.write_files()
+            for path in sorted(load.files):
+                k, n, degree = _config_shape(path)
+                argvs.extend(_queries(("--config", path), k, n, degree, True))
+
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
+            except Exception as exc:  # a traceback is an outcome to compare too
+                status = f"raised {type(exc).__name__}"
+                print(exc, file=err)
+        digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+        print(f"{status}\t{digest[:16]}\t{shlex.join(argv)}", flush=True)
+    return argvs
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", help="root of the checkout to run")
+    checkout = os.path.abspath(parser.parse_args().checkout)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        count = len(sweep(checkout))
+    print(f"{count} queries", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
