@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(
-        p: argparse.ArgumentParser, subgroup: bool = True, csv: bool = False, latex: bool = False
+        p: argparse.ArgumentParser, subgroup: bool = False, csv: bool = False, latex: bool = False
     ):
         p.add_argument(
             "--grassmannian",
@@ -336,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("pairing", help="pair monomials in dual-tautological Chern classes")
-    add_model_args(p, subgroup=False, csv=True, latex=True)
+    add_model_args(p, csv=True, latex=True)
     p.add_argument("--exps", help="comma-separated exponents m_1,...,m_k")
     p.add_argument("--table", action="store_true", help="emit all top-degree pairings")
     p.add_argument("--oracle", action="store_true", help="cross-check against the Pieri oracle")
     p.set_defaults(func=_cmd_pairing)
 
     p = sub.add_parser("integrate", help="integrate a lifted class over the quotient")
-    add_model_args(p, latex=True)
+    add_model_args(p, subgroup=True, latex=True)
     p.add_argument("expr", help="polynomial in the canonical grammar, e.g. 'u1^3*u2^3'")
     p.add_argument("--torus", action="store_true", help="integrate over the torus quotient")
     p.set_defaults(func=_cmd_integrate)
@@ -357,21 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_presentation)
 
     p = sub.add_parser("euler", help="Euler characteristic of the quotient")
-    add_model_args(p, subgroup=False, latex=True)
+    add_model_args(p, latex=True)
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("signature", help="signature of the quotient")
-    add_model_args(p, subgroup=False, latex=True)
+    add_model_args(p, latex=True)
     p.set_defaults(func=_cmd_signature)
 
     p = sub.add_parser("charnum", help="characteristic number for a multiplicative class")
-    add_model_args(p, subgroup=False, latex=True)
+    add_model_args(p, latex=True)
     p.add_argument("--class", dest="klass", default="total-chern", help="named series")
     p.add_argument("--series", help="custom series as rational coefficients c0,c1,...")
     p.set_defaults(func=_cmd_charnum)
 
     p = sub.add_parser("index", help="index of the twisted operator on the quotient")
-    add_model_args(p, latex=True)
+    add_model_args(p, subgroup=True, latex=True)
     p.add_argument(
         "--line",
         action="append",
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("config-dump", help="serialize the model back to config JSON")
-    add_model_args(p, subgroup=False)
+    add_model_args(p)
     p.set_defaults(func=_cmd_config_dump)
 
     return parser

@@ -5,8 +5,8 @@ integer or rational strings, so no parser ever coerces a value through
 floating point.  It describes the ring, the root data (builtin "unitary:k"
 or explicit, with Weyl generators given as permutations of the variables),
 the split tangent bundle, an optional orbifold prefactor, an optional
-full-rank-subgroup block, and an optional Weyl action on the ring variables,
-which the presentation uses together with the roots' transpositions.
+full-rank-subgroup block, and an optional Weyl action in W, which only
+`config-dump` reads.  Roots e_j - e_i must be closed under the swaps (i j).
 
 Errors carry the offending field's location so the CLI can point at it.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .ratpoly import Ring
-from .rootdata import RootData, Subgroup, unitary_roots
+from .rootdata import RootData, Subgroup, is_pair_root, unitary_roots
 from .quotient import QuotientModel, SplitBundle
 
 SCHEMA_VERSION = "1"
@@ -109,9 +109,12 @@ def _parse_roots(value: Any, k: int, location: str) -> RootData:
     ]
     order = _as_int(_require(value, "weyl_order", location), f"{location}.weyl_order")
     try:
-        return RootData(k, weights, [weights[i] for i in pos_idx], gens, order)
+        rd = RootData(k, weights, [weights[i] for i in pos_idx], gens, order)
     except ValueError as err:
         raise ConfigError(location, str(err)) from None
+    if rd.blocks is None and all(map(is_pair_root, rd.roots)):
+        raise ConfigError(location, "roots e_j - e_i must be closed under the transpositions (i j)")
+    return rd
 
 
 def _parse_tangent(value: Any, ring: Ring, location: str) -> SplitBundle:

@@ -7,15 +7,12 @@ linear algebra over Q on one invariant basis (monomial orbit sums) per degree
 d and one Gram matrix, `pairing_matrix`: entry (a, b) is the prefactor times
 `integrate_torus(a, b, e)`, for a of degree q - d and b of degree d, q the
 quotient dimension; the matrix of degree q - d is its transpose.  The
-torus-quotient ring has Poincare duality and a Weyl-invariant integral, so
-when e is Weyl-invariant, b*e = 0 exactly when b pairs to zero with every
-invariant of degree q - d: ann(e) is the Gram kernel and b_d its rank.
-W acts through the model's `weyl_action` together with the transpositions of
-the roots' blocks, so an action that does not generate W cannot shrink it.
-Models whose e a Weyl generator moves, or whose roots' reflections do not
-preserve the truncations, are refused.  All elimination is one
-fraction-free Gauss-Jordan routine: `rref` divides its result by the common
-pivot and `matrix_rank` counts its pivots.
+torus-quotient ring has Poincare duality and a Weyl-invariant integral, and
+e is Weyl-invariant, as W (`RootData.generators`) maps the roots onto
+themselves.  So b*e = 0 exactly when b pairs to zero with every invariant of
+degree q - d: ann(e) is the Gram kernel and b_d its rank.  All elimination
+is one fraction-free Gauss-Jordan routine: `rref` divides its result by the
+common pivot and `matrix_rank` counts its pivots.
 
 A second, independent route to the signature counts eigenvalue signs of the
 middle-degree pairing matrix through its characteristic polynomial; Descartes'
@@ -29,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .ratpoly import Exponent, Poly, exponent_orbit, permute_poly
+from .ratpoly import Exponent, Poly, exponent_orbit
 from .quotient import QuotientModel, integrate_torus
 
 Matrix = list[list[Fraction]]
@@ -153,11 +150,11 @@ def eigenvalue_signs(a: Matrix) -> tuple[int, int, int]:
 
 def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
     """Basis of the degree-d Weyl invariants: one monomial orbit sum per
-    orbit under the Weyl action and the roots' transpositions, ordered by
-    descending lexicographically greatest representative."""
+    orbit under `RootData.generators`, ordered by descending
+    lexicographically greatest representative."""
     if not 0 <= d <= m.ring.top_degree:
         raise ValueError(f"degree {d} out of range 0..{m.ring.top_degree}")
-    gens = m.weyl_action + m.root_data.transpositions()
+    gens = m.root_data.generators()
     seen: set[Exponent] = set()
     orbits: list[tuple[Exponent, frozenset[Exponent]]] = []
     for e in m.ring.monomials_of_degree(d):
@@ -184,31 +181,12 @@ def ann_e_basis(m: QuotientModel, inv: list[Poly], gram: Matrix) -> list[Poly]:
     return basis
 
 
-def _graded_bases(m: QuotientModel) -> list[list[Poly]]:
-    """The invariant bases of degrees 0..q; only for a Weyl-invariant e is
-    ann(e) the kernel of the Gram matrix, so a model without one is refused,
-    as is a model whose roots' reflections leave the ring."""
-    truncs = m.ring.truncations
-    if any(truncs[i] != truncs[b[0]] for b in m.root_data.blocks or () for i in b):
-        raise ValueError(
-            f"the roots' reflections do not preserve the truncation exponents {list(truncs)}"
-        )
-    e = m.e_class()
-    for g in m.weyl_action:
-        if permute_poly(e, g) != e:
-            raise ValueError(
-                f"the root-class product e is not fixed by the Weyl generator "
-                f"{[i + 1 for i in g]}; Betti numbers and ann(e) need a Weyl-invariant e"
-            )
-    return [invariant_basis(m, d) for d in range(m.quotient_dim + 1)]
-
-
 def poincare_polynomial(m: QuotientModel) -> list[int]:
     """Betti numbers of the presented quotient, trailing zeros trimmed: the
     Gram matrix ranks of degrees d <= q/2, mirrored, since the matrix of
     degree q - d is the transpose."""
     top = m.quotient_dim
-    bases = _graded_bases(m)
+    bases = [invariant_basis(m, d) for d in range(top + 1)]
     half = [matrix_rank(pairing_matrix(m, bases[top - d], bases[d])) for d in range(top // 2 + 1)]
     betti = half + half[: (top + 1) // 2][::-1]
     while betti and betti[-1] == 0:
@@ -262,7 +240,7 @@ def presentation_report(m: QuotientModel) -> PresentationReport:
     per degree and one Gram matrix per degree d <= q/2, whose transpose is
     the matrix of degree q - d; b_d = dim - dim ann(e)."""
     top = m.quotient_dim
-    bases = _graded_bases(m)
+    bases = [invariant_basis(m, d) for d in range(top + 1)]
     anns: list[list[Poly]] = [[] for _ in bases]
     for d in range(top // 2 + 1):
         gram = pairing_matrix(m, bases[top - d], bases[d])

@@ -2,9 +2,9 @@
 
 A `QuotientModel` packages everything the integration formulas need: the
 truncated ring presenting the torus quotient's cohomology, root data for the
-nonabelian group, the (split) tangent bundle of the torus quotient, an
-orbifold prefactor, and the Weyl action on the ring variables, which only
-the presentation layer reads.
+nonabelian group, the (split) tangent bundle of the torus quotient and an
+orbifold prefactor.  W acts only through the root data, and the model checks
+once that it preserves the truncations and the tangent summands.
 
 Every formula is one prefactor, `QuotientModel.prefactor`, times one torus
 integral.  Integration over the nonabelian quotient multiplies a lifted class
@@ -146,16 +146,21 @@ class QuotientModel:
         prefactor = rat(orbifold_prefactor)
         if prefactor <= 0:
             raise ValueError("orbifold prefactor must be positive")
-        if weyl_action is None:
-            weyl_action = root_data.weyl_generators
-        action = tuple(check_permutation(g, ring.k) for g in weyl_action)
-        for g in action:
-            for i in range(ring.k):
-                if ring.truncations[g[i]] != ring.truncations[i]:
-                    raise ValueError(
-                        f"Weyl generator {g} does not preserve the truncation "
-                        f"exponents {ring.truncations}"
-                    )
+        truncs, tangent = ring.truncations, tangent_bundle.multiplicities()
+        for g in root_data.generators():
+            if tuple(truncs[i] for i in g) != truncs:
+                raise ValueError(
+                    f"Weyl generator {[i + 1 for i in g]} does not preserve the truncation "
+                    f"exponents {list(truncs)}"
+                )
+            if {permute_exponents(w, g): c for w, c in tangent.items()} != tangent:
+                raise ValueError(f"Weyl generator {[i + 1 for i in g]} moves the tangent summands")
+        action = root_data.weyl_generators  # in W by definition
+        if weyl_action is not None:
+            action = tuple(check_permutation(g, ring.k) for g in weyl_action)
+            for g in action:
+                if g not in root_data:
+                    raise ValueError(f"weyl_action generator {[i + 1 for i in g]} is not in W")
         if len(root_data.roots) > ring.top_degree:
             raise ValueError("more roots than the torus quotient dimension allows")
         self.root_data = root_data
@@ -167,6 +172,9 @@ class QuotientModel:
                 raise ValueError("subgroup roots must be closed under negation")
             if root_data.weyl_order % subgroup.weyl_order != 0:
                 raise ValueError("subgroup Weyl order must divide the group's Weyl order")
+            blocks = reflection_blocks(subgroup.roots, ring.k)
+            if blocks is not None and subgroup.weyl_order != block_order(blocks):
+                raise ValueError(f"subgroup Weyl order must be {block_order(blocks)} for its roots")
         self.ring = ring
         self.tangent_bundle = tangent_bundle
         self.orbifold_prefactor = prefactor
@@ -193,28 +201,21 @@ class QuotientModel:
 
     def relative(self) -> QuotientModel:
         """The model of the full-rank-subgroup formulas: the roots and
-        positive roots outside the subgroup H, with the order prod |b|! of
-        their own reflections (1 where they form no blocks), the orbifold
-        prefactor times |W(H)|/|W(G)| times that order, so that `prefactor`
-        is the ratio, and G's Weyl action, so invariants stay those of G.
-        For H = T and W = prod S_|b|, that is the model's own roots, |W| and
-        prefactor."""
+        positive roots outside the subgroup H, whose own reflections give W
+        (trivial where they form no blocks, as for a Levi block), and the
+        orbifold prefactor times |W(H)|/|W(G)| times that W's order, so that
+        `prefactor` is the ratio.  For H = T and W = prod S_|b|, that is the
+        model's own roots, |W| and prefactor."""
         if self.subgroup is None:
             raise ValueError("the model carries no subgroup")
         inside, rd = set(self.subgroup.roots), self.root_data
         roots = [w for w in rd.roots if w not in inside]
         order = block_order(reflection_blocks(roots, rd.rank))
-        complement = RootData(
-            rd.rank, roots, [w for w in rd.positive if w not in inside], (), order
-        )
+        positive = [w for w in rd.positive if w not in inside]
+        complement = RootData(rd.rank, roots, positive, (), order)
         ratio = Fraction(self.subgroup.weyl_order * order, rd.weyl_order)
-        return QuotientModel(
-            self.ring,
-            complement,
-            self.tangent_bundle,
-            ratio * self.orbifold_prefactor,
-            self.weyl_action,
-        )
+        prefactor = ratio * self.orbifold_prefactor
+        return QuotientModel(self.ring, complement, self.tangent_bundle, prefactor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientModel):
@@ -279,20 +280,18 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
     """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
     that `integrate_points` sums over for a Weyl-invariant class, each with
     the number of points it stands for, or None where that reduction is not
-    exact.  A shape test on the roots' blocks and |W|, not `weyl_action`.
+    exact.  A shape test on the roots' blocks and |W|.
 
     The roots must form blocks (`RootData.blocks`) with |W| = prod |b|!, so
-    the roots' reflections generate W; truncations must agree within each
-    block, and the reflections must fix the tangent summands and every given
-    bundle.  A point with two equal entries in a block is a zero of a root;
+    the roots' reflections generate W, and they must fix every given bundle;
+    the model has checked the truncations and the tangent summands.  A
+    point with two equal entries in a block is a zero of a root;
     every other orbit is free, |W| points, one of them increasing along each
     block: `all_points` of the blocks, each count times |W|."""
-    rd, truncs = m.root_data, m.ring.truncations
+    rd = m.root_data
     if rd.blocks is None or rd.weyl_order != block_order(rd.blocks):
         return None
-    if any(truncs[i] != truncs[b[0]] for b in rd.blocks for i in b):
-        return None
-    for weights in (m.tangent_bundle.multiplicities(), *(V.multiplicities() for V in bundles)):
+    for weights in (V.multiplicities() for V in bundles):
         for g in rd.transpositions():
             if {permute_exponents(w, g): c for w, c in weights.items()} != weights:
                 return None

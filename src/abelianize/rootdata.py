@@ -7,13 +7,13 @@ positive roots, Weyl generators, and the Weyl group order.
 
 This module is the one place that knows W.  W acts on the torus quotient
 prod P^{n_i - 1} and preserves its reduced symplectic class sum a_i u_i
-(a_i > 0), so it permutes the variables: every generator is a permutation.
-Where every root is e_j - e_i and the roots are closed under their
-reflections, the transpositions (i j), the variables fall into blocks,
-`reflection_blocks`, and the reflections generate prod S_|b|.  W is the
-group that these transpositions and the generators generate.  Only the
-unitary family has a built-in constructor; other groups are supplied as
-explicit data (from the CLI config).
+(a_i > 0), so it permutes the variables.  Where every root is e_j - e_i and
+the roots are closed under their reflections, the transpositions (i j), the
+variables fall into blocks, `reflection_blocks`.  W is generated by the
+transpositions inside the blocks and the given permutations,
+`RootData.generators`, and `g in root_data` tests membership.  Only the
+unitary family has a built-in constructor; other groups come as explicit
+data (from the CLI config).
 """
 
 from __future__ import annotations
@@ -46,13 +46,22 @@ def _swap(i: int, j: int, rank: int) -> Perm:
     return tuple(j if x == i else i if x == j else x for x in range(rank))
 
 
+def _within(g: Perm, blocks: Blocks) -> bool:
+    return all(g[i] in b for b in blocks for i in b)
+
+
+def is_pair_root(w: Weight) -> bool:
+    """Whether w is e_j - e_i for some i != j."""
+    return sorted(w) == [-1, *[0] * (len(w) - 2), 1]
+
+
 def reflection_blocks(roots: Sequence[Weight], rank: int) -> Blocks | None:
     """The blocks of variables that the roots' reflections permute: where
     every root is e_j - e_i and the roots are closed under the
     transpositions (i j), i and j share a block exactly when e_j - e_i is a
     root, so the roots are the pairs inside the blocks.  No roots give one
     block per variable.  None for roots of any other shape."""
-    if any(sorted(w) != [-1, *[0] * (rank - 2), 1] for w in roots):
+    if not all(map(is_pair_root, roots)):
         return None
     pairs = {(w.index(-1), w.index(1)) for w in roots}
     blocks = {tuple(sorted({i, *(j for x, j in pairs if x == i)})) for i in range(rank)}
@@ -70,7 +79,7 @@ def block_order(blocks: Blocks | None) -> int:
 class RootData:
     """A root set with positivity choice, Weyl generators, and |W|."""
 
-    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks")
+    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks", "_group")
 
     def __init__(
         self,
@@ -95,6 +104,16 @@ class RootData:
         generators they generate W."""
         return tuple(_swap(i, j, self.rank) for b in self.blocks or () for i, j in zip(b, b[1:]))
 
+    def generators(self) -> tuple[Perm, ...]:
+        """W's generators: the transpositions, and the Weyl generators if one leaves the blocks."""
+        if self._group is None:
+            return self.transpositions()
+        return tuple(dict.fromkeys(self.transpositions() + self.weyl_generators))
+
+    def __contains__(self, g: Perm) -> bool:
+        """Whether the permutation g of the variables lies in W."""
+        return _within(g, self.blocks) if self._group is None else g in self._group
+
     def _validate(self) -> None:
         root_set = set(self.roots)
         if len(root_set) != len(self.roots):
@@ -110,20 +129,21 @@ class RootData:
             raise ValueError("a root and its negative cannot both be positive")
         if pos | neg != root_set:
             raise ValueError("roots must split as positive roots and their negatives")
-        gens = self.weyl_generators
-        for g in gens:
+        for g in self.weyl_generators:
             if {permute_exponents(w, g) for w in self.roots} != root_set:
                 raise ValueError(f"root set is not stable under generator {g}")
         if not isinstance(self.weyl_order, int) or self.weyl_order < 1:
             raise ValueError(f"weyl_order must be a positive integer, got {self.weyl_order}")
-        # generators that permute within blocks add nothing to prod S_|b|;
-        # any other generator, or roots of another shape, need the group
-        blocks = self.blocks
-        if blocks is not None and all(g[i] in b for g in gens for b in blocks for i in b):
+        # generators that permute within blocks add nothing to prod S_|b|; any
+        # other generator, or roots of another shape, need W's elements listed
+        blocks, gens = self.blocks, self.weyl_generators
+        if blocks is not None and all(_within(g, blocks) for g in gens):
+            self._group = None
             order = found = block_order(blocks)
         else:
             gens += self.transpositions()
-            order = len(generate_permutation_group(gens, self.rank, limit=self.weyl_order))
+            self._group = generate_permutation_group(gens, self.rank, limit=self.weyl_order)
+            order = len(self._group)
             found = order if order <= self.weyl_order else f"greater than {self.weyl_order}"
         if order != self.weyl_order:
             raise ValueError(

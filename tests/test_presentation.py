@@ -286,13 +286,17 @@ class TestRankRoute:
             assert poincare_polynomial(m) == betti
             assert [ann(m, d) for d in range(m.quotient_dim + 1)] == anns
 
-    def test_relative_block_model_is_refused(self):
-        # the complement roots of U(2)xU(1) in U(3) are not Weyl-stable, so
-        # their e is not Weyl-invariant and ann(e) is no Gram kernel
+    def test_relative_block_model_uses_its_own_weyl_group(self):
+        # the complement roots of U(2)xU(1) in U(3) form no blocks, so their
+        # own W is trivial: every monomial is an invariant, e is invariant
+        # and ann(e) is the Gram kernel again
         rel = _subgroup_configs()[0].relative()
-        for route in (poincare_polynomial, presentation_report):
-            with pytest.raises(ValueError, match="not fixed by the Weyl generator"):
-                route(rel)
+        assert rel.root_data.generators() == ()
+        assert len(invariant_basis(rel, 1)) == 3
+        betti, anns = product_route(rel)
+        assert poincare_polynomial(rel) == betti
+        assert [ann(rel, d) for d in range(rel.quotient_dim + 1)] == anns
+        assert list(presentation_report(rel).betti) == betti
 
 
 class TestPairingMatrix:

@@ -148,14 +148,6 @@ def u2_in_four_variables(weyl_order: int) -> QuotientModel:
     return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
 
 
-def u2_with_truncations(n1: int, n2: int) -> QuotientModel:
-    """U(2) roots on P^{n1-1} x P^{n2-1}, with no Weyl action, since a swap
-    of the variables would not preserve unequal truncations."""
-    ring = Ring(2, [n1, n2])
-    tangent = SplitBundle(ring, [((1, 0), n1), ((0, 1), n1), ((0, 0), n2 - n1 - 2)])
-    return QuotientModel(ring, unitary_roots(2), tangent, weyl_action=[])
-
-
 class TestOrbitPoints:
     def test_g24_points_pair_with_their_mirrors(self):
         # the increasing pairs in range(4): (0,1) and (2,3) mirror each other,
@@ -193,19 +185,24 @@ class TestOrbitPoints:
         chain = RootData(9, chain, chain[::2], (), 1)
         ring9 = Ring(9, [2] * 9)
         lines = [(tuple(int(i == j) for j in range(9)), 2) for i in range(9)]
-        moved = SplitBundle(m.ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])  # u1, u2 unequal
         models = [
             QuotientModel(m.ring, scaled, m.tangent_bundle),
             _with_subgroup(grassmannian_model(3, 6), Subgroup(block, 2)).relative(),
             u2_in_four_variables(4),  # |W| = 4, but the roots' reflections give 2
-            u2_with_truncations(3, 4),
-            QuotientModel(m.ring, m.root_data, moved),
             QuotientModel(ring9, chain, SplitBundle(ring9, [*lines, ((0,) * 9, -9)])),
         ]
-        assert [orbit_points(x) for x in models] == [None] * 6
-        # the same shapes with |W| = 2 or equal truncations are admitted
+        assert [orbit_points(x) for x in models] == [None] * 4
+        # the same shape with |W| = 2 is admitted
         assert sum(orbit_points(u2_in_four_variables(2)).values()) == comb(3, 2) * 2 * 2 * 2
-        assert sum(orbit_points(u2_with_truncations(3, 3)).values()) == comb(3, 2) * 2
+        # unequal truncations, or a tangent bundle W moves, never reach the
+        # gate: the model refuses them
+        moved = SplitBundle(m.ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])  # u1, u2 unequal
+        with pytest.raises(ValueError, match="moves the tangent summands"):
+            QuotientModel(m.ring, m.root_data, moved)
+        ring34 = Ring(2, [3, 4])
+        tangent34 = SplitBundle(ring34, [((1, 0), 3), ((0, 1), 3), ((0, 0), -1)])
+        with pytest.raises(ValueError, match="does not preserve the truncation"):
+            QuotientModel(ring34, unitary_roots(2), tangent34, weyl_action=[])
         assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1)])) is None
         assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1), ((2, 1), 1)])) is not None
 
@@ -351,7 +348,7 @@ class TestSubgroupVariant:
         assert rel.root_data.roots == tuple(w for w in m.root_data.roots if w not in block)
         assert rel.root_data.positive == tuple(w for w in m.root_data.positive if w not in block)
         assert (rel.root_data.weyl_generators, rel.root_data.weyl_order) == ((), 1)
-        assert rel.weyl_action == m.weyl_action
+        assert rel.weyl_action == ()
         assert rel.subgroup is None
         assert rel.prefactor() == 2 * Fraction(2, 6)
         assert rel.quotient_dim == m.quotient_dim + len(block)

@@ -75,6 +75,35 @@ class TestRootDataValidation:
         with pytest.raises(ValueError, match="not a permutation"):
             RootData(2, [(-1, 1), (1, -1)], [(-1, 1)], [(1, 1)], 2)
 
+    def test_generators_are_the_transpositions_then_the_rest(self):
+        # within the blocks a 3-cycle adds nothing to U(3)'s transpositions;
+        # a swap of U(2) x U(2)'s blocks is added once, after them
+        u3 = unitary_roots(3)
+        rd = RootData(3, u3.roots, u3.positive, [(1, 0, 2), (1, 2, 0)], 6)
+        assert rd.generators() == ((1, 0, 2), (0, 2, 1))
+        u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
+        swapped = RootData(4, u2, u2[::2], [(1, 0, 2, 3), (2, 3, 0, 1)], 8)
+        assert swapped.generators() == ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+        assert RootData(2, [], []).generators() == ()
+
+    def test_membership(self):
+        # U(2) x U(2): W permutes within the blocks; with the block swap it is
+        # the order-8 wreath product, which still lacks the transposition (0 2)
+        u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
+        levi = RootData(4, u2, u2[::2], [], 4)
+        swapped = RootData(4, u2, u2[::2], [(2, 3, 0, 1)], 8)
+        for g, in_levi, in_swapped in [
+            ((0, 1, 2, 3), True, True),
+            ((1, 0, 3, 2), True, True),
+            ((2, 3, 0, 1), False, True),
+            ((3, 2, 1, 0), False, True),
+            ((2, 1, 0, 3), False, False),
+        ]:
+            assert (g in levi, g in swapped) == (in_levi, in_swapped)
+        # roots of another shape: W is what the generators generate
+        scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
+        assert (1, 0) in scaled and (1, 0) not in RootData(2, [(-2, 2), (2, -2)], [(-2, 2)])
+
     def test_opposite_swaps_positivity(self):
         rd = unitary_roots(3)
         opp = rd.opposite()

@@ -11,9 +11,11 @@ stdout or stderr does.
 The queries are every model subcommand on each G(k,n) with k <= 4 and
 dimension k(n-k) <= 16, and on every config file the two benchmark
 workloads write at seeds 1-6; on the configs, the subcommands that take
-`--subgroup` run with and without it.  Config files are written to a
-temporary directory under relative paths, so error messages that name a
-path read the same for every checkout.  Stdlib only.
+`--subgroup` in that checkout's parser run with and without it, so a
+checkout that drops the flag lists fewer queries, and `diff` shows which.
+Config files are written to a temporary directory under relative paths, so
+error messages that name a path read the same for every checkout.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import sys
 import tempfile
 
 SEEDS = range(1, 7)
+COMMANDS = ("pairing", "integrate", "betti", "presentation", "euler", "signature", "charnum",
+            "index", "config-dump")
 
 
 def _monomial(k: int, n: int, degree: int) -> str:
@@ -43,7 +47,7 @@ def _monomial(k: int, n: int, degree: int) -> str:
     return "*".join(f"u{i}^{a}" for i, a in enumerate(exps, 1) if a)
 
 
-def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup: bool):
+def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup=frozenset()):
     line = ",".join(["1"] * k)
     plain = [
         ("pairing", *model, "--table"),
@@ -58,8 +62,16 @@ def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup: bool
     ]
     for argv in plain:
         yield argv
-        if subgroup and argv[0] in ("integrate", "betti", "presentation", "index"):
+        if argv[0] in subgroup:
             yield (argv[0], *model, "--subgroup", *argv[1 + len(model):])
+
+
+def _takes_subgroup(parser: argparse.ArgumentParser, command: str) -> bool:
+    """Whether the subcommand's help, and so its parser, lists `--subgroup`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+        parser.parse_args([command, "--help"])
+    return "--subgroup" in out.getvalue()
 
 
 def _config_shape(path: str) -> tuple[int, int, int]:
@@ -83,11 +95,12 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
     import workloads
 
     print(f"abelianize from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    subgroup = frozenset(c for c in COMMANDS if _takes_subgroup(cli.build_parser(), c))
     argvs = []
     for k in range(1, 5):
         n = k
         while k * (n - k) <= 16:
-            argvs.extend(_queries(("--grassmannian", str(k), str(n)), k, n, k * (n - k), False))
+            argvs.extend(_queries(("--grassmannian", str(k), str(n)), k, n, k * (n - k)))
             n += 1
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -95,7 +108,7 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
             load.write_files()
             for path in sorted(load.files):
                 k, n, degree = _config_shape(path)
-                argvs.extend(_queries(("--config", path), k, n, degree, True))
+                argvs.extend(_queries(("--config", path), k, n, degree, subgroup))
 
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
