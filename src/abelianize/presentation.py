@@ -154,7 +154,7 @@ def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
     lexicographically greatest representative."""
     if not 0 <= d <= m.ring.top_degree:
         raise ValueError(f"degree {d} out of range 0..{m.ring.top_degree}")
-    gens = m.root_data.generators()
+    gens = m.root_data.generators
     seen: set[Exponent] = set()
     orbits: list[tuple[Exponent, frozenset[Exponent]]] = []
     for e in m.ring.monomials_of_degree(d):

@@ -3,8 +3,9 @@
 A `QuotientModel` packages everything the integration formulas need: the
 truncated ring presenting the torus quotient's cohomology, root data for the
 nonabelian group, the (split) tangent bundle of the torus quotient and an
-orbifold prefactor.  W acts only through the root data, and the model checks
-once that it preserves the truncations and the tangent summands.
+orbifold prefactor.  W acts only through the root data: the model asks
+`RootData.moved` once whether W moves the truncations or the tangent
+summands, and the root data checks a subgroup and builds its complement.
 
 Every formula is one prefactor, `QuotientModel.prefactor`, times one torus
 integral.  Integration over the nonabelian quotient multiplies a lifted class
@@ -26,25 +27,8 @@ from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .ratpoly import (
-    Perm,
-    Poly,
-    Ring,
-    Series,
-    check_permutation,
-    elementary_symmetric,
-    permute_exponents,
-    rat,
-)
-from .rootdata import (
-    RootData,
-    Subgroup,
-    as_weight,
-    block_order,
-    e_product,
-    reflection_blocks,
-    unitary_roots,
-)
+from .ratpoly import Perm, Poly, Ring, Series, check_permutation, elementary_symmetric, rat
+from .rootdata import RootData, Subgroup, as_weight, e_product, one_based, unitary_roots
 
 
 class SplitBundle:
@@ -146,35 +130,24 @@ class QuotientModel:
         prefactor = rat(orbifold_prefactor)
         if prefactor <= 0:
             raise ValueError("orbifold prefactor must be positive")
-        truncs, tangent = ring.truncations, tangent_bundle.multiplicities()
-        for g in root_data.generators():
-            if tuple(truncs[i] for i in g) != truncs:
-                raise ValueError(
-                    f"Weyl generator {[i + 1 for i in g]} does not preserve the truncation "
-                    f"exponents {list(truncs)}"
-                )
-            if {permute_exponents(w, g): c for w, c in tangent.items()} != tangent:
-                raise ValueError(f"Weyl generator {[i + 1 for i in g]} moves the tangent summands")
+        if (g := root_data.moved({ring.truncations: 1})) is not None:
+            raise ValueError(
+                f"Weyl generator {one_based(g)} does not preserve the truncation "
+                f"exponents {list(ring.truncations)}"
+            )
+        if (g := root_data.moved(tangent_bundle.multiplicities())) is not None:
+            raise ValueError(f"Weyl generator {one_based(g)} moves the tangent summands")
         action = root_data.weyl_generators  # in W by definition
         if weyl_action is not None:
             action = tuple(check_permutation(g, ring.k) for g in weyl_action)
             for g in action:
                 if g not in root_data:
-                    raise ValueError(f"weyl_action generator {[i + 1 for i in g]} is not in W")
+                    raise ValueError(f"weyl_action generator {one_based(g)} is not in W")
         if len(root_data.roots) > ring.top_degree:
             raise ValueError("more roots than the torus quotient dimension allows")
         self.root_data = root_data
         if subgroup is not None:
-            inside = set(subgroup.roots)
-            if not inside <= set(root_data.roots):
-                raise ValueError("subgroup roots must be contained in the model's roots")
-            if any(tuple(-x for x in w) not in inside for w in inside):
-                raise ValueError("subgroup roots must be closed under negation")
-            if root_data.weyl_order % subgroup.weyl_order != 0:
-                raise ValueError("subgroup Weyl order must divide the group's Weyl order")
-            blocks = reflection_blocks(subgroup.roots, ring.k)
-            if blocks is not None and subgroup.weyl_order != block_order(blocks):
-                raise ValueError(f"subgroup Weyl order must be {block_order(blocks)} for its roots")
+            root_data.check_subgroup(subgroup)
         self.ring = ring
         self.tangent_bundle = tangent_bundle
         self.orbifold_prefactor = prefactor
@@ -200,20 +173,15 @@ class QuotientModel:
         return Fraction(1, self.root_data.weyl_order) * self.orbifold_prefactor
 
     def relative(self) -> QuotientModel:
-        """The model of the full-rank-subgroup formulas: the roots and
-        positive roots outside the subgroup H, whose own reflections give W
-        (trivial where they form no blocks, as for a Levi block), and the
-        orbifold prefactor times |W(H)|/|W(G)| times that W's order, so that
-        `prefactor` is the ratio.  For H = T and W = prod S_|b|, that is the
-        model's own roots, |W| and prefactor."""
+        """The model of the full-rank-subgroup formulas: the root data's
+        `complement` of the subgroup H, and the orbifold prefactor times
+        |W(H)|/|W(G)| times the complement's |W|, so that `prefactor` is the
+        ratio.  For H = T and W = prod S_|b|, that is the model's own roots, |W|
+        and prefactor."""
         if self.subgroup is None:
             raise ValueError("the model carries no subgroup")
-        inside, rd = set(self.subgroup.roots), self.root_data
-        roots = [w for w in rd.roots if w not in inside]
-        order = block_order(reflection_blocks(roots, rd.rank))
-        positive = [w for w in rd.positive if w not in inside]
-        complement = RootData(rd.rank, roots, positive, (), order)
-        ratio = Fraction(self.subgroup.weyl_order * order, rd.weyl_order)
+        rd, complement = self.root_data, self.root_data.complement(self.subgroup)
+        ratio = Fraction(self.subgroup.weyl_order * complement.weyl_order, rd.weyl_order)
         prefactor = ratio * self.orbifold_prefactor
         return QuotientModel(self.ring, complement, self.tangent_bundle, prefactor)
 
@@ -280,21 +248,15 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
     """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
     that `integrate_points` sums over for a Weyl-invariant class, each with
     the number of points it stands for, or None where that reduction is not
-    exact.  A shape test on the roots' blocks and |W|.
-
-    The roots must form blocks (`RootData.blocks`) with |W| = prod |b|!, so
-    the roots' reflections generate W, and they must fix every given bundle;
-    the model has checked the truncations and the tangent summands.  A
-    point with two equal entries in a block is a zero of a root;
-    every other orbit is free, |W| points, one of them increasing along each
-    block: `all_points` of the blocks, each count times |W|."""
+    exact.  A shape test: W must be prod S_|b| over the roots' blocks
+    (`RootData.group` is None), and W must fix every given bundle
+    (`RootData.moved`); the model has checked the truncations and the
+    tangent summands.  A point with two equal entries in a block is a zero
+    of a root; every other orbit is free, |W| points, one of them increasing
+    along each block: `all_points` of the blocks, each count times |W|."""
     rd = m.root_data
-    if rd.blocks is None or rd.weyl_order != block_order(rd.blocks):
+    if rd.group is not None or any(rd.moved(V.multiplicities()) is not None for V in bundles):
         return None
-    for weights in (V.multiplicities() for V in bundles):
-        for g in rd.transpositions():
-            if {permute_exponents(w, g): c for w, c in weights.items()} != weights:
-                return None
     return {a: count * rd.weyl_order for a, count in all_points(m.ring, rd.blocks).items()}
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, product
 from math import lcm, prod
-from operator import add, itemgetter, lt, mul
+from operator import add, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -321,12 +321,11 @@ def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
 def _slot_layout(truncations: Exponent):
     """Where `_product_packed` puts each monomial of a ring.
 
-    The variable in position i has stride prod_{j<i} (2 n_j - 1).  Two
-    in-ring exponents of one variable add to at most 2 n_i - 2, so slot
-    indices add without carrying from one position into the next.  Returns
-    the strides, every in-ring monomial (in position order) ordered by
-    degree, their slot indices in the same order, and for each degree d the
-    number of monomials of degree <= d.
+    Variable u_{i+1} has stride prod_{j<i} (2 n_j - 1).  Two in-ring
+    exponents of one variable add to at most 2 n_i - 2, so slot indices add
+    without carrying from one variable into the next.  Returns the strides,
+    every in-ring monomial ordered by degree, their slot indices in the same
+    order, and for each degree d the number of monomials of degree <= d.
     """
     strides = tuple(accumulate((2 * n - 1 for n in truncations[:-1]), mul, initial=1))
     monomials = tuple(sorted(product(*map(range, truncations)), key=sum))
@@ -335,26 +334,6 @@ def _slot_layout(truncations: Exponent):
     for e in monomials:
         per_degree[sum(e)] += 1
     return strides, monomials, slots, tuple(accumulate(per_degree))
-
-
-def _placement(p: Poly, q: Poly) -> Exponent:
-    """The layout position of each variable for the product p*q.
-
-    The big-integer product costs about (size of the larger packed operand)
-    * (size of the smaller)**0.585, and an operand's size is set by its
-    highest slot.  So the variables that the operand with fewer terms raises
-    highest take the smallest strides; a factor in two variables then packs
-    short however the ring numbers them.  Only variables of equal truncation
-    trade positions, which keeps the ring's one layout valid.
-    """
-    truncs = p.ring.truncations
-    reach = [max(x) for x in zip(*min(p.terms, q.terms, key=len))]
-    place = [0] * len(truncs)
-    for n in set(truncs):
-        positions = [i for i, m in enumerate(truncs) if m == n]
-        for position, var in zip(positions, sorted(positions, key=lambda i: -reach[i])):
-            place[var] = position
-    return tuple(place)
 
 
 def _numerators(p: Poly, strides: Exponent, degree: int) -> tuple[int, list[tuple[int, int]]]:
@@ -383,7 +362,7 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
     """Canonical term map of p*q up to `degree`, by Kronecker substitution.
 
     Both operands, their denominators cleared, become one integer each with
-    a fixed-width signed slot per monomial (`_slot_layout`, `_placement`);
+    a fixed-width signed slot per monomial (`_slot_layout`);
     one big-integer product holds every coefficient of p*q.  A slot of the
     product sums at most min(#p, #q) pairs, so its value lies within bound =
     min(#p, #q) * max|p| * max|q|, and `width` bytes with one sign bit to
@@ -393,10 +372,8 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
     if degree < 0 or not p.terms or not q.terms:
         return {}
     strides, monomials, slots, ends = _slot_layout(p.ring.truncations)
-    place = _placement(p, q)
-    var_strides = tuple(strides[i] for i in place)
-    den_p, nums_p = _numerators(p, var_strides, degree)
-    den_q, nums_q = _numerators(q, var_strides, degree)
+    den_p, nums_p = _numerators(p, strides, degree)
+    den_q, nums_q = _numerators(q, strides, degree)
     if not nums_p or not nums_q:
         return {}
     bound = (
@@ -410,8 +387,6 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
     span = max(max(s for s, _ in nums_p) + max(s for s, _ in nums_q), slots[-1]) + 1
     offset = int.from_bytes(half.to_bytes(width, "little") * span, "little")
     raw = (_pack(nums_p, width) * _pack(nums_q, width) + offset).to_bytes(span * width, "little")
-    if place != tuple(range(len(place))):
-        monomials = map(itemgetter(*place), monomials)  # back from position order
     den = den_p * den_q
     out: dict[Exponent, Coeff] = {}
     for s, e in zip(islice(slots, ends[min(degree, len(ends) - 1)]), monomials):
@@ -454,11 +429,6 @@ def check_permutation(perm: Sequence[int], k: int) -> Perm:
     return p
 
 
-def compose_permutations(a: Perm, b: Perm) -> Perm:
-    """The permutation 'apply b, then a'."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def permute_exponents(e: Exponent, perm: Perm) -> Exponent:
     """Push exponents along u_i -> u_{perm[i]}."""
     out = [0] * len(e)
@@ -476,26 +446,20 @@ def generate_permutation_group(
     generators: Iterable[Sequence[int]], k: int, limit: int | None = None
 ) -> list[Perm]:
     """Enumerate the full group generated by permutations, identity included.
-    With a limit, stop as soon as more than `limit` elements are found."""
+    With a limit, stop as soon as more than `limit` elements are found.
+
+    A permutation is itself an exponent tuple, and `permute_exponents`
+    multiplies it on the right by g^-1; the inverses generate the same
+    group, so it is the identity's `exponent_orbit`."""
     gens = [check_permutation(g, k) for g in generators]
-    identity = tuple(range(k))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                composed = compose_permutations(h, g)
-                if composed not in seen:
-                    seen.add(composed)
-                    nxt.append(composed)
-                    if limit is not None and len(seen) > limit:
-                        return sorted(seen)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(exponent_orbit(tuple(range(k)), gens, limit))
 
 
-def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponent]:
+def exponent_orbit(
+    e: Exponent, generators: Sequence[Perm], limit: int | None = None
+) -> frozenset[Exponent]:
+    """The orbit of e under the group the generators generate, breadth
+    first; with a limit, cut as soon as it has more than `limit` elements."""
     seen = {e}
     frontier = [e]
     while frontier:
@@ -506,6 +470,8 @@ def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponen
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if limit is not None and len(seen) > limit:
+                        return frozenset(seen)
         frontier = nxt
     return frozenset(seen)
 

@@ -5,15 +5,16 @@ the torus quotient whose Euler class is the corresponding degree-1 linear
 form in the ring generators.  `RootData` bundles a root set, a choice of
 positive roots, Weyl generators, and the Weyl group order.
 
-This module is the one place that knows W.  W acts on the torus quotient
-prod P^{n_i - 1} and preserves its reduced symplectic class sum a_i u_i
-(a_i > 0), so it permutes the variables.  Where every root is e_j - e_i and
-the roots are closed under their reflections, the transpositions (i j), the
-variables fall into blocks, `reflection_blocks`.  W is generated by the
-transpositions inside the blocks and the given permutations,
-`RootData.generators`, and `g in root_data` tests membership.  Only the
-unitary family has a built-in constructor; other groups come as explicit
-data (from the CLI config).
+This module is the one place that knows W and answers "does W fix this?".
+W acts on the torus quotient prod P^{n_i - 1} and preserves its reduced
+symplectic class sum a_i u_i (a_i > 0), so it permutes the variables.  Where
+every root is e_j - e_i and the roots are closed under their reflections, the
+transpositions (i j), the variables fall into blocks, `reflection_blocks`.
+`RootData` builds W's generators once, the transpositions inside the blocks
+and the given permutations; `RootData.moved` names one that moves a multiset
+of weights, `g in root_data` tests membership, and `check_subgroup` and
+`complement` answer for a full-rank subgroup.  Only the unitary family has a
+built-in constructor; other groups come as explicit data (from the config).
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def as_weight(w: Sequence[int], rank: int) -> Weight:
 
 def _swap(i: int, j: int, rank: int) -> Perm:
     return tuple(j if x == i else i if x == j else x for x in range(rank))
+
+
+def one_based(g: Perm) -> list[int]:
+    """A permutation as the config writes it: 1-based images."""
+    return [i + 1 for i in g]
 
 
 def _within(g: Perm, blocks: Blocks) -> bool:
@@ -77,9 +83,16 @@ def block_order(blocks: Blocks | None) -> int:
 
 
 class RootData:
-    """A root set with positivity choice, Weyl generators, and |W|."""
+    """A root set with positivity choice, Weyl generators, and |W|.  Built
+    at construction: the `transpositions` inside the blocks, W's
+    `generators` (with the Weyl generators where one leaves the blocks) and
+    `group`, W's elements where they had to be listed, None where
+    W = prod S_|b|."""
 
-    __slots__ = ("rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks", "_group")
+    __slots__ = (
+        "rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks",
+        "transpositions", "generators", "group",
+    )
 
     def __init__(
         self,
@@ -97,22 +110,22 @@ class RootData:
         self.weyl_order = weyl_order
         self.weyl_generators = tuple(check_permutation(g, rank) for g in weyl_generators)
         self.blocks = reflection_blocks(self.roots, rank)
+        self.transpositions = tuple(
+            _swap(i, j, rank) for b in self.blocks or () for i, j in zip(b, b[1:])
+        )
         self._validate()
 
-    def transpositions(self) -> tuple[Perm, ...]:
-        """The adjacent transpositions inside each block; with the
-        generators they generate W."""
-        return tuple(_swap(i, j, self.rank) for b in self.blocks or () for i, j in zip(b, b[1:]))
-
-    def generators(self) -> tuple[Perm, ...]:
-        """W's generators: the transpositions, and the Weyl generators if one leaves the blocks."""
-        if self._group is None:
-            return self.transpositions()
-        return tuple(dict.fromkeys(self.transpositions() + self.weyl_generators))
+    def moved(self, weights: dict[Weight, int]) -> Perm | None:
+        """A generator of W that moves the multiset of weights (each weight
+        with its multiplicity), or None where W fixes it."""
+        for g in self.generators:
+            if {permute_exponents(w, g): c for w, c in weights.items()} != weights:
+                return g
+        return None
 
     def __contains__(self, g: Perm) -> bool:
         """Whether the permutation g of the variables lies in W."""
-        return _within(g, self.blocks) if self._group is None else g in self._group
+        return _within(g, self.blocks) if self.group is None else g in self.group
 
     def _validate(self) -> None:
         root_set = set(self.roots)
@@ -129,26 +142,53 @@ class RootData:
             raise ValueError("a root and its negative cannot both be positive")
         if pos | neg != root_set:
             raise ValueError("roots must split as positive roots and their negatives")
-        for g in self.weyl_generators:
-            if {permute_exponents(w, g) for w in self.roots} != root_set:
-                raise ValueError(f"root set is not stable under generator {g}")
+        # generators that permute within blocks add nothing to prod S_|b| and
+        # keep its roots; any other generator, or roots of another shape,
+        # need the root set checked and W's elements listed
+        blocks, gens = self.blocks, self.weyl_generators
+        listed = blocks is None or not all(_within(g, blocks) for g in gens)
+        self.generators = self.transpositions
+        if listed:
+            self.generators = tuple(dict.fromkeys(self.transpositions + gens))
+        if listed and (g := self.moved(dict.fromkeys(self.roots, 1))) is not None:
+            raise ValueError(f"root set is not stable under generator {one_based(g)}")
         if not isinstance(self.weyl_order, int) or self.weyl_order < 1:
             raise ValueError(f"weyl_order must be a positive integer, got {self.weyl_order}")
-        # generators that permute within blocks add nothing to prod S_|b|; any
-        # other generator, or roots of another shape, need W's elements listed
-        blocks, gens = self.blocks, self.weyl_generators
-        if blocks is not None and all(_within(g, blocks) for g in gens):
-            self._group = None
-            order = found = block_order(blocks)
-        else:
-            gens += self.transpositions()
-            self._group = generate_permutation_group(gens, self.rank, limit=self.weyl_order)
-            order = len(self._group)
+        self.group = None
+        order = found = block_order(blocks)
+        if listed:
+            self.group = generate_permutation_group(self.generators, self.rank, self.weyl_order)
+            order = len(self.group)
             found = order if order <= self.weyl_order else f"greater than {self.weyl_order}"
         if order != self.weyl_order:
             raise ValueError(
                 f"weyl_order {self.weyl_order} does not match generated group of order {found}"
             )
+
+    def check_subgroup(self, subgroup: Subgroup) -> None:
+        """Refuse a subgroup whose roots are not closed roots of this group,
+        whose Weyl order does not divide |W|, or whose roots form blocks of
+        another order than its own."""
+        inside = set(subgroup.roots)
+        if not inside <= set(self.roots):
+            raise ValueError("subgroup roots must be contained in the model's roots")
+        if any(tuple(-x for x in w) not in inside for w in inside):
+            raise ValueError("subgroup roots must be closed under negation")
+        if self.weyl_order % subgroup.weyl_order != 0:
+            raise ValueError("subgroup Weyl order must divide the group's Weyl order")
+        blocks = reflection_blocks(subgroup.roots, self.rank)
+        if blocks is not None and subgroup.weyl_order != block_order(blocks):
+            raise ValueError(f"subgroup Weyl order must be {block_order(blocks)} for its roots")
+
+    def complement(self, subgroup: Subgroup) -> RootData:
+        """The roots and positive roots outside the subgroup, with the Weyl
+        group their own reflections generate (trivial where they form no
+        blocks, as for a Levi block)."""
+        inside = set(subgroup.roots)
+        roots = [w for w in self.roots if w not in inside]
+        order = block_order(reflection_blocks(roots, self.rank))
+        positive = [w for w in self.positive if w not in inside]
+        return RootData(self.rank, roots, positive, (), order)
 
     @property
     def negative(self) -> tuple[Weight, ...]:

@@ -797,6 +797,25 @@ class TestConfig:
                 "transpositions (i j)\n",
             )
 
+    def test_unstable_root_set_names_the_generator_as_written(self, capsys, tmp_path):
+        # +-(e1 - e0) and +-(e1 - 2e0) on G(2,4)'s ring: the swap sends
+        # e1 - 2e0 to e0 - 2e1, no root; the refusal names the generator
+        # [2, 1] as the config writes it, not 0-based as (1, 0)
+        doc = g24_config()
+        doc["roots"] = {
+            "weights": [["-1", "1"], ["1", "-1"], ["-2", "1"], ["2", "-1"]],
+            "positive": ["0", "2"],
+            "weyl_generators": [["2", "1"]],
+            "weyl_order": "2",
+        }
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "euler", "--config", str(path)) == (
+            2,
+            "",
+            f"config error: {path}.roots: root set is not stable under generator [2, 1]\n",
+        )
+
     def test_subgroup_weyl_order_is_checked_against_its_roots(self, capsys, tmp_path):
         # the U(2)xU(1) block of G(3,6) has order 2; declared 1, the subgroup
         # integral printed 1/6 instead of 1/3

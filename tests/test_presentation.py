@@ -291,7 +291,7 @@ class TestRankRoute:
         # own W is trivial: every monomial is an invariant, e is invariant
         # and ann(e) is the Gram kernel again
         rel = _subgroup_configs()[0].relative()
-        assert rel.root_data.generators() == ()
+        assert rel.root_data.generators == ()
         assert len(invariant_basis(rel, 1)) == 3
         betti, anns = product_route(rel)
         assert poincare_polynomial(rel) == betti

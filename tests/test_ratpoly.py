@@ -339,6 +339,42 @@ class TestSymmetrize:
             orbit_sum(ring.one(), [(1, 0)])
 
 
+def closure_by_composition(gens, k):
+    """The group the permutations generate, closed by composing 'apply g,
+    then h' breadth first: the reference `generate_permutation_group` is
+    checked against."""
+    identity = tuple(range(k))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        composed = [tuple(h[g[i]] for i in range(k)) for g in frontier for h in gens]
+        frontier = [p for p in dict.fromkeys(composed) if p not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+@st.composite
+def permutation_sets(draw):
+    k = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(k)).map(tuple), max_size=4))
+    return k, gens, draw(st.one_of(st.none(), st.integers(1, 130)))
+
+
+class TestPermutationGroup:
+    @settings(max_examples=300, deadline=None)
+    @given(permutation_sets())
+    def test_matches_the_closure_by_composition(self, case):
+        # the identity's orbit under permute_exponents is the same group; with
+        # a limit below its order, exactly limit + 1 of its elements come back
+        k, gens, limit = case
+        group = closure_by_composition(gens, k)
+        assert generate_permutation_group(gens, k) == group
+        found = generate_permutation_group(gens, k, limit)
+        if limit is None or limit >= len(group):
+            assert found == group
+        else:
+            assert len(found) == limit + 1 and set(found) <= set(group)
+
+
 class TestSeries:
     def test_exp_series_values(self):
         e = exp_series(4)

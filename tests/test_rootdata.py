@@ -14,6 +14,9 @@ from abelianize.rootdata import (
     unitary_roots,
 )
 
+#: U(2) x U(2)'s roots: the blocks {0, 1} and {2, 3}.
+U2XU2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
+
 
 class TestUnitaryRoots:
     def test_torus_case(self):
@@ -80,11 +83,11 @@ class TestRootDataValidation:
         # a swap of U(2) x U(2)'s blocks is added once, after them
         u3 = unitary_roots(3)
         rd = RootData(3, u3.roots, u3.positive, [(1, 0, 2), (1, 2, 0)], 6)
-        assert rd.generators() == ((1, 0, 2), (0, 2, 1))
+        assert rd.generators == ((1, 0, 2), (0, 2, 1))
         u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
         swapped = RootData(4, u2, u2[::2], [(1, 0, 2, 3), (2, 3, 0, 1)], 8)
-        assert swapped.generators() == ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
-        assert RootData(2, [], []).generators() == ()
+        assert swapped.generators == ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+        assert RootData(2, [], []).generators == ()
 
     def test_membership(self):
         # U(2) x U(2): W permutes within the blocks; with the block swap it is
@@ -104,11 +107,60 @@ class TestRootDataValidation:
         scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
         assert (1, 0) in scaled and (1, 0) not in RootData(2, [(-2, 2), (2, -2)], [(-2, 2)])
 
+    def test_generators_are_built_once(self):
+        rd = unitary_roots(3)
+        assert rd.transpositions is rd.transpositions
+        assert rd.generators is rd.transpositions
+        assert rd.group is None
+        assert len(RootData(4, U2XU2, U2XU2[::2], [(2, 3, 0, 1)], 8).group) == 8
+
     def test_opposite_swaps_positivity(self):
         rd = unitary_roots(3)
         opp = rd.opposite()
         assert set(opp.positive) == set(rd.negative)
         assert opp.opposite() == rd
+
+
+class TestMoved:
+    """`RootData.moved`: a generator of W that moves a multiset of weights."""
+
+    def test_truncations(self):
+        # the truncations are a weight W must fix: U(2) swaps u1 and u2
+        rd = unitary_roots(2)
+        assert rd.moved({(4, 4): 1}) is None
+        assert rd.moved({(3, 4): 1}) == (1, 0)
+        assert RootData(2, [], []).moved({(3, 4): 1}) is None
+
+    def test_tangent(self):
+        # G(2,4)'s tangent summands are W-invariant; one copy of u2 too few is not
+        m = grassmannian_model(2, 4)
+        assert m.root_data.moved(m.tangent_bundle.multiplicities()) is None
+        lopsided = {(1, 0): 4, (0, 1): 3, (0, 0): -1}
+        assert m.root_data.moved(lopsided) == (1, 0)
+
+    def test_twist(self):
+        # a line of weight (1, 1, 1) is invariant, (2, 1, 0) is moved by the
+        # first transposition and (1, 1, 0) by the second; multiplicities count
+        rd = unitary_roots(3)
+        assert rd.moved({(1, 1, 1): 1}) is None
+        assert rd.moved({(2, 1, 0): 1}) == (1, 0, 2)
+        assert rd.moved({(1, 1, 0): 1}) == (0, 2, 1)
+        assert rd.moved({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) is None
+        assert rd.moved({(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 1}) == (1, 0, 2)
+        assert rd.moved({}) is None
+
+    def test_block_swap(self):
+        # U(2)xU(2): (1, 1, 2, 2) is fixed by the blocks' transpositions; with
+        # the swap of the blocks W is U(2)xU(2) x| Z_2, and the swap moves it
+        levi = RootData(4, U2XU2, U2XU2[::2], [], 4)
+        swapped = RootData(4, U2XU2, U2XU2[::2], [(2, 3, 0, 1)], 8)
+        assert swapped.generators == ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+        assert levi.moved({(1, 1, 2, 2): 1}) is None
+        assert swapped.moved({(1, 1, 2, 2): 1}) == (2, 3, 0, 1)
+        assert swapped.moved({(1, 1, 2, 2): 1, (2, 2, 1, 1): 1}) is None
+        assert swapped.moved({(1, 0, 0, 0): 1}) == (1, 0, 2, 3)
+        # the root set itself is fixed, as the construction checked
+        assert swapped.moved(dict.fromkeys(U2XU2, 1)) is None
 
 
 class TestRootEulerClass:

@@ -13,9 +13,10 @@ dimension k(n-k) <= 16, and on every config file the two benchmark
 workloads write at seeds 1-6; on the configs, the subcommands that take
 `--subgroup` in that checkout's parser run with and without it, so a
 checkout that drops the flag lists fewer queries, and `diff` shows which.
-Config files are written to a temporary directory under relative paths, so
-error messages that name a path read the same for every checkout.  Stdlib
-only.
+The same queries run on `REFUSALS`, one config per refusal of a model that
+W does not act on as declared.  Config files are written to a temporary
+directory under relative paths, so error messages that name a path read the
+same for every checkout.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -45,6 +46,62 @@ def _monomial(k: int, n: int, degree: int) -> str:
     if degree or not any(exps):
         return "u1"
     return "*".join(f"u{i}^{a}" for i, a in enumerate(exps, 1) if a)
+
+
+def _unit_tangent(truncations: list[int]) -> list[dict]:
+    """n_i copies of u_i per variable and -k trivial lines: the tangent of
+    prod P^{n_i - 1} by the Euler sequence."""
+    k = len(truncations)
+    lines = [{"weight": [str(int(i == j)) for j in range(k)], "multiplicity": str(n)}
+             for i, n in enumerate(truncations)]
+    return lines + [{"weight": "0", "multiplicity": str(-k)}]
+
+
+def _config(truncations: list[int], roots, **fields) -> dict:
+    doc = {
+        "schema": "1",
+        "ring": {"variables": str(len(truncations)), "truncations": list(map(str, truncations))},
+        "roots": roots,
+        "tangent_bundle": _unit_tangent(truncations),
+    }
+    doc.update(fields)
+    return doc
+
+
+#: One config per refusal of a model whose W is not what it declares.
+REFUSALS = {
+    # U(2)'s reflection swaps u1 and u2, whose truncations differ
+    "moves-truncations": _config([3, 4], "unitary:2", tangent_bundle=[
+        {"weight": ["1", "0"], "multiplicity": "3"},
+        {"weight": ["0", "1"], "multiplicity": "3"},
+        {"weight": "0", "multiplicity": "-1"},
+    ]),
+    # one copy of u1 more than of u2
+    "moves-tangent": _config([4, 4], "unitary:2", tangent_bundle=[
+        {"weight": ["1", "0"], "multiplicity": "5"},
+        {"weight": ["0", "1"], "multiplicity": "3"},
+        {"weight": "0", "multiplicity": "-2"},
+    ]),
+    # no roots, so W is trivial and the swap is not in it
+    "action-outside-w": _config([4, 4], {"weights": [], "positive": [], "weyl_order": "1"},
+                                weyl_action=[["2", "1"]]),
+    # +-(e1 - e0) and +-(e2 - e1) without +-(e2 - e0)
+    "roots-not-closed": _config([5, 5, 5], {
+        "weights": [["-1", "1", "0"], ["1", "-1", "0"], ["0", "-1", "1"], ["0", "1", "-1"]],
+        "positive": ["0", "2"],
+        "weyl_order": "1",
+    }),
+    # G(3,6)'s U(2)xU(1) block has Weyl order 2, not 1
+    "subgroup-order": _config([6, 6, 6], "unitary:3",
+                              subgroup_roots={"indices": ["0", "2"], "weyl_order": "1"}),
+    # the swap sends e1 - 2e0 to e0 - 2e1, which is no root
+    "unstable-roots": _config([4, 4], {
+        "weights": [["-1", "1"], ["1", "-1"], ["-2", "1"], ["2", "-1"]],
+        "positive": ["0", "2"],
+        "weyl_generators": [["2", "1"]],
+        "weyl_order": "2",
+    }),
+}
 
 
 def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup=frozenset()):
@@ -109,6 +166,13 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
             for path in sorted(load.files):
                 k, n, degree = _config_shape(path)
                 argvs.extend(_queries(("--config", path), k, n, degree, subgroup))
+    os.makedirs("refusals")
+    for name, doc in REFUSALS.items():
+        path = os.path.join("refusals", f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        k, n, degree = _config_shape(path)
+        argvs.extend(_queries(("--config", path), k, n, degree, subgroup))
 
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
