@@ -155,7 +155,8 @@ def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     """Index on the nonabelian quotient of the operator twisted by a bundle
     with the given lift, computed on the torus side as the integral of
     ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots,
-    by a sum over fixed points; independent of the positivity choice.
+    by a sum over fixed points.  It depends on the positivity choice unless W
+    fixes the lift: on G(3,6), L(0,1,2) gives 70, and 0 with `RootData.opposite`.
 
     Where `orbit_points` admits the model and the lift, W fixes the other
     factors, and by the Weyl denominator formula the last one averages over
@@ -202,9 +203,7 @@ def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
     series is read to the quotient dimension."""
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
-    roots, points = m.root_data.roots, orbit_points(m)
-    if points is None:
-        points = all_points(m.ring)
+    roots, points = m.root_data.roots, orbit_points(m) or all_points(m.ring)
     return m.prefactor() * integrate_points(m, points, roots, f, _tangent_less(m, roots))
 
 

@@ -19,6 +19,7 @@ from .quotient import (
     QuotientModel,
     SplitBundle,
     chern_pairing,
+    chern_pairings,
     grassmannian_model,
     integrate_group,
     integrate_torus,
@@ -112,44 +113,30 @@ def _pieri_pairing(m: QuotientModel, n: int, exps: Sequence[int]) -> Fraction:
 
 def _cmd_pairing(args, out) -> int:
     m = _load_model(args)
-    k = m.ring.k
     n = _grassmannian_n(m) if args.oracle else None
-    if args.table:
-        degree = m.quotient_dim
-        rows = sorted(pairing_degree_vectors(k, degree))
-        if args.format == "csv":
-            print(",".join(f"m_{i + 1}" for i in range(k)) + ",value", file=out)
-        status = 0
-        for exps in rows:
-            value = chern_pairing(m, exps)
-            cell = ",".join(str(x) for x in exps)
-            if args.oracle:
-                check = _pieri_pairing(m, n, exps)
-                if check != value:
-                    print(
-                        f"mismatch at {cell}: pairing {_fmt(value)} vs oracle {_fmt(check)}",
-                        file=sys.stderr,
-                    )
-                    status = 3
-            if args.format == "csv":
-                print(f"{cell},{_fmt(value)}", file=out)
-            else:
-                print(f"{cell} -> {_fmt(value, args.latex)}", file=out)
-        return status
-    if args.exps is None:
-        raise ConfigError("--exps", "supply --exps M1,...,Mk or --table")
-    exps = _parse_exps(args.exps, k)
-    value = chern_pairing(m, exps)
-    if args.oracle:
-        check = _pieri_pairing(m, n, exps)
-        if check != value:
-            print(
-                f"mismatch: pairing {_fmt(value)} vs oracle {_fmt(check)}",
-                file=sys.stderr,
-            )
+    if not args.table:
+        if args.exps is None:
+            raise ConfigError("--exps", "supply --exps M1,...,Mk or --table")
+        exps = _parse_exps(args.exps, m.ring.k)
+        value = chern_pairing(m, exps)
+        if args.oracle and (check := _pieri_pairing(m, n, exps)) != value:
+            print(f"mismatch: pairing {_fmt(value)} vs oracle {_fmt(check)}", file=sys.stderr)
             return 3
-    print(_fmt(value, args.latex), file=out)
-    return 0
+        print(_fmt(value, args.latex), file=out)
+        return 0
+    rows = sorted(pairing_degree_vectors(m.ring.k, m.quotient_dim))
+    csv = args.format == "csv"
+    if csv:
+        print(",".join(f"m_{i + 1}" for i in range(m.ring.k)) + ",value", file=out)
+    status = 0
+    for exps, value in zip(rows, chern_pairings(m, rows)):
+        cell = ",".join(str(x) for x in exps)
+        if args.oracle and (check := _pieri_pairing(m, n, exps)) != value:
+            msg = f"mismatch at {cell}: pairing {_fmt(value)} vs oracle {_fmt(check)}"
+            print(msg, file=sys.stderr)
+            status = 3
+        print(f"{cell},{_fmt(value)}" if csv else f"{cell} -> {_fmt(value, args.latex)}", file=out)
+    return status
 
 
 def _cmd_integrate(args, out) -> int:
@@ -269,19 +256,13 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_oracle_check(args, out) -> int:
+    cases = [(k, n) for k in range(1, args.max_k + 1) for n in range(k, args.max_n + 1)]
     if args.grassmannian is not None:
         cases = [tuple(args.grassmannian)]
-    else:
-        cases = [
-            (k, n) for k in range(1, args.max_k + 1) for n in range(k, args.max_n + 1)
-        ]
-    status = 0
-    total = 0
+    status = total = 0
     for k, n in cases:
-        m = grassmannian_model(k, n)
-        checked = 0
-        for exps in sorted(pairing_degree_vectors(k, k * (n - k))):
-            value = chern_pairing(m, exps)
+        rows = sorted(pairing_degree_vectors(k, k * (n - k)))
+        for exps, value in zip(rows, chern_pairings(grassmannian_model(k, n), rows)):
             check = schubert.oracle_chern_pairing(k, n, exps)
             if value != check:
                 print(
@@ -290,9 +271,8 @@ def _cmd_oracle_check(args, out) -> int:
                     file=sys.stderr,
                 )
                 status = 3
-            checked += 1
-        total += checked
-        print(f"G({k},{n}): {checked} pairings checked", file=out)
+        total += len(rows)
+        print(f"G({k},{n}): {len(rows)} pairings checked", file=out)
     print(f"total: {total} pairings, {'ok' if status == 0 else 'MISMATCH'}", file=out)
     return status
 

@@ -5,14 +5,15 @@ invariants of the torus-quotient ring modulo the ideal of invariants killed
 by multiplication with the root-class product e.  Everything here is exact
 linear algebra over Q on one invariant basis (monomial orbit sums) per degree
 d and one Gram matrix, `pairing_matrix`: entry (a, b) is the prefactor times
-`integrate_torus(a, b, e)`, for a of degree q - d and b of degree d, q the
-quotient dimension; the matrix of degree q - d is its transpose.  The
-torus-quotient ring has Poincare duality and a Weyl-invariant integral, and
-e is Weyl-invariant, as W (`RootData.generators`) maps the roots onto
-themselves.  So b*e = 0 exactly when b pairs to zero with every invariant of
-degree q - d: ann(e) is the Gram kernel and b_d its rank.  All elimination
-is one fraction-free Gauss-Jordan routine: `rref` divides its result by the
-common pivot and `matrix_rank` counts its pivots.
+the torus integral of a * b * e, for a of degree q - d and b of degree d, q
+the quotient dimension, summed over the model's fixed points with no `Poly`
+product; the matrix of degree q - d is its transpose.  The torus-quotient
+ring has Poincare duality and a Weyl-invariant integral, and e is
+Weyl-invariant, as W maps the roots onto themselves.  So b*e = 0 exactly when
+b pairs to zero with every invariant of degree q - d: ann(e) is the Gram
+kernel and b_d its rank.  All elimination is one fraction-free Gauss-Jordan
+routine: `rref` divides its result by the common pivot and `matrix_rank`
+counts its pivots.
 
 A second, independent route to the signature counts eigenvalue signs of the
 middle-degree pairing matrix through its characteristic polynomial; Descartes'
@@ -24,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
-from .quotient import QuotientModel, integrate_torus
+from .quotient import QuotientModel, all_points, orbit_points, point_weights
 
 Matrix = list[list[Fraction]]
 
@@ -164,21 +166,15 @@ def invariant_basis(m: QuotientModel, d: int) -> list[Poly]:
         seen |= orbit
         orbits.append((max(orbit), orbit))
     orbits.sort(reverse=True)
-    return [Poly(m.ring, {e: 1 for e in orbit}) for _, orbit in orbits]
+    return [Poly._trusted(m.ring, dict.fromkeys(orbit, 1)) for _, orbit in orbits]
 
 
 def ann_e_basis(m: QuotientModel, inv: list[Poly], gram: Matrix) -> list[Poly]:
     """Basis of the span of one degree's invariant basis `inv` annihilated by
     the root-class product: the canonical kernel of `gram`, the Gram matrix of
     the invariant basis of the complementary degree (rows) against `inv`."""
-    basis = []
-    for vec in nullspace(gram, len(inv)):
-        combo = m.ring.zero()
-        for c, b in zip(_primitive(vec), inv):
-            if c:
-                combo = combo + b * c
-        basis.append(combo)
-    return basis
+    combos = (zip(_primitive(vec), inv) for vec in nullspace(gram, len(inv)))
+    return [sum((b * c for c, b in combo if c), m.ring.zero()) for combo in combos]
 
 
 def poincare_polynomial(m: QuotientModel) -> list[int]:
@@ -195,11 +191,44 @@ def poincare_polynomial(m: QuotientModel) -> list[int]:
 
 
 def pairing_matrix(m: QuotientModel, rows: list[Poly], columns: list[Poly]) -> Matrix:
-    """Gram matrix of the quotient pairing between two lists of invariants:
-    entry (a, b) is the prefactor times integrate_torus(a, b, e), e being the
-    root-class product."""
-    pre, e = m.prefactor(), m.e_class()
-    return [[pre * integrate_torus(m, a, b, e) for b in columns] for a in rows]
+    """Gram matrix of the quotient pairing of two lists of W-invariants: the
+    prefactor times the torus integrals of a * b * e, prefactor/den * A
+    diag(w) B^T over `point_weights` at `orbit_points` (exact for invariants
+    only; else `all_points`), A and B the polynomials at the points, each
+    evaluated once.  Exact in top degree only: degree d meets q - d alone."""
+    pts, den = point_weights(m, orbit_points(m) or all_points(m.ring), m.root_data.roots)
+    h, ones, ts = m.ring.k // 2, [1] * len(pts), [[t[i] for t, _ in pts] for i in range(m.ring.k)]
+    powers: dict[tuple[int, int], list[int]] = {}
+    halves: dict[tuple[int, Exponent], list[int]] = {}
+
+    def half(lo: int, e: Exponent) -> list[int]:
+        v = ones
+        for i, x in enumerate(e, lo):
+            if x:
+                if (i, x) not in powers:
+                    powers[i, x] = [y**x for y in ts[i]]
+                v = powers[i, x] if v is ones else list(map(mul, v, powers[i, x]))
+        halves[lo, e] = v
+        return v
+
+    def values(p: Poly) -> dict[int, list[int]]:  # {degree: [value at each point]}
+        parts: dict[int, list] = {}
+        for e, c in p.terms.items():
+            a, b = (0, e[:h]), (h, e[h:])
+            v = list(map(mul, halves.get(a) or half(*a), halves.get(b) or half(*b)))
+            parts.setdefault(sum(e), []).append(v if c == 1 else [c * x for x in v])
+        return {d: vs[0] if len(vs) == 1 else list(map(sum, zip(*vs))) for d, vs in parts.items()}
+
+    weights = [w for _, w in pts]
+    A = [{d: list(map(mul, v, weights)) for d, v in values(a).items()} for a in rows]
+    B = [values(b) for b in columns]
+    pre, q = m.prefactor(), m.quotient_dim
+    num, den = pre.numerator, pre.denominator * den
+    gram = []
+    for a in A:
+        sums = (sum(sum(map(mul, v, b[q - d])) for d, v in a.items() if q - d in b) for b in B)
+        gram.append([Fraction(num * x, den) for x in sums])
+    return gram
 
 
 def signature_from_pairing(m: QuotientModel) -> Fraction:

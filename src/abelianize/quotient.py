@@ -9,25 +9,26 @@ summands, and the root data checks a subgroup and builds its complement.
 
 Every formula is one prefactor, `QuotientModel.prefactor`, times one torus
 integral.  Integration over the nonabelian quotient multiplies a lifted class
-by the product of all root Euler classes and divides by the Weyl group order.
-The full-rank-subgroup variant is the same formulas on another model,
+by the product e of all root Euler classes and divides by the Weyl group
+order.  The full-rank-subgroup variant is the same formulas on another model,
 `QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
-A torus integral is the top-monomial coefficient of a product of `Poly`
-factors, `integrate_torus`, or, for a class given as a series and bundles, a
-sum over fixed points with counts, `integrate_points`.  `all_points` and,
-where the roots' reflections fix the class, `orbit_points` (one point per
-Weyl orbit, its count times |W|) are two quadratures of the same integral.
+A torus integral is a sum over fixed points, `point_weights` of `all_points`
+or, where the roots' reflections fix the class, of `orbit_points` (one point
+per Weyl orbit, its count times |W|): `integrate_points` for a class given
+as a series and bundles, `chern_pairings` for Chern monomials.  Only an
+explicit lift takes products: `integrate_torus` reads the top-monomial
+coefficient of a product of `Poly` factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, combinations, repeat
 from math import comb, factorial, lcm, prod
-from operator import add, mul, sub
+from operator import add, getitem, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
-from .ratpoly import Perm, Poly, Ring, Series, check_permutation, elementary_symmetric, rat
+from .ratpoly import Perm, Poly, Ring, Series, check_permutation, rat
 from .rootdata import RootData, Subgroup, as_weight, e_product, one_based, unitary_roots
 
 
@@ -246,14 +247,13 @@ def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
 
 def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...], int] | None:
     """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
-    that `integrate_points` sums over for a Weyl-invariant class, each with
-    the number of points it stands for, or None where that reduction is not
-    exact.  A shape test: W must be prod S_|b| over the roots' blocks
-    (`RootData.group` is None), and W must fix every given bundle
-    (`RootData.moved`); the model has checked the truncations and the
-    tangent summands.  A point with two equal entries in a block is a zero
-    of a root; every other orbit is free, |W| points, one of them increasing
-    along each block: `all_points` of the blocks, each count times |W|."""
+    that the point sums run over for a Weyl-invariant class, each with the
+    number of points it stands for, or None where that is not exact.  A shape
+    test: W must be prod S_|b| over the roots' blocks (`RootData.group` is
+    None) and fix every given bundle (`RootData.moved`); the model has
+    checked the truncations and the tangent.  A point with two equal entries
+    in a block is a zero of a root; every other orbit is free, |W| points,
+    one increasing along each block: `all_points` of the blocks, times |W|."""
     rd = m.root_data
     if rd.group is not None or any(rd.moved(V.multiplicities()) is not None for V in bundles):
         return None
@@ -264,18 +264,43 @@ def all_points(ring: Ring, blocks: Sequence[tuple[int, ...]] = ()) -> dict[tuple
     """Every fixed point a of prod P^{n_i - 1} (u_i at the a_i-th weight),
     or, given blocks of variables, the points increasing along each block;
     one per mirror pair a, n - 1 - a, counted 2, or 1 where a is its own
-    mirror.  The mirror negates every weight, which multiplies a top-degree
-    class and the point's denominator by the same sign (-1)^top."""
+    mirror.  The mirror, an involution, negates every weight, which
+    multiplies a top-degree class and the point's denominator by (-1)^top."""
     blocks = blocks or [(i,) for i in range(ring.k)]
-    sizes = [ring.truncations[b[0]] for b in blocks]
+    flats: list = []  # each point in block order with its mirror
+    for b in blocks:
+        top = ring.truncations[b[0]] - 1
+        combos = combinations(range(top + 1), len(b))
+        pairs = [(c, tuple([top - x for x in c[::-1]])) for c in combos]
+        flats = [(a + c, r + s) for a, r in flats for c, s in pairs] if flats else pairs
     variables = sum(blocks, ())
-    slot = [variables.index(i) for i in range(ring.k)]
-    counts: dict[tuple[int, ...], int] = {}
-    for choice in product(*(combinations(range(n), len(b)) for n, b in zip(sizes, blocks))):
-        mirror = [tuple(n - 1 - x for x in reversed(c)) for n, c in zip(sizes, choice)]
-        key = min(tuple(flat[s] for s in slot) for flat in (sum(choice, ()), sum(mirror, ())))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    if variables != tuple(range(ring.k)):
+        place = itemgetter(*map(variables.index, range(ring.k)))
+        flats = [(place(a), place(r)) for a, r in flats]
+    return {a: 1 if a == r else 2 for a, r in flats if a <= r}
+
+
+def point_weights(
+    m: QuotientModel, points: dict[tuple[int, ...], int], roots: Sequence[Sequence[int]]
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """Localization at `points` of a top-degree class c times e, e the product
+    of the Euler classes of `roots`: the torus weights t_i = 2a_i - (n_i - 1)
+    of each point a with e(t) != 0 and its weight w = count * e(t) * prod_i
+    C(n_i - 1, a_i) (-1)^{n_i - 1 - a_i}, and den = 2^top prod_i (n_i - 1)!,
+    so that the integral is sum w c(t) / den, as prod_{b != a}(t_a - t_b) =
+    2^{n-1} a! (n-1-a)! (-1)^{n-1-a} on P^{n-1}."""
+    truncs = m.ring.truncations
+    shift = [range(1 - n, n, 2) for n in truncs]
+    sign = [[comb(n - 1, x) * (-1) ** (n - 1 - x) for x in range(n)] for n in truncs]
+    out = []
+    for a, count in points.items():
+        t = tuple(map(getitem, shift, a))
+        w = count * prod(map(getitem, sign, a))
+        for r in roots:
+            w *= sum(map(mul, r, t))
+        if w:
+            out.append((t, w))
+    return out, 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs)
 
 
 def integrate_points(
@@ -287,19 +312,13 @@ def integrate_points(
     twist: SplitBundle | None = None,
 ) -> Fraction:
     """Integral over the torus quotient of ch(twist) * f(V) * e, e the product
-    of the Euler classes of `roots` and f a series with constant term 1, by
-    localization (Atiyah-Bott): the sum over `points` of the class at each
-    point times its count, the number of points it stands for, so
-    `all_points` and `orbit_points` give the same integral.
-
-    The b-th torus weight on P^{n_i - 1} is t_b = 2b - (n_i - 1).  With every
-    Chern root scaled by lam, the class at a point is e(t) lam^r ch(twist)(lam)
-    exp(sum_j l_j p_j lam^j): r roots, l = log f, p_j the j-th power sum of
-    V's weights at t; its lam^top coefficient is divided by prod_i prod_{b !=
-    a_i} (t_{a_i} - t_b).  With N = top - r and c the lcm of the denominators
-    of (j-1)! j l_j, the integers K_n = n! c^n [lam^n] exp(...) satisfy K_n =
-    sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j}; x f' = f * sum_j j l_j x^j
-    gives the j l_j in one recurrence."""
+    of the Euler classes of `roots` and f a series with constant term 1, as a
+    sum over `point_weights` (Atiyah-Bott).  Chern roots scaled by lam, the
+    class at t is ch(twist)(lam) exp(sum_j l_j p_j lam^j) at lam^N, N = top
+    - #roots, l = log f and p_j the j-th power sum of V's weights at t.  With
+    c the lcm of the denominators of (j-1)! j l_j, K_n = n! c^n [lam^n]
+    exp(...) = sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j}, and x f' = f *
+    sum_j j l_j x^j gives the j l_j in one recurrence."""
     N = m.ring.top_degree - len(roots)
     f = f.truncated(N).coeffs
     dlog = [0] * (N + 1)  # dlog[j] = j l_j
@@ -321,21 +340,16 @@ def integrate_points(
             sums = list(map(add, sums, powers[row]))
         return sums
 
-    truncs, total = m.ring.truncations, 0
-    for a, count in points.items():
-        t = [2 * x - n + 1 for x, n in zip(a, truncs)]
-        e = prod(sum(map(mul, w, t)) for w in roots)
-        if not e:
-            continue
+    pts, den = point_weights(m, points, roots)
+    total = 0
+    for t, w in pts:
         G = list(map(mul, H, power_sums(V, t)))
         K = [1]
         for n in range(1, N + 1):
             K.append(sum(map(mul, map(mul, binomials[n], G[1 : n + 1]), reversed(K))))
         ch = power_sums(twist, t) if twist is not None else [1]
-        weight = count * prod(comb(n - 1, x) * (-1) ** (n - 1 - x) for x, n in zip(a, truncs))
-        total += weight * e * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
-    den = factorial(N) * c**N * 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs)
-    return Fraction(total, den)
+        total += w * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
+    return Fraction(total, den * factorial(N) * c**N)
 
 
 def integrate_group(m: QuotientModel, lift: Poly) -> Fraction:
@@ -349,15 +363,33 @@ def chern_pairing(m: QuotientModel, exponents: Sequence[int]) -> Fraction:
     """Pairing of a monomial prod c_i^{m_i} in dual-tautological Chern
     classes: the group integral of prod e_i^{m_i}, e_i the elementary
     symmetric polynomials of the ring variables."""
-    exps = list(exponents)
-    if len(exps) != m.ring.k:
-        raise ValueError(f"expected {m.ring.k} exponents, got {len(exps)}")
-    if any(x < 0 for x in exps):
-        raise ValueError(f"negative exponent in {exponents}")
-    if len(set(m.ring.truncations)) != 1:
+    return chern_pairings(m, [exponents])[0]
+
+
+def chern_pairings(m: QuotientModel, rows: Sequence[Sequence[int]]) -> list[Fraction]:
+    """`chern_pairing` of each exponent vector, from one point set: 0 where
+    sum_i i m_i != q (the point sum is exact in top degree only), else the
+    prefactor times sum w prod_i e_i(t)^{m_i} / den over `point_weights` at
+    `orbit_points`, or `all_points` where the gate refuses the model."""
+    ring = m.ring
+    for exps in rows:
+        if len(exps) != ring.k:
+            raise ValueError(f"expected {ring.k} exponents, got {len(exps)}")
+        if any(x < 0 for x in exps):
+            raise ValueError(f"negative exponent in {exps}")
+    if len(set(ring.truncations)) != 1:
         raise ValueError("chern pairings need equal truncation exponents in every variable")
-    lift = m.ring.one()
-    for i, mi in enumerate(exps, start=1):
-        if mi:
-            lift = lift * elementary_symmetric(m.ring, i) ** mi
-    return integrate_group(m, lift)
+    top = [sum(i * x for i, x in enumerate(exps, 1)) == m.quotient_dim for exps in rows]
+    points = (orbit_points(m) or all_points(ring)) if any(top) else {}
+    pts, den = point_weights(m, points, m.root_data.roots)
+    at = []
+    for t, w in pts:
+        e = [1]
+        for x in t:  # e_i(t), read off prod_j (1 + t_j x)
+            e = [a + x * b for a, b in zip([*e, 0], [0, *e])]
+        at.append((w, e[1:]))
+    scale = m.prefactor() / den
+    return [
+        scale * sum(w * prod(map(pow, e, exps)) for w, e in at) if on else Fraction(0)
+        for exps, on in zip(rows, top)
+    ]

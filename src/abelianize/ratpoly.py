@@ -117,20 +117,18 @@ class Ring:
         return Poly(self, {e: coeff})
 
     def monomials_of_degree(self, d: int) -> Iterator[Exponent]:
-        """All truncation-respecting exponent tuples of total degree d, lex descending."""
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[Exponent]:
-            if i == self.k:
-                if remaining == 0:
-                    yield prefix
-                return
-            hi = min(remaining, self.truncations[i] - 1)
-            for x in range(hi, -1, -1):
-                yield from rec(i + 1, remaining - x, prefix + (x,))
-
-        if d < 0:
-            return
-        yield from rec(0, d, ())
+        """All truncation-respecting exponent tuples of total degree d, lex
+        descending: built one variable at a time, keeping only the prefixes
+        that the remaining variables can complete."""
+        room = list(accumulate((n - 1 for n in reversed(self.truncations)), initial=0))[::-1]
+        prefixes = [((), d)] if 0 <= d <= room[0] else []
+        for n, rest in zip(self.truncations, room[1:]):
+            prefixes = [
+                (p + (x,), r - x)
+                for p, r in prefixes
+                for x in range(min(r, n - 1), max(r - rest, 0) - 1, -1)
+            ]
+        return iter([p for p, _ in prefixes])
 
 
 class Poly:

@@ -10,7 +10,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from abelianize import charclass, cli
+from abelianize import charclass, cli, presentation, quotient
 from abelianize.config import (
     ConfigError,
     load_config,
@@ -295,6 +295,45 @@ class TestRouteGate:
         path.write_text(json.dumps(doc))
         assert run(capsys, "euler", "--config", str(path)) == (0, "6\n", "")
         assert routes == ["integrate_points"]
+
+    def test_pairings_and_gram_matrices_form_no_product(self, capsys, monkeypatch, tmp_path):
+        # pairings and Gram matrices are point sums; only an explicit lift
+        # (`integrate`) still takes the torus-integral product
+        calls = []
+
+        def spy(name, original):
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            return counted
+
+        monkeypatch.setattr(Poly, "product_upto", spy("product_upto", Poly.product_upto))
+        for module in (quotient, presentation, charclass, cli):
+            if hasattr(module, "integrate_torus"):
+                counted = spy("integrate_torus", quotient.integrate_torus)
+                monkeypatch.setattr(module, "integrate_torus", counted)
+        doc = g24_config()
+        doc["orbifold_prefactor"] = "2"
+        path = tmp_path / "g24-orbifold.json"
+        path.write_text(json.dumps(doc))
+        g36, cfg = ("--grassmannian", "3", "6"), ("--config", str(path))
+        for argv in (
+            ("pairing", *g36, "--exps", "9,0,0"),
+            ("pairing", *g36, "--exps", "1,1,0", "--oracle"),
+            ("pairing", *g36, "--table"),
+            ("pairing", *cfg, "--table", "--format", "csv"),
+            ("oracle-check", "--max-k", "2", "--max-n", "5"),
+            ("betti", *g36),
+            ("betti", *cfg),
+            ("presentation", *g36),
+            ("presentation", *cfg, "--format", "csv"),
+        ):
+            status, _, err = run(capsys, *argv)
+            assert (status, err) == (0, "")
+        assert calls == []
+        assert run(capsys, "integrate", *g36, "u1^5*u2^4")[0] == 0
+        assert "integrate_torus" in calls and "product_upto" in calls
 
     def test_class_queries_form_no_product(self, capsys, monkeypatch, tmp_path):
         products = []

@@ -7,7 +7,13 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from abelianize.config import model_from_config, model_to_config
-from abelianize.quotient import QuotientModel, grassmannian_model, integrate_group
+from abelianize.quotient import (
+    QuotientModel,
+    grassmannian_model,
+    integrate_group,
+    integrate_torus,
+    orbit_points,
+)
 from abelianize.rootdata import Subgroup
 from abelianize.charclass import euler_characteristic, signature
 from abelianize.presentation import (
@@ -325,6 +331,59 @@ class TestPairingMatrix:
                 top = m.quotient_dim
                 inv, dual = invariant_basis(m, d), invariant_basis(m, top - d)
                 assert matrix_rank(pairing_matrix(m, inv, dual)) == betti[d]
+
+
+def product_gram(m, rows, columns):
+    """The reference Gram matrix: prefactor * integrate_torus(m, a, b, e)."""
+    pre, e = m.prefactor(), m.e_class()
+    return [[pre * integrate_torus(m, a, b, e) for b in columns] for a in rows]
+
+
+class TestPairingMatrixAtPoints:
+    def test_invariant_bases_match_the_product_gram(self):
+        models = [grassmannian_model(k, n) for k in range(1, 4) for n in range(k, 7)]
+        models += [grassmannian_model(4, 6), *_subgroup_configs()]
+        for m in models:
+            q = m.quotient_dim
+            bases = [invariant_basis(m, d) for d in range(q + 1)]
+            for d in range(q + 1):
+                assert pairing_matrix(m, bases[q - d], bases[d]) == product_gram(
+                    m, bases[q - d], bases[d]
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inhomogeneous_rows(self, data):
+        # each row and column a combination of invariants of two degrees: the
+        # components of complementary degrees pair, and no other
+        k, n = data.draw(st.sampled_from([(1, 4), (2, 4), (2, 5), (3, 5), (3, 6)]))
+        m = grassmannian_model(k, n)
+        q = m.quotient_dim
+        coeff = st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 4)])
+
+        def mixed():
+            total = m.ring.zero()
+            for d in data.draw(st.lists(st.integers(0, q), min_size=1, max_size=2)):
+                for b in invariant_basis(m, d):
+                    total = total + b * data.draw(coeff)
+            return total
+
+        rows = [mixed() for _ in range(data.draw(st.integers(1, 3)))]
+        columns = [mixed() for _ in range(data.draw(st.integers(1, 3)))]
+        assert pairing_matrix(m, rows, columns) == product_gram(m, rows, columns)
+
+    def test_relative_block_model_runs_on_all_points(self):
+        # U(2)xU(1) in U(3): the complement roots form no blocks, the gate
+        # refuses the model, and every monomial, or sum of two, is a row
+        rel = _subgroup_configs()[0].relative()
+        assert orbit_points(rel) is None
+        q = rel.quotient_dim
+        for d in range(q + 1):
+            low = [rel.ring.monomial(e) for e in rel.ring.monomials_of_degree(d)]
+            high = [rel.ring.monomial(e) for e in rel.ring.monomials_of_degree(q - d)]
+            mixed = [a + b for a, b in zip(high, low)]
+            assert pairing_matrix(rel, high, low) == product_gram(rel, high, low)
+            assert pairing_matrix(rel, mixed, low + high) == product_gram(rel, mixed, low + high)
 
 
 class TestSignatureCrossCheck:

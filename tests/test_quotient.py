@@ -12,6 +12,7 @@ from abelianize.quotient import (
     QuotientModel,
     SplitBundle,
     chern_pairing,
+    chern_pairings,
     grassmannian_model,
     integrate_group,
     integrate_torus,
@@ -367,9 +368,11 @@ class TestChernPairing:
         assert chern_pairing(m, (0, 2)) == 1
 
     def test_degree_filter(self):
+        # summed over the points, (1,0) would give 1/24, (5,0) -28/3 and (3,1) -3
         m = grassmannian_model(2, 4)
         assert chern_pairing(m, (1, 0)) == 0
         assert chern_pairing(m, (3, 1)) == 0
+        assert chern_pairing(m, (5, 0)) == 0
 
     def test_arity(self):
         m = grassmannian_model(2, 4)
@@ -391,6 +394,63 @@ class TestChernPairing:
             m = grassmannian_model(k, n)
             for exps in pairing_degree_vectors(k, k * (n - k)):
                 assert chern_pairing(m, exps) == oracle_chern_pairing(k, n, exps)
+
+
+def block_swap_model() -> QuotientModel:
+    """U(2)xU(2) with the swap of its blocks on (P^2)^4, |W| = 8: a group the
+    roots' reflections do not generate, so the gate refuses it and its
+    pairings run over `all_points`."""
+    ring = Ring(4, [3] * 4)
+    roots = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
+    rd = RootData(4, roots, roots[::2], [(2, 3, 0, 1)], 8)
+    lines = [(tuple(int(i == j) for j in range(4)), 3) for i in range(4)]
+    return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
+
+
+def product_pairing(m: QuotientModel, exps) -> Fraction:
+    """The reference: the group integral of the product prod e_i^{m_i}."""
+    lift = m.ring.one()
+    for i, mi in enumerate(exps, start=1):
+        lift = lift * elementary_symmetric(m.ring, i) ** mi
+    return integrate_group(m, lift)
+
+
+_G25 = grassmannian_model(2, 5)
+PAIRING_MODELS = [grassmannian_model(k, n) for k in range(1, 4) for n in range(k, 8)] + [
+    QuotientModel(_G25.ring, _G25.root_data, _G25.tangent_bundle, Fraction(3, 2)),
+    block_swap_model(),
+]
+
+
+class TestChernPairingAtPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_product_reference(self, data):
+        # degrees q - 3 .. q + 2: off the top degree a mirror-halved point
+        # sum is not the integral, so the pairing must test the degree first
+        m = data.draw(st.sampled_from(PAIRING_MODELS))
+        q = m.quotient_dim
+        degree = data.draw(st.integers(max(q - 3, 0), q + 2))
+        exps = data.draw(st.sampled_from(list(pairing_degree_vectors(m.ring.k, degree))))
+        assert chern_pairing(m, exps) == product_pairing(m, exps)
+
+    def test_block_swap_runs_on_all_points(self):
+        m = block_swap_model()
+        assert orbit_points(m) is None
+        rows = [(4, 0, 0, 0), (0, 2, 0, 0)]
+        assert chern_pairings(m, rows) == [product_pairing(m, exps) for exps in rows]
+        assert chern_pairings(m, rows) == [Fraction(3), Fraction(3, 2)]
+        # its Gram matrices run over all points too
+        q, pre, e = m.quotient_dim, m.prefactor(), m.e_class()
+        for d in range(q + 1):
+            rows, columns = invariant_basis(m, q - d), invariant_basis(m, d)
+            gram = [[pre * integrate_torus(m, a, b, e) for b in columns] for a in rows]
+            assert pairing_matrix(m, rows, columns) == gram
+
+    def test_one_point_set_for_many_vectors(self):
+        m = grassmannian_model(3, 6)
+        rows = list(pairing_degree_vectors(3, 9)) + [(1, 0, 0)]
+        assert chern_pairings(m, rows) == [chern_pairing(m, exps) for exps in rows]
 
 
 class TestRootBundle:

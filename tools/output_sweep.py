@@ -9,7 +9,9 @@ compare with `diff`: a line differs exactly where a query's exit status,
 stdout or stderr does.
 
 The queries are every model subcommand on each G(k,n) with k <= 4 and
-dimension k(n-k) <= 16, and on every config file the two benchmark
+dimension k(n-k) <= 16, with `pairing --exps` at vectors of degree q - 1,
+q + 1 and q + 2 for the dimension q, plus `oracle-check` on each such G(k,n),
+and the same model subcommands on every config file the two benchmark
 workloads write at seeds 1-6; on the configs, the subcommands that take
 `--subgroup` in that checkout's parser run with and without it, so a
 checkout that drops the flag lists fewer queries, and `diff` shows which.
@@ -104,10 +106,21 @@ REFUSALS = {
 }
 
 
+def _exps(k: int, degree: int) -> list[str]:
+    """Pairing exponent vectors of the given degree sum_i i*m_i: all of it on
+    c_1, and as much of it as fits on c_k with the rest on c_1."""
+    if degree < 0:
+        return []
+    vectors = {(degree,) + (0,) * (k - 1), (degree % k,) + (0,) * (k - 2) + (degree // k,)}
+    return sorted(",".join(map(str, v)) for v in vectors if len(v) == k)
+
+
 def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup=frozenset()):
     line = ",".join(["1"] * k)
+    off_top = [degree - 1, degree + 1, degree + 2]  # pairings that must print 0
     plain = [
         ("pairing", *model, "--table"),
+        *(("pairing", *model, "--exps", exps) for d in off_top for exps in _exps(k, d)),
         ("integrate", *model, "--", _monomial(k, n, degree)),
         ("betti", *model),
         ("presentation", *model),
@@ -158,6 +171,7 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
         n = k
         while k * (n - k) <= 16:
             argvs.extend(_queries(("--grassmannian", str(k), str(n)), k, n, k * (n - k)))
+            argvs.append(("oracle-check", "--grassmannian", str(k), str(n)))
             n += 1
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
