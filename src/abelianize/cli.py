@@ -25,6 +25,7 @@ from .quotient import (
     integrate_torus,
 )
 from .ratpoly import Series, parse_poly, rat
+from .rootdata import unitary_roots
 
 
 def _fmt(value: Fraction, latex: bool = False) -> str:
@@ -86,17 +87,17 @@ def pairing_degree_vectors(k: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 def _grassmannian_n(m: QuotientModel) -> int:
     """The n of G(k,n), k = m.ring.k, when the model presents it: equal
-    truncations n, the roots of U(k), one block of all k variables, and
-    tangent summands adding up to n*u_i for each i and -k trivial lines.
-    Summand order, generating set, subgroup block and orbifold prefactor may
-    be anything.  Any other model is refused with a ConfigError."""
+    truncations n, the roots e_j - e_i of U(k), and tangent summands adding
+    up to n*u_i for each i and -k trivial lines.  Summand order, generating
+    set, subgroup block and orbifold prefactor may be anything.  Any other
+    model is refused with a ConfigError."""
     k = m.ring.k
     n = m.ring.truncations[0]
     lines = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)]
     grassmannian_tangent = SplitBundle(m.ring, lines + [((0,) * k, -k)])
     if set(m.ring.truncations) != {n}:
         reason = f"truncations {list(m.ring.truncations)} are not all equal"
-    elif m.root_data.blocks != (tuple(range(k)),):
+    elif set(m.root_data.roots) != set(unitary_roots(k).roots):
         reason = f"the roots and Weyl order are not those of U({k})"
     elif m.tangent_bundle.multiplicities() != grassmannian_tangent.multiplicities():
         reason = f"the tangent bundle is not {n} copies of each u_i minus {k} trivial lines"

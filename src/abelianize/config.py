@@ -6,7 +6,8 @@ floating point.  It describes the ring, the root data (builtin "unitary:k"
 or explicit, with Weyl generators given as permutations of the variables),
 the split tangent bundle, an optional orbifold prefactor, an optional
 full-rank-subgroup block, and an optional Weyl action in W, which only
-`config-dump` reads.  Roots e_j - e_i must be closed under the swaps (i j).
+`config-dump` reads.  The roots, and the subgroup's, must form blocks
+(`reflection_blocks`); W = prod S_|b| is read off them, not listed.
 
 Errors carry the offending field's location so the CLI can point at it.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Any
 
 from .ratpoly import Ring
-from .rootdata import RootData, Subgroup, is_pair_root, unitary_roots
+from .rootdata import RootData, Subgroup, unitary_roots
 from .quotient import QuotientModel, SplitBundle
 
 SCHEMA_VERSION = "1"
@@ -112,8 +113,8 @@ def _parse_roots(value: Any, k: int, location: str) -> RootData:
         rd = RootData(k, weights, [weights[i] for i in pos_idx], gens, order)
     except ValueError as err:
         raise ConfigError(location, str(err)) from None
-    if rd.blocks is None and all(map(is_pair_root, rd.roots)):
-        raise ConfigError(location, "roots e_j - e_i must be closed under the transpositions (i j)")
+    if rd.blocks is None:
+        raise ConfigError(location, "roots must be c(e_j - e_i), closed under the transpositions (i j)")
     return rd
 
 
@@ -179,6 +180,7 @@ def model_from_config(doc: Any, location: str = "config") -> QuotientModel:
         order = _as_int(_require(raw, "weyl_order", loc), f"{loc}.weyl_order")
         try:
             subgroup = Subgroup(tuple(roots.roots[i] for i in indices), order)
+            roots.check_subgroup(subgroup)
         except ValueError as err:
             raise ConfigError(loc, str(err)) from None
     try:

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
-from .quotient import QuotientModel, all_points, orbit_points, point_weights
+from .quotient import QuotientModel
 
 Matrix = list[list[Fraction]]
 
@@ -193,10 +193,11 @@ def poincare_polynomial(m: QuotientModel) -> list[int]:
 def pairing_matrix(m: QuotientModel, rows: list[Poly], columns: list[Poly]) -> Matrix:
     """Gram matrix of the quotient pairing of two lists of W-invariants: the
     prefactor times the torus integrals of a * b * e, prefactor/den * A
-    diag(w) B^T over `point_weights` at `orbit_points` (exact for invariants
-    only; else `all_points`), A and B the polynomials at the points, each
-    evaluated once.  Exact in top degree only: degree d meets q - d alone."""
-    pts, den = point_weights(m, orbit_points(m) or all_points(m.ring), m.root_data.roots)
+    diag(w) B^T over `QuotientModel.e_points` (exact for invariants only where
+    they are orbit points), A and B the polynomials at the points, each
+    evaluated once.  Exact in top degree only: degree d meets q - d alone.
+    The points are the model's, so the Gram matrices of one query share them."""
+    pts, den = m.e_points()
     h, ones, ts = m.ring.k // 2, [1] * len(pts), [[t[i] for t, _ in pts] for i in range(m.ring.k)]
     powers: dict[tuple[int, int], list[int]] = {}
     halves: dict[tuple[int, Exponent], list[int]] = {}

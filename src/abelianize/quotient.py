@@ -15,8 +15,9 @@ order.  The full-rank-subgroup variant is the same formulas on another model,
 A torus integral is a sum over fixed points, `point_weights` of `all_points`
 or, where the roots' reflections fix the class, of `orbit_points` (one point
 per Weyl orbit, its count times |W|): `integrate_points` for a class given
-as a series and bundles, `chern_pairings` for Chern monomials.  Only an
-explicit lift takes products: `integrate_torus` reads the top-monomial
+as a series and bundles, `chern_pairings` and the Gram matrices for Chern
+monomials and invariants, at the model's `e_points`, built once a model.
+Only an explicit lift takes products: `integrate_torus` reads the top-monomial
 coefficient of a product of `Poly` factors.
 """
 
@@ -106,6 +107,7 @@ class QuotientModel:
         "weyl_action",
         "subgroup",
         "_e_cache",
+        "_points",
     )
 
     def __init__(
@@ -155,6 +157,7 @@ class QuotientModel:
         self.weyl_action = action
         self.subgroup = subgroup
         self._e_cache: dict = {}
+        self._points: tuple[list[tuple[tuple[int, ...], int]], int] | None = None
 
     @property
     def quotient_dim(self) -> int:
@@ -168,6 +171,16 @@ class QuotientModel:
         if None not in self._e_cache:
             self._e_cache[None] = e_product(self.ring, self.root_data.roots)
         return self._e_cache[None]
+
+    def e_points(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+        """`point_weights` of e at `orbit_points`, or at `all_points` where the
+        gate refuses the model: the points every pairing of W-invariants sums
+        over, built on first use and kept with the model, which a query
+        builds once."""
+        if self._points is None:
+            points = orbit_points(self) or all_points(self.ring)
+            self._points = point_weights(self, points, self.root_data.roots)
+        return self._points
 
     def prefactor(self) -> Fraction:
         """The orbifold prefactor over the Weyl group order."""
@@ -249,13 +262,15 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
     """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
     that the point sums run over for a Weyl-invariant class, each with the
     number of points it stands for, or None where that is not exact.  A shape
-    test: W must be prod S_|b| over the roots' blocks (`RootData.group` is
-    None) and fix every given bundle (`RootData.moved`); the model has
-    checked the truncations and the tangent.  A point with two equal entries
-    in a block is a zero of a root; every other orbit is free, |W| points,
-    one increasing along each block: `all_points` of the blocks, times |W|."""
+    test: the roots must form blocks, so that W = prod S_|b| is the group
+    their reflections generate (a relative model's complement roots may
+    not), and W must fix every given bundle (`RootData.moved`); the model
+    has checked the truncations and the tangent.  A point with two equal
+    entries in a block is a zero of a root; every other orbit is free, |W|
+    points, one increasing along each block: `all_points` of the blocks,
+    times |W|."""
     rd = m.root_data
-    if rd.group is not None or any(rd.moved(V.multiplicities()) is not None for V in bundles):
+    if rd.blocks is None or any(rd.moved(V.multiplicities()) is not None for V in bundles):
         return None
     return {a: count * rd.weyl_order for a, count in all_points(m.ring, rd.blocks).items()}
 
@@ -369,8 +384,7 @@ def chern_pairing(m: QuotientModel, exponents: Sequence[int]) -> Fraction:
 def chern_pairings(m: QuotientModel, rows: Sequence[Sequence[int]]) -> list[Fraction]:
     """`chern_pairing` of each exponent vector, from one point set: 0 where
     sum_i i m_i != q (the point sum is exact in top degree only), else the
-    prefactor times sum w prod_i e_i(t)^{m_i} / den over `point_weights` at
-    `orbit_points`, or `all_points` where the gate refuses the model."""
+    prefactor times sum w prod_i e_i(t)^{m_i} / den over `QuotientModel.e_points`."""
     ring = m.ring
     for exps in rows:
         if len(exps) != ring.k:
@@ -380,8 +394,7 @@ def chern_pairings(m: QuotientModel, rows: Sequence[Sequence[int]]) -> list[Frac
     if len(set(ring.truncations)) != 1:
         raise ValueError("chern pairings need equal truncation exponents in every variable")
     top = [sum(i * x for i, x in enumerate(exps, 1)) == m.quotient_dim for exps in rows]
-    points = (orbit_points(m) or all_points(ring)) if any(top) else {}
-    pts, den = point_weights(m, points, m.root_data.roots)
+    pts, den = m.e_points() if any(top) else ([], 1)
     at = []
     for t, w in pts:
         e = [1]

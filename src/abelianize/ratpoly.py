@@ -440,24 +440,8 @@ def permute_poly(p: Poly, perm: Sequence[int]) -> Poly:
     return Poly(p.ring, {permute_exponents(e, perm): c for e, c in p.terms.items()})
 
 
-def generate_permutation_group(
-    generators: Iterable[Sequence[int]], k: int, limit: int | None = None
-) -> list[Perm]:
-    """Enumerate the full group generated by permutations, identity included.
-    With a limit, stop as soon as more than `limit` elements are found.
-
-    A permutation is itself an exponent tuple, and `permute_exponents`
-    multiplies it on the right by g^-1; the inverses generate the same
-    group, so it is the identity's `exponent_orbit`."""
-    gens = [check_permutation(g, k) for g in generators]
-    return sorted(exponent_orbit(tuple(range(k)), gens, limit))
-
-
-def exponent_orbit(
-    e: Exponent, generators: Sequence[Perm], limit: int | None = None
-) -> frozenset[Exponent]:
-    """The orbit of e under the group the generators generate, breadth
-    first; with a limit, cut as soon as it has more than `limit` elements."""
+def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponent]:
+    """The orbit of e under the group the generators generate, breadth first."""
     seen = {e}
     frontier = [e]
     while frontier:
@@ -468,8 +452,6 @@ def exponent_orbit(
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if limit is not None and len(seen) > limit:
-                        return frozenset(seen)
         frontier = nxt
     return frozenset(seen)
 

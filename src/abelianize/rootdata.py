@@ -6,31 +6,25 @@ form in the ring generators.  `RootData` bundles a root set, a choice of
 positive roots, Weyl generators, and the Weyl group order.
 
 This module is the one place that knows W and answers "does W fix this?".
-W acts on the torus quotient prod P^{n_i - 1} and preserves its reduced
-symplectic class sum a_i u_i (a_i > 0), so it permutes the variables.  Where
-every root is e_j - e_i and the roots are closed under their reflections, the
-transpositions (i j), the variables fall into blocks, `reflection_blocks`.
-`RootData` builds W's generators once, the transpositions inside the blocks
-and the given permutations; `RootData.moved` names one that moves a multiset
-of weights, `g in root_data` tests membership, and `check_subgroup` and
-`complement` answer for a full-rank subgroup.  Only the unitary family has a
-built-in constructor; other groups come as explicit data (from the config).
+W is the group the roots' reflections generate.  The reflection of a root
+c(e_j - e_i) is the transposition (i j), so where the roots lie on every
+pair inside blocks of variables, `reflection_blocks`, W = prod S_|b|, never
+listed.  `RootData` builds W's generators once, the transpositions inside
+the blocks, and checks the roots, the declared generators and the order
+against them; `RootData.moved` names one that moves a multiset of weights,
+`g in root_data` tests membership, and `check_subgroup` and `complement`
+answer for a full-rank subgroup.  Only the unitary family has a built-in
+constructor; other groups come as explicit data (from the config).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .ratpoly import (
-    Perm,
-    Poly,
-    Ring,
-    check_permutation,
-    generate_permutation_group,
-    permute_exponents,
-)
+from .ratpoly import Perm, Poly, Ring, check_permutation
 
 Weight = tuple[int, ...]
 Blocks = tuple[tuple[int, ...], ...]
@@ -52,26 +46,21 @@ def one_based(g: Perm) -> list[int]:
     return [i + 1 for i in g]
 
 
-def _within(g: Perm, blocks: Blocks) -> bool:
-    return all(g[i] in b for b in blocks for i in b)
-
-
-def is_pair_root(w: Weight) -> bool:
-    """Whether w is e_j - e_i for some i != j."""
-    return sorted(w) == [-1, *[0] * (len(w) - 2), 1]
-
-
 def reflection_blocks(roots: Sequence[Weight], rank: int) -> Blocks | None:
     """The blocks of variables that the roots' reflections permute: where
-    every root is e_j - e_i and the roots are closed under the
-    transpositions (i j), i and j share a block exactly when e_j - e_i is a
-    root, so the roots are the pairs inside the blocks.  No roots give one
-    block per variable.  None for roots of any other shape."""
-    if not all(map(is_pair_root, roots)):
+    every root is c(e_j - e_i), c != 0, one on each ordered pair (i, j), and
+    the pairs the roots lie on are all the pairs inside blocks, i and j share
+    a block exactly when a root lies on them.  No roots give one block per
+    variable.  None for roots of any other shape.  `RootData` checks that
+    the roots are closed under the blocks' transpositions, so each block
+    carries one c."""
+    if any(sum(w) or w.count(0) != rank - 2 for w in roots):
         return None
-    pairs = {(w.index(-1), w.index(1)) for w in roots}
+    pairs = {(w.index(min(w)), w.index(max(w))) for w in roots}
     blocks = {tuple(sorted({i, *(j for x, j in pairs if x == i)})) for i in range(rank)}
-    if pairs != {(i, j) for b in blocks for i in b for j in b if i != j}:
+    if len(pairs) != len(roots) or pairs != {
+        (i, j) for b in blocks for i in b for j in b if i != j
+    }:
         return None
     return tuple(sorted(blocks))
 
@@ -84,14 +73,12 @@ def block_order(blocks: Blocks | None) -> int:
 
 class RootData:
     """A root set with positivity choice, Weyl generators, and |W|.  Built
-    at construction: the `transpositions` inside the blocks, W's
-    `generators` (with the Weyl generators where one leaves the blocks) and
-    `group`, W's elements where they had to be listed, None where
-    W = prod S_|b|."""
+    at construction: the roots' `blocks` and W's `generators`, the
+    transpositions inside them; the declared Weyl generators and order are
+    checked against W = prod S_|b|."""
 
     __slots__ = (
-        "rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks",
-        "transpositions", "generators", "group",
+        "rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks", "generators",
     )
 
     def __init__(
@@ -110,7 +97,7 @@ class RootData:
         self.weyl_order = weyl_order
         self.weyl_generators = tuple(check_permutation(g, rank) for g in weyl_generators)
         self.blocks = reflection_blocks(self.roots, rank)
-        self.transpositions = tuple(
+        self.generators = tuple(
             _swap(i, j, rank) for b in self.blocks or () for i, j in zip(b, b[1:])
         )
         self._validate()
@@ -119,13 +106,16 @@ class RootData:
         """A generator of W that moves the multiset of weights (each weight
         with its multiplicity), or None where W fixes it."""
         for g in self.generators:
-            if {permute_exponents(w, g): c for w, c in weights.items()} != weights:
+            at = itemgetter(*g)  # `permute_exponents` by g, a transposition: g = g^-1
+            if {at(w): c for w, c in weights.items()} != weights:
                 return g
         return None
 
     def __contains__(self, g: Perm) -> bool:
-        """Whether the permutation g of the variables lies in W."""
-        return _within(g, self.blocks) if self.group is None else g in self.group
+        """Whether the permutation g of the variables lies in W: it maps
+        each block into itself, and is the identity where there are none."""
+        blocks = self.blocks or [(i,) for i in range(self.rank)]
+        return all(g[i] in b for b in blocks for i in b)
 
     def _validate(self) -> None:
         root_set = set(self.roots)
@@ -142,42 +132,29 @@ class RootData:
             raise ValueError("a root and its negative cannot both be positive")
         if pos | neg != root_set:
             raise ValueError("roots must split as positive roots and their negatives")
-        # generators that permute within blocks add nothing to prod S_|b| and
-        # keep its roots; any other generator, or roots of another shape,
-        # need the root set checked and W's elements listed
-        blocks, gens = self.blocks, self.weyl_generators
-        listed = blocks is None or not all(_within(g, blocks) for g in gens)
-        self.generators = self.transpositions
-        if listed:
-            self.generators = tuple(dict.fromkeys(self.transpositions + gens))
-        if listed and (g := self.moved(dict.fromkeys(self.roots, 1))) is not None:
+        if (g := self.moved(dict.fromkeys(self.roots, 1))) is not None:
             raise ValueError(f"root set is not stable under generator {one_based(g)}")
-        if not isinstance(self.weyl_order, int) or self.weyl_order < 1:
-            raise ValueError(f"weyl_order must be a positive integer, got {self.weyl_order}")
-        self.group = None
-        order = found = block_order(blocks)
-        if listed:
-            self.group = generate_permutation_group(self.generators, self.rank, self.weyl_order)
-            order = len(self.group)
-            found = order if order <= self.weyl_order else f"greater than {self.weyl_order}"
-        if order != self.weyl_order:
+        for g in self.weyl_generators:
+            if g not in self:
+                raise ValueError(
+                    f"Weyl generator {one_based(g)} is not in the group the roots' "
+                    "reflections generate"
+                )
+        order = block_order(self.blocks)
+        if not isinstance(self.weyl_order, int) or self.weyl_order != order:
             raise ValueError(
-                f"weyl_order {self.weyl_order} does not match generated group of order {found}"
+                f"weyl_order {self.weyl_order!r} does not match generated group of order {order}"
             )
 
     def check_subgroup(self, subgroup: Subgroup) -> None:
-        """Refuse a subgroup whose roots are not closed roots of this group,
-        whose Weyl order does not divide |W|, or whose roots form blocks of
-        another order than its own."""
-        inside = set(subgroup.roots)
-        if not inside <= set(self.roots):
+        """Refuse a subgroup whose roots are not roots of this group that
+        form blocks (so closed under negation and their transpositions), or
+        whose Weyl order is not the order prod |b|! of its blocks."""
+        if not set(subgroup.roots) <= set(self.roots):
             raise ValueError("subgroup roots must be contained in the model's roots")
-        if any(tuple(-x for x in w) not in inside for w in inside):
-            raise ValueError("subgroup roots must be closed under negation")
-        if self.weyl_order % subgroup.weyl_order != 0:
-            raise ValueError("subgroup Weyl order must divide the group's Weyl order")
-        blocks = reflection_blocks(subgroup.roots, self.rank)
-        if blocks is not None and subgroup.weyl_order != block_order(blocks):
+        if (blocks := reflection_blocks(subgroup.roots, self.rank)) is None:
+            raise ValueError("subgroup roots must be closed under negation and transpositions")
+        if subgroup.weyl_order != block_order(blocks):
             raise ValueError(f"subgroup Weyl order must be {block_order(blocks)} for its roots")
 
     def complement(self, subgroup: Subgroup) -> RootData:
@@ -224,8 +201,6 @@ class Subgroup:
     weyl_order: int
 
     def __post_init__(self):
-        if self.weyl_order < 1:
-            raise ValueError("subgroup weyl_order must be positive")
         if len(set(self.roots)) != len(self.roots):
             raise ValueError("duplicate subgroup roots")
 

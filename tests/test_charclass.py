@@ -12,8 +12,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from abelianize import cli, ratpoly
-from abelianize.config import model_from_config
+from abelianize import cli, presentation, ratpoly
+from abelianize.config import model_from_config, model_to_config
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
 from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_roots
 from abelianize.quotient import (
@@ -437,31 +437,17 @@ class TestPointRoute:
 
 @st.composite
 def refused_models(draw):
-    """Models the orbit gate refuses: the relative model of a U(2)xU(1) block
-    of U(3); U(2) roots in four variables with a second Weyl generator that
-    swaps u3 and u4, so |W| = 4 is not the order the roots' reflections
-    generate; or a G(k,n) for a twist the Weyl group does not fix.  (U(2)
-    roots on variables of unequal truncations are refused by the model.)"""
-    kind = draw(st.sampled_from(["plain", "block", "order"]))
-    unitary = unitary_roots(2)
-    if kind == "block":
+    """Models the orbit gate refuses, or refuses for some twists: the
+    relative model of a U(2)xU(1) block of U(3), whose complement roots form
+    no blocks; or a G(k,n) for a twist the Weyl group does not fix.  (Roots
+    that form no blocks are refused by the config, generators outside W and
+    U(2) roots on variables of unequal truncations by the model.)"""
+    if draw(st.booleans()):
         m = grassmannian_model(3, draw(st.integers(3, 5)))
         alone = draw(st.integers(0, 2))  # the variable of the U(1) factor
         block = [w for w in m.root_data.roots if w[alone] == 0]
         sub = Subgroup(block, 2)
         return QuotientModel(m.ring, m.root_data, m.tangent_bundle, subgroup=sub).relative()
-    if kind == "order":
-        n1, n2 = draw(st.integers(2, 3)), draw(st.integers(1, 3))
-        ring = Ring(4, [n1, n1, n2, n2])
-        rd = RootData(
-            4,
-            [w + (0, 0) for w in unitary.roots],
-            [w + (0, 0) for w in unitary.positive],
-            [(1, 0, 2, 3), (0, 1, 3, 2)],
-            4,
-        )
-        lines = [(tuple(int(i == j) for j in range(4)), n) for i, n in enumerate(ring.truncations)]
-        return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
     k, n = draw(st.sampled_from([(2, 4), (2, 5), (2, 6), (3, 5)]))
     return grassmannian_model(k, n)
 
@@ -509,17 +495,18 @@ def gl_weyl_dimension(lam):
 
 @pytest.fixture
 def no_enumeration(monkeypatch):
-    """Every loaded `abelianize` module that binds `generate_permutation_group`
-    gets a spy in its place that raises."""
+    """Every loaded `abelianize` module that binds `exponent_orbit` gets a spy
+    in its place that raises: the one routine that could list W's elements,
+    as the orbit of the identity, is left to the invariant bases."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a permutation group was enumerated")
+        raise AssertionError("an orbit was enumerated")
 
     bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "abelianize"]
-    bound = [m for m in bound if hasattr(m, "generate_permutation_group")]
-    assert ratpoly in bound
+    bound = [m for m in bound if hasattr(m, "exponent_orbit")]
+    assert ratpoly in bound and presentation in bound
     for module in bound:
-        monkeypatch.setattr(module, "generate_permutation_group", refuse)
+        monkeypatch.setattr(module, "exponent_orbit", refuse)
 
 
 class TestNoGroupEnumeration:
@@ -534,8 +521,8 @@ class TestNoGroupEnumeration:
             assert index_group(m, V) == expected
 
     def test_models_are_built_without_enumerating(self, no_enumeration, capsys):
-        # |W| = prod |b|! is read off the roots' blocks when the generators
-        # permute within them, so building a model enumerates no group either
+        # |W| = prod |b|! is read off the roots' blocks and each generator is
+        # checked to lie within them, so building a model lists no orbit
         k = 9
         doc = {
             "schema": "1",
@@ -548,6 +535,13 @@ class TestNoGroupEnumeration:
             ],
         }
         assert euler_characteristic(grassmannian_model(8, 9)) == 9
+        assert euler_characteristic(model_from_config(doc)) == 10
+        # explicit roots with a transposition and a 9-cycle as generators
+        doc["roots"] = model_to_config(grassmannian_model(k, 10))["roots"]
+        doc["roots"]["weyl_generators"] = [
+            ["2", "1", *map(str, range(3, k + 1))],
+            [*map(str, range(2, k + 1)), "1"],
+        ]
         assert euler_characteristic(model_from_config(doc)) == 10
         assert cli.main(["euler", "--grassmannian", "8", "9"]) == 0
         assert capsys.readouterr().out == "9\n"

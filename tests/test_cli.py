@@ -17,9 +17,21 @@ from abelianize.config import (
     model_from_config,
     model_to_config,
 )
-from abelianize.charclass import chern_character, mult_class, todd_series
+from abelianize.charclass import (
+    chern_character,
+    exterior_power,
+    mult_class,
+    todd_series,
+    total_chern_series,
+)
 from abelianize.presentation import poincare_polynomial
-from abelianize.quotient import SplitBundle, grassmannian_model, integrate_torus
+from abelianize.quotient import (
+    SplitBundle,
+    all_points,
+    grassmannian_model,
+    integrate_points,
+    integrate_torus,
+)
 from abelianize.ratpoly import Poly
 from abelianize.schubert import oracle_betti
 
@@ -335,6 +347,29 @@ class TestRouteGate:
         assert run(capsys, "integrate", *g36, "u1^5*u2^4")[0] == 0
         assert "integrate_torus" in calls and "product_upto" in calls
 
+    def test_one_point_set_per_gram_query(self, capsys, monkeypatch, tmp_path):
+        # the q/2 + 1 Gram matrices of one betti or presentation query share
+        # the model's point set, which used to be built once per matrix
+        calls = []
+        original = quotient.point_weights
+
+        def spy(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(quotient, "point_weights", spy)
+        doc = g24_config()
+        doc["orbifold_prefactor"] = "2"
+        path = tmp_path / "g24-orbifold.json"
+        path.write_text(json.dumps(doc))
+        for model in (("--grassmannian", "1", "5"), ("--grassmannian", "2", "7"),
+                      ("--grassmannian", "3", "6"), ("--config", str(path))):
+            for argv in (("betti",), ("presentation",), ("presentation", "--format", "csv")):
+                calls.clear()
+                status, _, err = run(capsys, argv[0], *model, *argv[1:])
+                assert (status, err) == (0, "")
+                assert len(calls) == 1
+
     def test_class_queries_form_no_product(self, capsys, monkeypatch, tmp_path):
         products = []
         original = Poly.product_upto
@@ -482,6 +517,17 @@ class TestConfig:
                 },
                 "{path}: Weyl generator [2, 1] moves the tangent summands",
             ),
+            # 2(e_j - e_i) form U(2)'s block, but scale e: no G(2,4) presentation
+            (
+                {
+                    "roots": {
+                        "weights": [["-2", "2"], ["2", "-2"]],
+                        "positive": ["0"],
+                        "weyl_order": "2",
+                    }
+                },
+                None,
+            ),
             (
                 {
                     "ring": {"variables": "2", "truncations": ["4", "5"]},
@@ -496,7 +542,7 @@ class TestConfig:
                 None,
             ),
         ],
-        ids=["torus", "weyl-order-1", "tangent", "unequal-truncations"],
+        ids=["torus", "weyl-order-1", "tangent", "scaled-roots", "unequal-truncations"],
     )
     def test_oracle_refuses_a_model_that_is_not_a_grassmannian(
         self, capsys, tmp_path, change, refusal
@@ -587,7 +633,10 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         status, out, err = run(capsys, "betti", "--config", str(path))
         assert (status, out) == (2, "")
-        assert err == f"config error: {path}: subgroup roots must be closed under negation\n"
+        assert err == (
+            f"config error: {path}.subgroup_roots: subgroup roots must be closed under "
+            "negation and transpositions\n"
+        )
 
     def test_subgroup_block_round_trips(self):
         doc = g24_config()
@@ -743,8 +792,8 @@ class TestConfig:
         assert run(capsys, "betti", "--config", str(path)) == (0, "1,1,2,1,1\n", "")
 
     def test_lone_three_cycle_with_the_roots_is_s3(self, capsys, tmp_path):
-        # G(3,5) with a lone 3-cycle: with the roots' transpositions it
-        # generates S_3, so |W| = 6, not 3
+        # G(3,5) with a lone 3-cycle: it lies in the roots' block, and W is
+        # the S_3 their reflections generate, so |W| = 6, not 3
         doc = model_to_config(grassmannian_model(3, 5))
         doc["roots"]["weyl_generators"] = [["2", "3", "1"]]
         doc["weyl_action"] = [["2", "3", "1"]]
@@ -764,8 +813,8 @@ class TestConfig:
                 assert run(capsys, "betti", "--config", str(path)) == (0, "1,1,2,2,2,1,1\n", "")
 
     def test_empty_weyl_action_does_not_shrink_w(self, capsys, tmp_path):
-        # the presentation takes orbits under the action and the roots'
-        # transpositions, so an empty action still gives G(2,4)'s invariants
+        # the presentation takes orbits under the roots' transpositions, not
+        # the action, so an empty action still gives G(2,4)'s invariants
         doc = g24_config()
         doc["weyl_action"] = []
         path = tmp_path / "empty-action.json"
@@ -821,39 +870,55 @@ class TestConfig:
     def test_roots_not_closed_under_their_transpositions_are_refused(self, capsys, tmp_path):
         # +-(e1 - e0) and +-(e2 - e1) without +-(e2 - e0) on a G(3,5)-shaped
         # ring are no compact group's roots; euler printed 555 and betti
-        # 1,3,6,10,11,10,6,3,1, which disagree
+        # 1,3,6,10,11,10,6,3,1, which disagree.  Roots of another shape, whose
+        # reflections do not permute the variables, are refused alike
         doc = model_to_config(grassmannian_model(3, 5))
-        weights = [["-1", "1", "0"], ["1", "-1", "0"], ["0", "-1", "1"], ["0", "1", "-1"]]
-        doc["roots"] = {"weights": weights, "positive": ["0", "2"], "weyl_order": "1"}
         del doc["weyl_action"]
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(doc))
-        for command in ("euler", "betti"):
-            assert run(capsys, command, "--config", str(path)) == (
-                2,
-                "",
-                f"config error: {path}.roots: roots e_j - e_i must be closed under the "
-                "transpositions (i j)\n",
-            )
+        for weights in (
+            [["-1", "1", "0"], ["1", "-1", "0"], ["0", "-1", "1"], ["0", "1", "-1"]],
+            [["-1", "2", "0"], ["1", "-2", "0"]],
+            [["1", "0", "0"], ["-1", "0", "0"]],
+        ):
+            doc["roots"] = {"weights": weights, "positive": ["0", "2"][: len(weights) // 2]}
+            doc["roots"]["weyl_order"] = "1"
+            path.write_text(json.dumps(doc))
+            for command in ("euler", "betti"):
+                assert run(capsys, command, "--config", str(path)) == (
+                    2,
+                    "",
+                    f"config error: {path}.roots: roots must be c(e_j - e_i), closed under "
+                    "the transpositions (i j)\n",
+                )
 
     def test_unstable_root_set_names_the_generator_as_written(self, capsys, tmp_path):
-        # +-(e1 - e0) and +-(e1 - 2e0) on G(2,4)'s ring: the swap sends
-        # e1 - 2e0 to e0 - 2e1, no root; the refusal names the generator
-        # [2, 1] as the config writes it, not 0-based as (1, 0)
-        doc = g24_config()
+        # a root on every pair of u1, u2, u3, but 2(e3 - e2) beside e2 - e1:
+        # the swap of u1 and u2 sends it to 2(e3 - e1), no root; the refusal
+        # names the generator [2, 1, 3] as the config writes it, not 0-based
+        doc = model_to_config(grassmannian_model(3, 5))
         doc["roots"] = {
-            "weights": [["-1", "1"], ["1", "-1"], ["-2", "1"], ["2", "-1"]],
-            "positive": ["0", "2"],
-            "weyl_generators": [["2", "1"]],
-            "weyl_order": "2",
+            "weights": [
+                ["-1", "1", "0"], ["1", "-1", "0"],
+                ["0", "-2", "2"], ["0", "2", "-2"],
+                ["-1", "0", "1"], ["1", "0", "-1"],
+            ],
+            "positive": ["0", "2", "4"],
+            "weyl_order": "6",
         }
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(doc))
         assert run(capsys, "euler", "--config", str(path)) == (
             2,
             "",
-            f"config error: {path}.roots: root set is not stable under generator [2, 1]\n",
+            f"config error: {path}.roots: root set is not stable under generator [2, 1, 3]\n",
         )
+        # with one multiple, 2(e_j - e_i) on every pair, the roots load and
+        # W = S_3 is read off their block
+        doc["roots"]["weights"] = [[str(2 * int(x)) for x in w] for w in doc["roots"]["weights"]]
+        doc["roots"]["weights"][2:4] = [["0", "-2", "2"], ["0", "2", "-2"]]
+        path.write_text(json.dumps(doc))
+        assert load_config(str(path)).root_data.blocks == ((0, 1, 2),)
+        assert run(capsys, "euler", "--config", str(path))[0] == 0
 
     def test_subgroup_weyl_order_is_checked_against_its_roots(self, capsys, tmp_path):
         # the U(2)xU(1) block of G(3,6) has order 2; declared 1, the subgroup
@@ -862,16 +927,20 @@ class TestConfig:
         block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
         path = tmp_path / "g36-block.json"
         argv = ("integrate", "--config", str(path), "--subgroup", "--", "u1^5*u2^5*u3")
-        refusal = f"config error: {path}: subgroup Weyl order must be 2 for its roots\n"
+        refusal = (
+            f"config error: {path}.subgroup_roots: subgroup Weyl order must be 2 for its roots\n"
+        )
         for order, expected in [("1", (2, "", refusal)), ("2", (0, "1/3\n", ""))]:
             doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": order}
             path.write_text(json.dumps(doc))
             assert run(capsys, *argv) == expected
 
     def test_block_swap_with_an_empty_action(self, capsys, tmp_path):
-        # U(2)xU(2) with the swap of its blocks on (P^2)^4: W has order 8
-        # whatever the action says, so an empty action changes no answer;
-        # betti used to print 1,2,3,2,1, the numbers of G(2,3) x G(2,3)
+        # U(2)xU(2) with the swap of its blocks on (P^2)^4: the roots'
+        # reflections generate U(2)xU(2)'s W of order 4, which lacks the swap,
+        # so the generator is refused whatever order or action is declared.
+        # It used to print euler 9/2, signature 1/2 and todd 1/2 but an index
+        # of 1 for the trivial twist, which Riemann-Roch forbids
         def weight(i, j):
             return [str(-1 if x == i else int(x == j)) for x in range(4)]
 
@@ -882,7 +951,6 @@ class TestConfig:
                 "weights": [weight(0, 1), weight(1, 0), weight(2, 3), weight(3, 2)],
                 "positive": ["0", "2"],
                 "weyl_generators": [["3", "4", "1", "2"]],
-                "weyl_order": "8",
             },
             "tangent_bundle": [
                 {"weight": [str(int(x == i)) for x in range(4)], "multiplicity": "3"}
@@ -891,12 +959,51 @@ class TestConfig:
             + [{"weight": "0", "multiplicity": "-4"}],
         }
         path = tmp_path / "block-swap.json"
-        for action in (None, []):
+        refusal = (
+            f"config error: {path}.roots: Weyl generator [3, 4, 1, 2] is not in the group "
+            "the roots' reflections generate\n"
+        )
+        queries = [
+            ("euler",), ("signature",), ("charnum", "--class", "todd"),
+            ("index", "--line=0,0,0,0"), ("betti",),
+        ]
+        for order, action in [("8", None), ("8", []), ("4", None)]:
+            doc["roots"]["weyl_order"] = order
             if action is not None:
                 doc["weyl_action"] = action
             path.write_text(json.dumps(doc))
-            assert run(capsys, "betti", "--config", str(path)) == (0, "1,1,2,1,1\n", "")
-            assert run(capsys, "euler", "--config", str(path)) == (0, "9/2\n", "")
+            for command, *rest in queries:
+                assert run(capsys, command, "--config", str(path), *rest) == (2, "", refusal)
+        # without the swap, X//G = P^2 x P^2 and every number agrees
+        doc["roots"]["weyl_generators"] = []
+        path.write_text(json.dumps(doc))
+        cfg = ("--config", str(path))
+        assert run(capsys, "euler", *cfg) == (0, "9\n", "")
+        assert run(capsys, "charnum", *cfg, "--class", "todd") == (0, "1\n", "")
+        assert run(capsys, "index", *cfg, "--line=0,0,0,0") == (0, "1\n", "")
+        assert run(capsys, "betti", *cfg) == (0, "1,2,3,2,1\n", "")
+
+    def test_subgroup_roots_that_form_no_blocks_are_refused(self, capsys, tmp_path):
+        # +-(e1 - e0) and +-(e2 - e1) of G(3,6) without +-(e2 - e0): no
+        # subgroup's roots; every weyl_order was accepted and printed 90
+        doc = model_to_config(grassmannian_model(3, 6))
+        assert doc["roots"]["weights"][0] == ["-1", "1", "0"]
+        assert doc["roots"]["weights"][3] == ["0", "-1", "1"]
+        path = tmp_path / "g36-chain.json"
+        argv = ("index", "--config", str(path), "--subgroup", "--line=1,1,1")
+        for order in ("1", "2", "3"):
+            doc["subgroup_roots"] = {"indices": ["0", "2", "3", "5"], "weyl_order": order}
+            path.write_text(json.dumps(doc))
+            assert run(capsys, *argv) == (
+                2,
+                "",
+                f"config error: {path}.subgroup_roots: subgroup roots must be closed under "
+                "negation and transpositions\n",
+            )
+        # the U(2)xU(1) block +-(e1 - e0) loads
+        doc["subgroup_roots"] = {"indices": ["0", "2"], "weyl_order": "2"}
+        path.write_text(json.dumps(doc))
+        assert run(capsys, *argv) == (0, "20\n", "")
 
     def test_zero_weight_written_as_a_vector_dumps_as_zero(self, capsys, tmp_path):
         doc = g24_config()
@@ -940,15 +1047,20 @@ LEVI_BLOCKS = [
 def mutated_weyl_fields(draw):
     """A config of the product of the G(|b|, n) over blocks b of k <= 3
     variables, n <= 6, as the quotient of (P^{n-1})^k by prod U(|b|): one
-    block is G(k,n), and k blocks of one are (P^{n-1})^k with no roots.  Its
-    Weyl fields are drawn: 0-3 random permutations within the blocks as the
-    roots' generators, `weyl_order` prod |b|! or 1-7, and a `weyl_action`
+    block is G(k,n), and k blocks of one are (P^{n-1})^k with no roots.  The
+    roots of each block are c(e_j - e_i), c drawn from 1-3; or, drawn
+    instead, a pair of roots of another shape, +-e_i or +-(e_j - 2e_i), is
+    added.  Its Weyl fields are drawn: 0-3 random permutations within the
+    blocks as the roots' generators, and the swap of two blocks of one size
+    added to them or not; `weyl_order` prod |b|! or 1-7; and a `weyl_action`
     absent, empty or of random permutations in S_k.  Returns n, the blocks,
-    whether the config must load and the document."""
+    the multiples, whether the roots are refused at `roots` whatever the
+    other fields, whether the config must load and the document."""
     blocks = draw(st.sampled_from(LEVI_BLOCKS))
     k = sum(map(len, blocks))
     n = draw(st.integers(k, 6))
-    pairs = [(i, j) for b in blocks for i in b for j in b if i != j]
+    scales = draw(st.tuples(*(st.integers(1, 3) for _ in blocks)))
+    pairs = [(i, j, c) for b, c in zip(blocks, scales) for i in b for j in b if i != j]
     order = prod(factorial(len(b)) for b in blocks)
 
     def assemble(images):
@@ -959,11 +1071,27 @@ def mutated_weyl_fields(draw):
         return [str(x + 1) for x in g]
 
     within = st.tuples(*(st.permutations(b) for b in blocks)).map(assemble)
+    weights = [[str(-c if x == i else c if x == j else 0) for x in range(k)] for i, j, c in pairs]
+    positive = [str(r) for r, (i, j, _) in enumerate(pairs) if i < j]
+    generators = draw(st.lists(within, max_size=3))
+    refused = False
+    swappable = [(a, b) for a in blocks for b in blocks if a < b and len(a) == len(b)]
+    if swappable and draw(st.booleans()):
+        a, b = draw(st.sampled_from(swappable))
+        swap = dict(zip(a + b, b + a))
+        generators.append([str(swap.get(x, x) + 1) for x in range(k)])
+        refused = True
+    if draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.permutations(range(k)))[:2] if k > 1 else (0, None)
+        root = [2 if x == i else -1 if x == j else 0 for x in range(k)]
+        positive.append(str(len(weights)))
+        weights += [[str(x) for x in root], [str(-x) for x in root]]
+        refused = True
     doc = model_to_config(grassmannian_model(k, n))
     doc["roots"] = {
-        "weights": [[str(-1 if x == i else int(x == j)) for x in range(k)] for i, j in pairs],
-        "positive": [str(r) for r, (i, j) in enumerate(pairs) if i < j],
-        "weyl_generators": draw(st.lists(within, max_size=3)),
+        "weights": weights,
+        "positive": positive,
+        "weyl_generators": generators,
         "weyl_order": str(draw(st.one_of(st.just(order), st.integers(1, 7)))),
     }
     action = draw(st.one_of(st.none(), st.lists(st.permutations(range(k)), max_size=3)))
@@ -973,7 +1101,27 @@ def mutated_weyl_fields(draw):
         doc["weyl_action"] = [[str(x + 1) for x in g] for g in action]
     doc["orbifold_prefactor"] = draw(st.sampled_from(["1", "2", "1/3"]))
     in_w = action is None or all(g[i] in b for g in action for b in blocks for i in b)
-    return n, blocks, in_w and doc["roots"]["weyl_order"] == str(order), doc
+    loads = not refused and in_w and doc["roots"]["weyl_order"] == str(order)
+    return n, blocks, scales, refused, loads, doc
+
+
+def all_points_reference(m, twist):
+    """The Euler number and the index of a twist as sums over every fixed
+    point, with no reduction to Weyl orbits: the index by prod over the
+    positive roots of 1 - e^alpha = prod (-alpha) ch(L_2rho) / Td(E+), which
+    needs no invariance.  The orbit route must give the same numbers."""
+    roots, positive, points = m.root_data.roots, m.root_data.positive, all_points(m.ring)
+
+    def less(weights):
+        return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in weights])
+
+    chern = total_chern_series(m.quotient_dim)
+    euler = m.prefactor() * integrate_points(m, points, roots, chern, less(roots))
+    E = SplitBundle(m.ring, [(w, 1) for w in positive])
+    negated = [tuple(-x for x in w) for w in positive]
+    td = todd_series(m.ring.top_degree - len(negated))
+    V = twist.tensor(exterior_power(E, E.rank))
+    return euler, integrate_points(m, points, negated, td, less(positive), V)
 
 
 def polynomial_product(factors):
@@ -996,24 +1144,39 @@ class TestWeylFieldsFuzz:
     @given(mutated_weyl_fields())
     def test_answer_is_right_or_a_located_refusal(self, capsys, tmp_path, case):
         # the roots' reflections generate W = prod S_|b| whatever the
-        # generators, so a config loads exactly when it declares that order
-        # and its action lies in W, and then answers right
-        n, blocks, loads, doc = case
+        # generators, so a config loads exactly when its roots form blocks,
+        # its generators and action lie in W and it declares that order, and
+        # then answers right; roots of another shape and a swap of blocks
+        # are refused at `roots`
+        n, blocks, scales, refused, loads, doc = case
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(doc))
         prefactor = Fraction(doc["orbifold_prefactor"])
         betti = polynomial_product(oracle_betti(len(b), n) for b in blocks)
+        k = sum(map(len, blocks))
         expected = {
-            "euler": f"{prefactor * prod(comb(n, len(b)) for b in blocks)}\n",
-            "betti": ",".join(map(str, betti)) + "\n",
+            ("euler",): f"{prefactor * prod(comb(n, len(b)) for b in blocks)}\n",
+            ("betti",): ",".join(map(str, betti)) + "\n",
+            ("index", f"--line={','.join(['1'] * k)}"): None,
         }
-        for command, out in expected.items():
-            status, stdout, err = run(capsys, command, "--config", str(path))
+        if loads:
+            # c(e_j - e_i) scale e by a constant, so ann(e) and the Betti
+            # numbers are the same; the rest is checked against all points
+            m = load_config(str(path))
+            assert quotient.orbit_points(m) is not None
+            euler, index = all_points_reference(m, SplitBundle(m.ring, [((1,) * k, 1)]))
+            if set(scales) == {1}:
+                assert f"{euler}\n" == expected[("euler",)]
+            expected[("euler",)] = f"{euler}\n"
+            expected[("index", f"--line={','.join(['1'] * k)}")] = f"{index}\n"
+        where = f"config error: {path}.roots:" if refused else f"config error: {path}"
+        for argv, out in expected.items():
+            status, stdout, err = run(capsys, *argv[:1], "--config", str(path), *argv[1:])
             if loads:
                 assert (status, stdout, err) == (0, out, "")
             else:
                 assert (status, stdout) == (2, "")
-                assert err.startswith(f"config error: {path}")
+                assert err.startswith(where)
 
 
 def test_python_m_runs_the_cli_in_a_fresh_interpreter():

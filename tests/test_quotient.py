@@ -136,15 +136,13 @@ class TestIntegrateTorus:
             integrate_torus(m, Ring(2, [5, 5]).one())
 
 
-def u2_in_four_variables(weyl_order: int) -> QuotientModel:
-    """U(2) roots on u1, u2 of a ring in four variables, with the swap of u3
-    and u4 as a second Weyl generator when `weyl_order` is 4: a group that
-    is not the one the roots' reflections generate."""
+def u2_in_four_variables() -> QuotientModel:
+    """U(2) roots on u1, u2 of a ring in four variables: blocks {0, 1}, {2}
+    and {3}, |W| = 2."""
     ring = Ring(4, [3, 3, 2, 2])
     unitary = unitary_roots(2)
     roots = [w + (0, 0) for w in unitary.roots]
-    gens = [(1, 0, 2, 3), (0, 1, 3, 2)][: weyl_order // 2]
-    rd = RootData(4, roots, [w + (0, 0) for w in unitary.positive], gens, weyl_order)
+    rd = RootData(4, roots, [w + (0, 0) for w in unitary.positive], [(1, 0, 2, 3)], 2)
     lines = [(tuple(int(i == j) for j in range(4)), t) for i, t in enumerate(ring.truncations)]
     return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
 
@@ -176,25 +174,30 @@ class TestOrbitPoints:
 
     def test_refuses_what_it_cannot_reduce(self):
         m = grassmannian_model(2, 4)
-        scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
         block = ((-1, 1, 0), (1, -1, 0))  # U(2)xU(1) in U(3): Weyl order 1, blocks of order 2
         # e_1 - e_0 and e_2 - e_1 without e_2 - e_0: not closed, so the pairs
-        # of variables in a root overlap instead of forming blocks, and with
-        # no generators W is trivial
+        # of variables in a root overlap instead of forming blocks, and W is
+        # trivial; only the library builds such data
         chain = [(-1, 1, 0), (1, -1, 0), (0, -1, 1), (0, 1, -1)]
         chain = [w + (0,) * 6 for w in chain]
         chain = RootData(9, chain, chain[::2], (), 1)
         ring9 = Ring(9, [2] * 9)
         lines = [(tuple(int(i == j) for j in range(9)), 2) for i in range(9)]
         models = [
-            QuotientModel(m.ring, scaled, m.tangent_bundle),
             _with_subgroup(grassmannian_model(3, 6), Subgroup(block, 2)).relative(),
-            u2_in_four_variables(4),  # |W| = 4, but the roots' reflections give 2
             QuotientModel(ring9, chain, SplitBundle(ring9, [*lines, ((0,) * 9, -9)])),
         ]
-        assert [orbit_points(x) for x in models] == [None] * 4
-        # the same shape with |W| = 2 is admitted
-        assert sum(orbit_points(u2_in_four_variables(2)).values()) == comb(3, 2) * 2 * 2 * 2
+        assert [orbit_points(x) for x in models] == [None] * 2
+        # scaled roots form the same block as G(2,4)'s, and U(2) in four
+        # variables has blocks of one beside it: both are admitted
+        scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
+        assert orbit_points(QuotientModel(m.ring, scaled, m.tangent_bundle)) == orbit_points(m)
+        assert sum(orbit_points(u2_in_four_variables()).values()) == comb(3, 2) * 2 * 2 * 2
+        # a second generator that swaps u3 and u4 leaves the blocks: W would
+        # not be the group the roots' reflections generate, so it is refused
+        rd = u2_in_four_variables().root_data
+        with pytest.raises(ValueError, match=r"generator \[1, 2, 4, 3\] is not in the group"):
+            RootData(4, rd.roots, rd.positive, [(1, 0, 2, 3), (0, 1, 3, 2)], 4)
         # unequal truncations, or a tangent bundle W moves, never reach the
         # gate: the model refuses them
         moved = SplitBundle(m.ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])  # u1, u2 unequal
@@ -337,8 +340,13 @@ class TestSubgroupVariant:
         m = grassmannian_model(2, 4)
         with pytest.raises(ValueError, match="contained"):
             _with_subgroup(m, Subgroup(((3, 3),), 1))
-        with pytest.raises(ValueError, match="divide"):
+        with pytest.raises(ValueError, match="must be 2 for its roots"):
             _with_subgroup(m, Subgroup(m.root_data.roots, 3))
+        # +-(e1 - e0) and +-(e2 - e1) of U(3) without +-(e2 - e0) form no blocks
+        m = grassmannian_model(3, 6)
+        chain = [w for w in m.root_data.roots if w[0] == 0 or w[2] == 0]
+        with pytest.raises(ValueError, match="closed under negation and transpositions"):
+            _with_subgroup(m, Subgroup(tuple(chain), 3))
 
     def test_relative_model(self):
         # U(2)xU(1) in U(3) on G(3,6), orbifold prefactor 2
@@ -396,15 +404,23 @@ class TestChernPairing:
                 assert chern_pairing(m, exps) == oracle_chern_pairing(k, n, exps)
 
 
-def block_swap_model() -> QuotientModel:
-    """U(2)xU(2) with the swap of its blocks on (P^2)^4, |W| = 8: a group the
-    roots' reflections do not generate, so the gate refuses it and its
-    pairings run over `all_points`."""
+def u2xu2_model() -> QuotientModel:
+    """U(2)xU(2) on (P^2)^4: two blocks, |W| = 4, so the gate admits it and
+    its pairings run over the orbit points of both blocks."""
     ring = Ring(4, [3] * 4)
     roots = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
-    rd = RootData(4, roots, roots[::2], [(2, 3, 0, 1)], 8)
+    rd = RootData(4, roots, roots[::2], [], 4)
     lines = [(tuple(int(i == j) for j in range(4)), 3) for i in range(4)]
     return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
+
+
+def levi_relative_model() -> QuotientModel:
+    """The relative model of a U(2)xU(1) block of G(3,4): its complement
+    roots form no blocks, so the gate refuses it and its pairings run over
+    `all_points`."""
+    m = grassmannian_model(3, 4)
+    block = tuple(w for w in m.root_data.roots if w[2] == 0)
+    return _with_subgroup(m, Subgroup(block, 2)).relative()
 
 
 def product_pairing(m: QuotientModel, exps) -> Fraction:
@@ -418,7 +434,8 @@ def product_pairing(m: QuotientModel, exps) -> Fraction:
 _G25 = grassmannian_model(2, 5)
 PAIRING_MODELS = [grassmannian_model(k, n) for k in range(1, 4) for n in range(k, 8)] + [
     QuotientModel(_G25.ring, _G25.root_data, _G25.tangent_bundle, Fraction(3, 2)),
-    block_swap_model(),
+    u2xu2_model(),
+    levi_relative_model(),
 ]
 
 
@@ -434,18 +451,24 @@ class TestChernPairingAtPoints:
         exps = data.draw(st.sampled_from(list(pairing_degree_vectors(m.ring.k, degree))))
         assert chern_pairing(m, exps) == product_pairing(m, exps)
 
-    def test_block_swap_runs_on_all_points(self):
-        m = block_swap_model()
-        assert orbit_points(m) is None
-        rows = [(4, 0, 0, 0), (0, 2, 0, 0)]
+    def test_relative_model_runs_on_all_points(self):
+        m = levi_relative_model()
+        assert orbit_points(m) is None and m.quotient_dim == 5
+        rows = [(5, 0, 0), (1, 2, 0), (0, 1, 1)]
         assert chern_pairings(m, rows) == [product_pairing(m, exps) for exps in rows]
-        assert chern_pairings(m, rows) == [Fraction(3), Fraction(3, 2)]
         # its Gram matrices run over all points too
         q, pre, e = m.quotient_dim, m.prefactor(), m.e_class()
         for d in range(q + 1):
             rows, columns = invariant_basis(m, q - d), invariant_basis(m, d)
             gram = [[pre * integrate_torus(m, a, b, e) for b in columns] for a in rows]
             assert pairing_matrix(m, rows, columns) == gram
+
+    def test_two_blocks_run_on_orbit_points(self):
+        m = u2xu2_model()
+        assert orbit_points(m) is not None
+        rows = [(4, 0, 0, 0), (0, 2, 0, 0)]
+        assert chern_pairings(m, rows) == [product_pairing(m, exps) for exps in rows]
+        assert chern_pairings(m, rows) == [Fraction(6), Fraction(3)]
 
     def test_one_point_set_for_many_vectors(self):
         m = grassmannian_model(3, 6)

@@ -10,6 +10,7 @@ from abelianize.rootdata import (
     RootData,
     Subgroup,
     e_product,
+    reflection_blocks,
     root_euler_class,
     unitary_roots,
 )
@@ -44,21 +45,43 @@ class TestUnitaryRoots:
 
 class TestRootDataValidation:
     def test_weyl_order_checked_against_the_generated_group(self):
-        # within the roots' blocks |W| = prod |b|!, read off with no enumeration
+        # |W| = prod |b|! is read off the roots' blocks, with no enumeration
         with pytest.raises(ValueError, match="weyl_order 3 does not match .* of order 2$"):
             RootData(2, [(-1, 1), (1, -1)], [(-1, 1)], [(1, 0)], 3)
-        # a generator that swaps two blocks is enumerated with the blocks'
-        # transpositions: U(2) x U(2) with the blocks swapped has order 8
-        u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
-        swap = (2, 3, 0, 1)
-        assert RootData(4, u2, u2[::2], [swap], 8).blocks == ((0, 1), (2, 3))
-        with pytest.raises(ValueError, match="weyl_order 4 does not match .* greater than 4"):
-            RootData(4, u2, u2[::2], [swap], 4)
+        assert RootData(4, U2XU2, U2XU2[::2], [], 4).blocks == ((0, 1), (2, 3))
+        with pytest.raises(ValueError, match="weyl_order 8 does not match .* of order 4$"):
+            RootData(4, U2XU2, U2XU2[::2], [], 8)
+        # a generator that swaps two blocks is no product of the roots'
+        # reflections, whatever order is declared; it is named 1-based
+        for order in (4, 8):
+            with pytest.raises(ValueError, match=r"generator \[3, 4, 1, 2\] is not in the group"):
+                RootData(4, U2XU2, U2XU2[::2], [(2, 3, 0, 1)], order)
 
     def test_root_set_stability(self):
-        # the swap sends (-2,1) to (1,-2), which is not a declared root
-        with pytest.raises(ValueError, match="stable"):
-            RootData(2, [(-1, 1), (1, -1), (-2, 1), (2, -1)], [(-1, 1), (-2, 1)], [(1, 0)], 2)
+        # one root on each pair of the block {0, 1, 2}, but 2(e2 - e1) with
+        # e1 - e0: the swap (0 1) sends it to 2(e2 - e0), which is not a root,
+        # so every block carries one multiple c
+        mixed = [(-1, 1, 0), (1, -1, 0), (0, -2, 2), (0, 2, -2), (-1, 0, 1), (1, 0, -1)]
+        assert reflection_blocks(mixed, 3) == ((0, 1, 2),)
+        with pytest.raises(ValueError, match=r"stable under generator \[2, 1, 3\]"):
+            RootData(3, mixed, mixed[::2], [], 6)
+        u3 = unitary_roots(3)
+        tripled = [tuple(3 * x for x in w) for w in u3.roots]
+        positive = [tuple(3 * x for x in w) for w in u3.positive]
+        assert RootData(3, tripled, positive, [(1, 2, 0)], 6).blocks == ((0, 1, 2),)
+
+    def test_reflection_blocks(self):
+        # roots c(e_j - e_i), one per ordered pair, on every pair of each block
+        assert reflection_blocks(U2XU2, 4) == ((0, 1), (2, 3))
+        assert reflection_blocks([(-2, 2), (2, -2)], 2) == ((0, 1),)
+        assert reflection_blocks([], 3) == ((0,), (1,), (2,))
+        for roots in (
+            [(-1, 1, 0), (1, -1, 0), (0, -1, 1), (0, 1, -1)],  # no root on the pair (0, 2)
+            [(-1, 1), (1, -1), (-2, 2), (2, -2)],  # two multiples on one pair
+            [(-1, 2), (1, -2)],  # not a multiple of e_j - e_i
+            [(1, 0), (-1, 0)],
+        ):
+            assert reflection_blocks(roots, len(roots[0])) is None
 
     def test_positivity_must_split(self):
         with pytest.raises(ValueError):
@@ -78,41 +101,43 @@ class TestRootDataValidation:
         with pytest.raises(ValueError, match="not a permutation"):
             RootData(2, [(-1, 1), (1, -1)], [(-1, 1)], [(1, 1)], 2)
 
-    def test_generators_are_the_transpositions_then_the_rest(self):
-        # within the blocks a 3-cycle adds nothing to U(3)'s transpositions;
-        # a swap of U(2) x U(2)'s blocks is added once, after them
+    def test_generators_are_the_transpositions_inside_the_blocks(self):
+        # a 3-cycle within U(3)'s block adds nothing to its transpositions
         u3 = unitary_roots(3)
         rd = RootData(3, u3.roots, u3.positive, [(1, 0, 2), (1, 2, 0)], 6)
         assert rd.generators == ((1, 0, 2), (0, 2, 1))
-        u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
-        swapped = RootData(4, u2, u2[::2], [(1, 0, 2, 3), (2, 3, 0, 1)], 8)
-        assert swapped.generators == ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+        assert RootData(4, U2XU2, U2XU2[::2], [(1, 0, 2, 3)], 4).generators == (
+            (1, 0, 2, 3),
+            (0, 1, 3, 2),
+        )
         assert RootData(2, [], []).generators == ()
 
     def test_membership(self):
-        # U(2) x U(2): W permutes within the blocks; with the block swap it is
-        # the order-8 wreath product, which still lacks the transposition (0 2)
-        u2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
-        levi = RootData(4, u2, u2[::2], [], 4)
-        swapped = RootData(4, u2, u2[::2], [(2, 3, 0, 1)], 8)
-        for g, in_levi, in_swapped in [
-            ((0, 1, 2, 3), True, True),
-            ((1, 0, 3, 2), True, True),
-            ((2, 3, 0, 1), False, True),
-            ((3, 2, 1, 0), False, True),
-            ((2, 1, 0, 3), False, False),
+        # U(2) x U(2): W permutes within the blocks, so neither the swap of
+        # the blocks nor the transposition (0 2) lies in it
+        levi = RootData(4, U2XU2, U2XU2[::2], [], 4)
+        for g, inside in [
+            ((0, 1, 2, 3), True),
+            ((1, 0, 3, 2), True),
+            ((2, 3, 0, 1), False),
+            ((3, 2, 1, 0), False),
+            ((2, 1, 0, 3), False),
         ]:
-            assert (g in levi, g in swapped) == (in_levi, in_swapped)
-        # roots of another shape: W is what the generators generate
-        scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
-        assert (1, 0) in scaled and (1, 0) not in RootData(2, [(-2, 2), (2, -2)], [(-2, 2)])
+            assert (g in levi) == inside
+        # scaled roots are reflected by the same transposition
+        assert (1, 0) in RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [], 2)
+        # roots that form no blocks, as a relative model's complement: W is trivial
+        chain = [(-1, 1, 0), (1, -1, 0), (0, -1, 1), (0, 1, -1)]
+        trivial = RootData(3, chain, chain[::2])
+        assert trivial.blocks is None and trivial.generators == ()
+        assert (0, 1, 2) in trivial and (1, 0, 2) not in trivial
+        with pytest.raises(ValueError, match=r"generator \[2, 1, 3\] is not in the group"):
+            RootData(3, chain, chain[::2], [(1, 0, 2)], 1)
 
     def test_generators_are_built_once(self):
         rd = unitary_roots(3)
-        assert rd.transpositions is rd.transpositions
-        assert rd.generators is rd.transpositions
-        assert rd.group is None
-        assert len(RootData(4, U2XU2, U2XU2[::2], [(2, 3, 0, 1)], 8).group) == 8
+        assert rd.generators is rd.generators
+        assert not hasattr(rd, "group") and not hasattr(rd, "transpositions")
 
     def test_opposite_swaps_positivity(self):
         rd = unitary_roots(3)
@@ -150,17 +175,15 @@ class TestMoved:
         assert rd.moved({}) is None
 
     def test_block_swap(self):
-        # U(2)xU(2): (1, 1, 2, 2) is fixed by the blocks' transpositions; with
-        # the swap of the blocks W is U(2)xU(2) x| Z_2, and the swap moves it
+        # U(2)xU(2): (1, 1, 2, 2) is fixed by the blocks' transpositions; the
+        # swap of the blocks is no element of W, so it moves nothing
         levi = RootData(4, U2XU2, U2XU2[::2], [], 4)
-        swapped = RootData(4, U2XU2, U2XU2[::2], [(2, 3, 0, 1)], 8)
-        assert swapped.generators == ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+        assert levi.generators == ((1, 0, 2, 3), (0, 1, 3, 2))
         assert levi.moved({(1, 1, 2, 2): 1}) is None
-        assert swapped.moved({(1, 1, 2, 2): 1}) == (2, 3, 0, 1)
-        assert swapped.moved({(1, 1, 2, 2): 1, (2, 2, 1, 1): 1}) is None
-        assert swapped.moved({(1, 0, 0, 0): 1}) == (1, 0, 2, 3)
+        assert levi.moved({(1, 0, 0, 0): 1}) == (1, 0, 2, 3)
+        assert levi.moved({(0, 0, 1, 2): 1}) == (0, 1, 3, 2)
         # the root set itself is fixed, as the construction checked
-        assert swapped.moved(dict.fromkeys(U2XU2, 1)) is None
+        assert levi.moved(dict.fromkeys(U2XU2, 1)) is None
 
 
 class TestRootEulerClass:

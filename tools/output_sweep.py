@@ -96,13 +96,27 @@ REFUSALS = {
     # G(3,6)'s U(2)xU(1) block has Weyl order 2, not 1
     "subgroup-order": _config([6, 6, 6], "unitary:3",
                               subgroup_roots={"indices": ["0", "2"], "weyl_order": "1"}),
-    # the swap sends e1 - 2e0 to e0 - 2e1, which is no root
+    # e1 - 2e0 is no multiple of e_j - e_i, so the roots form no blocks and
+    # the swap is not in W
     "unstable-roots": _config([4, 4], {
         "weights": [["-1", "1"], ["1", "-1"], ["-2", "1"], ["2", "-1"]],
         "positive": ["0", "2"],
         "weyl_generators": [["2", "1"]],
         "weyl_order": "2",
     }),
+    # U(2)xU(2) on (P^2)^4 with the swap of its blocks, which the roots'
+    # reflections do not generate
+    "block-swap": _config([3, 3, 3, 3], {
+        "weights": [["-1", "1", "0", "0"], ["1", "-1", "0", "0"],
+                    ["0", "0", "-1", "1"], ["0", "0", "1", "-1"]],
+        "positive": ["0", "2"],
+        "weyl_generators": [["3", "4", "1", "2"]],
+        "weyl_order": "8",
+    }),
+    # G(3,6) with the subgroup roots +-(e1 - e0) and +-(e2 - e1), not closed
+    "subgroup-not-closed": _config([6, 6, 6], "unitary:3",
+                                   subgroup_roots={"indices": ["0", "2", "3", "5"],
+                                                   "weyl_order": "2"}),
 }
 
 
