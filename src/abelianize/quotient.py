@@ -29,7 +29,7 @@ from math import comb, factorial, lcm, prod
 from operator import add, getitem, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
-from .ratpoly import Perm, Poly, Ring, Series, check_permutation, rat
+from .ratpoly import Perm, Poly, Ring, Series, check_permutation, clear_denominators, rat
 from .rootdata import RootData, Subgroup, as_weight, e_product, one_based, unitary_roots
 
 
@@ -332,17 +332,22 @@ def integrate_points(
     class at t is ch(twist)(lam) exp(sum_j l_j p_j lam^j) at lam^N, N = top
     - #roots, l = log f and p_j the j-th power sum of V's weights at t.  With
     c the lcm of the denominators of (j-1)! j l_j, K_n = n! c^n [lam^n]
-    exp(...) = sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j}, and x f' = f *
-    sum_j j l_j x^j gives the j l_j in one recurrence."""
+    exp(...) = sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j} over the j with
+    l_j != 0.  With f = F/d, F integral, x F' = F * sum_j j l_j x^j gives j l_j
+    = L_j / F_0^j in one integer recurrence."""
     N = m.ring.top_degree - len(roots)
-    f = f.truncated(N).coeffs
-    dlog = [0] * (N + 1)  # dlog[j] = j l_j
+    _, F = clear_denominators(f.truncated(N).coeffs)
+    s = [0] + [x * F[0] ** (i - 1) for i, x in enumerate(F[1:], 1)]
+    L = [0]  # L_j = j s_j - sum_i s_i L_{j-i}, s_i = F_i F_0^(i-1)
     for j in range(1, N + 1):
-        dlog[j] = j * f[j] - sum(f[i] * dlog[j - i] for i in range(1, j))
-    scaled = [factorial(j - 1) * x for j, x in enumerate(dlog) if j]
+        L.append(j * s[j] - sum(map(mul, s[1:j], reversed(L[1:]))))
+    scaled = [Fraction(factorial(j - 1) * x, F[0] ** j) for j, x in enumerate(L[1:], 1)]
     c = lcm(*(x.denominator for x in scaled))
-    H = [0] + [int(x * c**j) for j, x in enumerate(scaled, 1)]
-    binomials = [[comb(n - 1, j) for j in range(n)] for n in range(N + 1)]
+    H = [x.numerator * (c**j // x.denominator) for j, x in enumerate(scaled, 1)]
+    # K_n's terms as (C(n-1, j-1) H_j, n - j), j = i + 1, the zero H_j left out
+    steps = [
+        [(comb(n - 1, i) * h, n - 1 - i) for i, h in enumerate(H[:n]) if h] for n in range(N + 1)
+    ]
     ch_scale = [comb(N, j) * c**j for j in range(N + 1)]
     powers: dict[tuple[int, int], list[int]] = {}
 
@@ -358,10 +363,10 @@ def integrate_points(
     pts, den = point_weights(m, points, roots)
     total = 0
     for t, w in pts:
-        G = list(map(mul, H, power_sums(V, t)))
+        p = power_sums(V, t)
         K = [1]
         for n in range(1, N + 1):
-            K.append(sum(map(mul, map(mul, binomials[n], G[1 : n + 1]), reversed(K))))
+            K.append(sum(b * p[n - i] * K[i] for b, i in steps[n]))
         ch = power_sums(twist, t) if twist is not None else [1]
         total += w * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
     return Fraction(total, den * factorial(N) * c**N)

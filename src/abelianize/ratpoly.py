@@ -8,6 +8,10 @@ zero polynomial is the empty term map, so representations are canonical.
 
 Coefficients are Python ints or `fractions.Fraction`, never floats; integer
 results stay ints, which keeps the common all-integer computations fast.
+Every exact kernel (both product kernels, the series product and
+reciprocal, `eval_series`) clears its denominators once with
+`clear_denominators`, runs on Python ints and builds a `Fraction` only for
+each output coefficient.
 
 `Series` holds a univariate power series with exact rational coefficients,
 long enough to cover a ring's top degree; `eval_series` substitutes a
@@ -20,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, product
 from math import lcm, prod
-from operator import add, lt, mul
+from operator import add, getitem, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -42,6 +46,22 @@ def normalize_coeff(c: Coeff) -> Coeff:
 def _canonical(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
     """The term map with zero coefficients dropped and integral ones as int."""
     return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
+
+
+def clear_denominators(coeffs: Iterable[Coeff]) -> tuple[int, list[int]]:
+    """The lcm d of the coefficients' denominators and each coefficient times
+    d, an int: every exact kernel runs on these and divides by d once."""
+    coeffs = list(coeffs)
+    den = lcm(*[c.denominator for c in coeffs])
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _over(nums: dict[Exponent, Coeff], den: int) -> dict[Exponent, Coeff]:
+    """The canonical term map of nums / den: zeros dropped, one `Fraction`
+    for each coefficient den does not divide."""
+    if den == 1:
+        return {e: c for e, c in nums.items() if c}
+    return {e: c // den if c % den == 0 else Fraction(c, den) for e, c in nums.items() if c}
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -296,15 +316,18 @@ class Poly:
 
 
 def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
-    """Canonical term map of p*q up to `degree`, one term pair at a time.
+    """Canonical term map of p*q up to `degree`, one term pair at a time, on
+    the operands' integer numerators over the product of their denominators.
 
     The right operand's terms are visited by increasing degree so each left
     term stops early.
     """
     truncs = p.ring.truncations
-    right = sorted((sum(e), e, c) for e, c in q.terms.items())
-    out: dict[Exponent, Coeff] = {}
-    for e1, c1 in p.terms.items():
+    den_p, nums_p = clear_denominators(p.terms.values())
+    den_q, nums_q = clear_denominators(q.terms.values())
+    right = sorted(zip(map(sum, q.terms), q.terms, nums_q))
+    out: dict[Exponent, int] = {}
+    for e1, c1 in zip(p.terms, nums_p):
         room = degree - sum(e1)
         for d2, e2, c2 in right:
             if d2 > room:
@@ -312,7 +335,7 @@ def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
             e = tuple(map(add, e1, e2))
             if all(map(lt, e, truncs)):
                 out[e] = out.get(e, 0) + c1 * c2
-    return _canonical(out)
+    return _over(out, den_p * den_q)
 
 
 @lru_cache(maxsize=8)
@@ -335,11 +358,11 @@ def _slot_layout(truncations: Exponent):
 
 
 def _numerators(p: Poly, strides: Exponent, degree: int) -> tuple[int, list[tuple[int, int]]]:
-    """The lcm of p's denominators and (slot, integer numerator) for each
-    term of degree <= `degree`, u_i having stride strides[i]."""
-    kept = [(e, c) for e, c in p.terms.items() if sum(e) <= degree]
-    den = lcm(*(c.denominator for _, c in kept))
-    return den, [(sum(map(mul, e, strides)), c.numerator * (den // c.denominator)) for e, c in kept]
+    """`clear_denominators` of p's terms of degree <= `degree`, each numerator
+    with its slot, u_i having stride strides[i]."""
+    kept = [e for e in p.terms if sum(e) <= degree]
+    den, nums = clear_denominators(map(p.terms.__getitem__, kept))
+    return den, [(sum(map(mul, e, strides)), v) for e, v in zip(kept, nums)]
 
 
 def _pack(nums: list[tuple[int, int]], width: int) -> int:
@@ -385,18 +408,11 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
     span = max(max(s for s, _ in nums_p) + max(s for s, _ in nums_q), slots[-1]) + 1
     offset = int.from_bytes(half.to_bytes(width, "little") * span, "little")
     raw = (_pack(nums_p, width) * _pack(nums_q, width) + offset).to_bytes(span * width, "little")
-    den = den_p * den_q
-    out: dict[Exponent, Coeff] = {}
-    for s, e in zip(islice(slots, ends[min(degree, len(ends) - 1)]), monomials):
-        i = s * width
-        c = int.from_bytes(raw[i : i + width], "little") - half
-        if c:
-            if den != 1:
-                c = Fraction(c, den)
-                if c.denominator == 1:
-                    c = c.numerator
-            out[e] = c
-    return out
+    out = {
+        e: int.from_bytes(raw[s * width : (s + 1) * width], "little") - half
+        for s, e in zip(islice(slots, ends[min(degree, len(ends) - 1)]), monomials)
+    }
+    return _over(out, den_p * den_q)
 
 
 # -- free functions over Poly ----------------------------------------------
@@ -486,27 +502,27 @@ class Series:
 
     def __mul__(self, other: Series) -> Series:
         order = min(self.order, other.order)
+        den_a, a = clear_denominators(self.coeffs[: order + 1])
+        den_b, b = clear_denominators(other.coeffs[: order + 1])
         out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[: order + 1 - i], i):
+                    out[j] += x * y
+        return Series(Fraction(c, den_a * den_b) for c in out)
 
     def reciprocal(self) -> Series:
-        """Series g with self*g = 1 to the same order; needs nonzero constant term."""
-        f0 = self.coeffs[0]
-        if f0 == 0:
+        """Series g with self*g = 1 to the same order; needs nonzero constant
+        term.  With self = F/d, F integral, g_n = d H_n / F_0^(n+1), where H_0
+        = 1 and H_n = -sum_j F_j F_0^(j-1) H_(n-j) over the nonzero F_j."""
+        d, F = clear_denominators(self.coeffs)
+        if F[0] == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = Fraction(1) / Fraction(f0)
-        out: list[Coeff] = [normalize_coeff(inv0)]
-        for n in range(1, len(self.coeffs)):
-            s = sum(self.coeffs[j] * out[n - j] for j in range(1, n + 1))
-            out.append(normalize_coeff(-inv0 * s))
-        return Series(out)
+        steps = [(j, x * F[0] ** (j - 1)) for j, x in enumerate(F) if j and x]
+        H = [1]
+        for n in range(1, len(F)):
+            H.append(-sum(x * H[n - j] for j, x in steps if j <= n))
+        return Series(Fraction(d * h, F[0] ** (n + 1)) for n, h in enumerate(H))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -532,56 +548,44 @@ def exp_series(order: int) -> Series:
 def eval_series(f: Series, x: Poly) -> Poly:
     """Substitute a nilpotent ring element into a series: sum f_j * x^j.
 
-    Finite because x is nilpotent; x must have zero constant term.
+    Finite because x is nilpotent; x must have zero constant term.  With f =
+    F/d, F integral, the sum of F_j x^j is divided by d once.
     """
     if x.constant_term() != 0:
         raise ValueError("series substitution requires a zero constant term")
-    acc = x.ring.constant(f.coeffs[0])
+    d, F = clear_denominators(f.coeffs)
+    acc = x.ring.constant(F[0])
     power = x.ring.one()
-    for j in range(1, len(f.coeffs)):
+    for c in F[1:]:
         power = power * x
         if power.is_zero():
             break
-        c = f.coeffs[j]
         if c:
             acc = acc + power * c
-    return acc
+    return Poly._trusted(x.ring, _over(acc.terms, d))
 
 
 # -- canonical text form ----------------------------------------------------
 
 
-def _render_monomial(e: Exponent) -> str:
-    parts = []
-    for i, x in enumerate(e):
-        if x == 1:
-            parts.append(f"u{i + 1}")
-        elif x > 1:
-            parts.append(f"u{i + 1}^{x}")
-    return "*".join(parts)
-
-
 def render_poly(p: Poly) -> str:
-    """Canonical text: terms in descending lex order on exponent tuples."""
+    """Canonical text: terms in descending lex order on exponent tuples.
+    Each variable power is rendered once per call and the terms joined once."""
     if not p.terms:
         return "0"
+    powers = []
+    for i, n in enumerate(p.ring.truncations, 1):
+        u = f"u{i}"
+        powers.append(["", u, *[f"{u}^{x}" for x in range(2, n)]])
     chunks = []
     for e in sorted(p.terms, reverse=True):
         c = p.terms[e]
-        mon = _render_monomial(e)
-        mag = abs(c)
-        if not mon:
-            body = str(mag)
-        elif mag == 1:
-            body = mon
-        else:
-            body = f"{mag}*{mon}"
-        chunks.append(("-" if c < 0 else "+", body))
-    sign, body = chunks[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+        mon = "*".join(filter(None, map(getitem, powers, e)))
+        mag = -c if c < 0 else c
+        body = f"{mag}*{mon}" if mon and mag != 1 else mon or str(mag)
+        chunks.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def parse_poly(ring: Ring, text: str) -> Poly:

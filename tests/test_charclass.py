@@ -7,7 +7,8 @@ before anything downstream relies on them.
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,9 +20,12 @@ from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_ro
 from abelianize.quotient import (
     QuotientModel,
     SplitBundle,
+    all_points,
     grassmannian_model,
+    integrate_points,
     integrate_torus,
     orbit_points,
+    point_weights,
 )
 from abelianize.charclass import (
     CLASS_SERIES,
@@ -433,6 +437,70 @@ class TestPointRoute:
         assert orbit_points(m, V) is not None
         assert characteristic_number(m, f) == product_characteristic_number(m, f)
         assert index_group(m, V) == product_index(m, V)
+
+
+def dense_integrate_points(m, points, roots, f, V, twist=None):
+    """`integrate_points` by the Fraction recurrence for j l_j and the exp
+    recurrence over every j, as first written; a reference for the integer
+    recurrence that skips the zero l_j."""
+    N = m.ring.top_degree - len(roots)
+    f = f.truncated(N).coeffs
+    dlog = [0] * (N + 1)
+    for j in range(1, N + 1):
+        dlog[j] = j * f[j] - sum(f[i] * dlog[j - i] for i in range(1, j))
+    scaled = [Fraction(factorial(j - 1) * x) for j, x in enumerate(dlog) if j]
+    c = lcm(*(x.denominator for x in scaled))
+    H = [0] + [int(x * c**j) for j, x in enumerate(scaled, 1)]
+
+    def power_sums(bundle, t):
+        return [sum(k * sum(map(mul, w, t)) ** j for w, k in bundle.summands) for j in range(N + 1)]
+
+    pts, den = point_weights(m, points, roots)
+    total = 0
+    for t, w in pts:
+        G = [h * p for h, p in zip(H, power_sums(V, t))]
+        K = [1]
+        for n in range(1, N + 1):
+            K.append(sum(comb(n - 1, j - 1) * G[j] * K[n - j] for j in range(1, n + 1)))
+        ch = power_sums(twist, t) if twist is not None else [1]
+        total += w * sum(comb(N, j) * c**j * x * K[N - j] for j, x in enumerate(ch))
+    return Fraction(total, den * factorial(N) * c**N)
+
+
+@st.composite
+def point_series(draw):
+    """A named class series or a custom one with constant term 1; a custom
+    g(x^s) has log with l_j = 0 off the multiples of s."""
+    kind = draw(st.sampled_from([*CLASS_SERIES, "custom"]))
+    if kind != "custom":
+        return CLASS_SERIES[kind]
+    step = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), max_size=6))
+    spread = [0] * (step * len(coeffs) + 1)
+    spread[0] = 1
+    spread[step::step] = coeffs
+    return lambda order: Series(spread).truncated(order)
+
+
+class TestIntegratePoints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1, 4), (1, 7), (2, 4), (2, 5), (3, 5), (3, 6), (2, 3)]),
+        point_series(),
+        st.sampled_from(["orbits", "all", "torus"]),
+        st.one_of(st.none(), st.tuples(st.integers(-2, 2), st.integers(-2, 3).filter(bool))),
+    )
+    @example((3, 6), lambda order: Series([1, 0, Fraction(1, 2)]).truncated(order), "orbits", None)
+    @example((2, 5), todd_series, "all", (1, 2))
+    def test_matches_the_dense_recurrence(self, kn, series, where, line):
+        m = grassmannian_model(*kn)
+        roots = () if where == "torus" else m.root_data.roots
+        points = orbit_points(m) if where == "orbits" else all_points(m.ring)
+        V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in roots])
+        twist = None if line is None else SplitBundle(m.ring, [((line[0],) * kn[0], line[1])])
+        f = series(m.ring.top_degree)
+        got = integrate_points(m, points, roots, f, V, twist)
+        assert got == dense_integrate_points(m, points, roots, f, V, twist)
 
 
 @st.composite

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +12,7 @@ from abelianize.ratpoly import (
     Ring,
     Series,
     check_permutation,
+    clear_denominators,
     elementary_symmetric,
     eval_series,
     exp_series,
@@ -233,6 +234,37 @@ class TestProductKernels:
             assert a.product_upto(b, 7).terms == schoolbook_upto(a, b, 7)
 
 
+@st.composite
+def fraction_operands(draw):
+    """Two polynomials whose coefficients share and mix denominators, small
+    and large, and a degree to multiply up to."""
+    k = draw(st.integers(1, 3))
+    ring = Ring(k, draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+    exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations))
+    dens = st.sampled_from([1, 2, 3, 6, 7, 2**61 - 1, 3**40])
+    coeffs = st.builds(Fraction, st.integers(-50, 50), dens)
+    poly = st.dictionaries(exps, coeffs, max_size=20).map(lambda t: Poly(ring, t))
+    return draw(poly), draw(poly), draw(st.integers(-1, ring.top_degree))
+
+
+class TestClearedKernels:
+    @given(st.lists(st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=2**64))))
+    def test_clear_denominators(self, coeffs):
+        den, nums = clear_denominators(coeffs)
+        assert den == lcm(*(Fraction(c).denominator for c in coeffs))
+        assert all(type(n) is int and Fraction(n, den) == c for n, c in zip(nums, coeffs))
+        assert len(nums) == len(coeffs)
+
+    @settings(deadline=None)
+    @given(fraction_operands())
+    @example((R22.constant(Fraction(1, 3)), R22.one() * Fraction(3, 2), 2))
+    def test_pair_loop_equals_packed_kernel_on_fractions(self, case):
+        p, q, degree = case
+        pairs = _product_pairs(p, q, degree)
+        assert pairs == _product_packed(p, q, degree) == schoolbook_upto(p, q, degree)
+        assert all(type(c) is int or c.denominator > 1 for c in pairs.values())
+
+
 class TestCoefficients:
     def test_coefficient_examples(self):
         ring = Ring(2, [4, 4])
@@ -367,6 +399,88 @@ class TestPermutationGroup:
         group = closure_by_composition(gens, k)
         assert exponent_orbit(e, gens) == {permute_exponents(e, g) for g in group}
         assert sorted(exponent_orbit(tuple(range(k)), gens)) == group
+
+
+SERIES_COEFFS = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.integers(-(2**80), 2**80),
+    st.fractions(max_denominator=2**64),
+)
+UNITS = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=2**40)).filter(bool)
+
+
+def fraction_product(a, b):
+    """The product of two coefficient lists to the shorter order, in Fractions."""
+    order = min(len(a), len(b)) - 1
+    return [sum(Fraction(a[i]) * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+
+def fraction_reciprocal(f):
+    """1/f to f's order by the Fraction recurrence g_n = -(1/f_0) sum_j f_j g_(n-j)."""
+    g = [1 / Fraction(f[0])]
+    for n in range(1, len(f)):
+        g.append(-g[0] * sum(f[j] * g[n - j] for j in range(1, n + 1)))
+    return g
+
+
+def schoolbook_eval(f, x):
+    """sum f_j x^j with every power formed by the schoolbook product."""
+    top = x.ring.top_degree
+    out = {(0,) * x.ring.k: Fraction(f.coeffs[0])}
+    power = x.ring.one()
+    for c in f.coeffs[1:]:
+        power = Poly(x.ring, schoolbook_upto(power, x, top))
+        for e, v in power.terms.items():
+            out[e] = out.get(e, 0) + c * v
+    return Poly(x.ring, out)
+
+
+@st.composite
+def nilpotents(draw):
+    """A linear form sum c_i u_i, as a Chern root, or any element of
+    positive degree, with rational coefficients."""
+    k = draw(st.integers(1, 3))
+    ring = Ring(k, draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=2**40))
+    if draw(st.booleans()):
+        weights = draw(st.lists(coeffs, min_size=k, max_size=k))
+        return sum((u * c for u, c in zip(ring.gens(), weights)), ring.zero())
+    exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations)).filter(any)
+    return Poly(ring, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+def canonical(coeffs):
+    return all(type(c) is int or c.denominator > 1 for c in coeffs)
+
+
+class TestSeriesKernels:
+    @given(*[st.lists(SERIES_COEFFS, min_size=1, max_size=14)] * 2)
+    @example([Fraction(3, 2), 0, 0, Fraction(1, 7)], [Fraction(2, 3), 0, Fraction(-1, 2**70), 0, 5])
+    def test_product_matches_fractions(self, a, b):
+        product = Series(a) * Series(b)
+        assert product == Series(fraction_product(a, b))
+        assert canonical(product.coeffs)
+
+    @settings(deadline=None)
+    @given(UNITS, st.lists(SERIES_COEFFS, max_size=16))
+    @example(Fraction(3, 2), [0, 0, Fraction(1, 7), 0, Fraction(-5, 2**70), 0])
+    @example(-2, [0, 1, 0, 0, 3])
+    @example(Fraction(1, 6), [])
+    def test_reciprocal_matches_fractions(self, f0, tail):
+        f = Series([f0, *tail])
+        g = f.reciprocal()
+        assert g == Series(fraction_reciprocal(f.coeffs))
+        assert canonical(g.coeffs)
+        assert (f * g).coeffs == (1,) + (0,) * len(tail)
+
+    @settings(deadline=None)
+    @given(nilpotents(), st.lists(SERIES_COEFFS, min_size=1, max_size=16))
+    @example(R22.variable(0) * 2 - R22.variable(1), [1, Fraction(1, 2), 0, Fraction(1, 6)])
+    def test_eval_series_matches_schoolbook(self, x, coeffs):
+        value = eval_series(Series(coeffs), x)
+        assert value == schoolbook_eval(Series(coeffs), x)
+        assert canonical(value.terms.values())
 
 
 class TestSeries:
