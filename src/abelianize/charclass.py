@@ -37,18 +37,18 @@ def todd_series(order: int) -> Series:
     """x/(1 - exp(-x)), as the reciprocal of (1 - exp(-x))/x."""
     e = exp_series(order + 1)
     # (1 - exp(-x))/x has coefficient (-1)^j / (j+1)! at x^j
-    den = Series([(-1) ** j * e.coeffs[j + 1] for j in range(order + 1)])
+    den = Series.over([(-1) ** j * e.nums[j + 1] for j in range(order + 1)], e.den)
     return den.reciprocal()
 
 
 def _cosh_series(order: int) -> Series:
     e = exp_series(order)
-    return Series([e.coeffs[j] if j % 2 == 0 else 0 for j in range(order + 1)])
+    return Series.over([e.nums[j] if j % 2 == 0 else 0 for j in range(order + 1)], e.den)
 
 
 def _sinh_over_x_series(order: int) -> Series:
     e = exp_series(order + 1)
-    return Series([e.coeffs[j + 1] if j % 2 == 0 else 0 for j in range(order + 1)])
+    return Series.over([e.nums[j + 1] if j % 2 == 0 else 0 for j in range(order + 1)], e.den)
 
 
 def l_class_series(order: int) -> Series:
@@ -60,7 +60,7 @@ def tanh_series(order: int) -> Series:
     """tanh(x) = sinh(x)/cosh(x), which is x/(x/tanh x): the root factor of the
     L-class, a reference for x/f(x) built from sinh and cosh."""
     e = exp_series(order)
-    sinh = Series([e.coeffs[j] if j % 2 == 1 else 0 for j in range(order + 1)])
+    sinh = Series.over([e.nums[j] if j % 2 == 1 else 0 for j in range(order + 1)], e.den)
     return sinh * _cosh_series(order).reciprocal()
 
 
@@ -68,7 +68,7 @@ def euler_factor_series(order: int) -> Series:
     """x/(1+x), the root factor of the total Chern class, a reference for
     x/f(x) built from the geometric series."""
     geom = Series([1, 1]).truncated(order).reciprocal()
-    return Series([0] + list(geom.coeffs[:order]))
+    return Series.over([0, *geom.nums[:order]], geom.den)
 
 
 #: Named multiplicative series usable in characteristic-number computations.
@@ -86,17 +86,19 @@ def mult_class(f: Series, V: SplitBundle) -> Poly:
     """Apply a multiplicative series to a split bundle.
 
     Each summand contributes f(root)^multiplicity, root being the Euler class
-    of its weight; negative multiplicities go through the series reciprocal,
+    of its weight: the series is raised to the power before it is
+    substituted.  Negative multiplicities go through the series reciprocal,
     so virtual bundles are supported.
     """
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
     f = f.truncated(V.ring.top_degree)
-    f_inv = f.reciprocal() if any(mult < 0 for _, mult in V.summands) else None
+    powers: dict[int, Series] = {}  # f^mult, once for each multiplicity
     out = V.ring.one()
     for w, mult in V.summands:
-        g = f if mult > 0 else f_inv
-        out = out * eval_series(g, root_euler_class(V.ring, w)) ** abs(mult)
+        if mult not in powers:
+            powers[mult] = (f if mult > 0 else f.reciprocal()) ** abs(mult)
+        out = out * eval_series(powers[mult], root_euler_class(V.ring, w))
     return out
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, getitem, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
-from .ratpoly import Perm, Poly, Ring, Series, check_permutation, clear_denominators, rat
+from .ratpoly import Perm, Poly, Ring, Series, check_permutation, rat
 from .rootdata import RootData, Subgroup, as_weight, e_product, one_based, unitary_roots
 
 
@@ -237,25 +237,27 @@ def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
     The product is never formed in full.  Factors are taken smallest first;
     each partial product keeps only the degrees that can still reach the top
     once the lowest degrees of the remaining factors are added, and the
-    largest factor is paired with it by complementary exponents.
+    largest factor's numerators are paired with it by complementary
+    exponents, so the one `Fraction` is the value.
     """
-    factors = sorted((p, *factors), key=lambda f: len(f.terms))
+    factors = sorted((p, *factors), key=lambda f: len(f.nums))
     if any(f.ring != m.ring for f in factors):
         raise ValueError("polynomial lives in the wrong ring")
-    if not factors[0].terms:  # sorted, so a zero factor comes first
+    if not factors[0].nums:  # sorted, so a zero factor comes first
         return Fraction(0)
     top = m.ring.top_exponents
     *head, last = factors
     if not head:
-        return Fraction(last.terms.get(top, 0))
-    lows = [min(map(sum, f.terms)) for f in factors]
+        return last.coefficient(top)
+    lows = [min(map(sum, f.nums)) for f in factors]
     degree = m.ring.top_degree - sum(lows[1:])  # highest degree that can still reach the top
     acc = head[0]
     for f, low in zip(head[1:], lows[1:]):
         degree += low
         acc = acc.product_upto(f, degree)
-    pair = last.terms.get
-    return Fraction(sum(c * pair(tuple(map(sub, top, e)), 0) for e, c in acc.terms.items()))
+    pair = last.nums.get
+    total = sum(c * pair(tuple(map(sub, top, e)), 0) for e, c in acc.nums.items())
+    return Fraction(total, acc.den * last.den)
 
 
 def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...], int] | None:
@@ -333,10 +335,11 @@ def integrate_points(
     - #roots, l = log f and p_j the j-th power sum of V's weights at t.  With
     c the lcm of the denominators of (j-1)! j l_j, K_n = n! c^n [lam^n]
     exp(...) = sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j} over the j with
-    l_j != 0.  With f = F/d, F integral, x F' = F * sum_j j l_j x^j gives j l_j
-    = L_j / F_0^j in one integer recurrence."""
+    l_j != 0; where those j share a factor g, so do the n with K_n != 0, and
+    only those are kept.  With f = F/d, x F' = F * sum_j j l_j x^j gives j
+    l_j = L_j / F_0^j in one integer recurrence."""
     N = m.ring.top_degree - len(roots)
-    _, F = clear_denominators(f.truncated(N).coeffs)
+    F = f.truncated(N).nums
     s = [0] + [x * F[0] ** (i - 1) for i, x in enumerate(F[1:], 1)]
     L = [0]  # L_j = j s_j - sum_i s_i L_{j-i}, s_i = F_i F_0^(i-1)
     for j in range(1, N + 1):
@@ -344,6 +347,7 @@ def integrate_points(
     scaled = [Fraction(factorial(j - 1) * x, F[0] ** j) for j, x in enumerate(L[1:], 1)]
     c = lcm(*(x.denominator for x in scaled))
     H = [x.numerator * (c**j // x.denominator) for j, x in enumerate(scaled, 1)]
+    g = gcd(*(j for j, h in enumerate(H, 1) if h)) or N + 1
     # K_n's terms as (C(n-1, j-1) H_j, n - j), j = i + 1, the zero H_j left out
     steps = [
         [(comb(n - 1, i) * h, n - 1 - i) for i, h in enumerate(H[:n]) if h] for n in range(N + 1)
@@ -364,9 +368,9 @@ def integrate_points(
     total = 0
     for t, w in pts:
         p = power_sums(V, t)
-        K = [1]
-        for n in range(1, N + 1):
-            K.append(sum(b * p[n - i] * K[i] for b, i in steps[n]))
+        K = [1] + [0] * N
+        for n in range(g, N + 1, g):
+            K[n] = sum(b * p[n - i] * K[i] for b, i in steps[n])
         ch = power_sums(twist, t) if twist is not None else [1]
         total += w * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
     return Fraction(total, den * factorial(N) * c**N)

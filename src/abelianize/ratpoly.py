@@ -1,30 +1,31 @@
 """Exact sparse polynomial arithmetic in truncated rational coefficient rings.
 
 A ring Q[u1,...,uk]/(u1^n1, ..., uk^nk) is described by a `Ring`; its
-elements are `Poly` values storing a sparse map from exponent tuples to
+elements are `Poly` values, sparse maps from exponent tuples to exact
 rational coefficients.  Every variable has degree 1 (half the cohomological
 degree), truncation is applied eagerly on every arithmetic result, and the
-zero polynomial is the empty term map, so representations are canonical.
+zero polynomial has no terms, so representations are canonical.
 
-Coefficients are Python ints or `fractions.Fraction`, never floats; integer
-results stay ints, which keeps the common all-integer computations fast.
-Every exact kernel (both product kernels, the series product and
-reciprocal, `eval_series`) clears its denominators once with
-`clear_denominators`, runs on Python ints and builds a `Fraction` only for
-each output coefficient.
+A `Poly` stores integer numerators over one positive denominator (`nums`,
+`den`): no zero numerator, and gcd(den, numerators) = 1.  Every kernel
+(addition, scalar multiples, both product kernels, `inverse`,
+`eval_series`) takes and returns numerators and reduces by one gcd, so no
+`Fraction` is built inside the arithmetic.  `terms`, the rational view
+(Python ints or `fractions.Fraction`, never floats), is built on first read;
+`coefficient` and `constant_term` build one `Fraction` per call.
 
-`Series` holds a univariate power series with exact rational coefficients,
-long enough to cover a ring's top degree; `eval_series` substitutes a
-nilpotent ring element into a series.
+`Series` holds a univariate power series the same way, numerators over one
+denominator, long enough to cover a ring's top degree; `eval_series`
+substitutes a nilpotent ring element into a series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, product
-from math import lcm, prod
-from operator import add, getitem, lt, mul
+from itertools import accumulate, combinations, islice, product
+from math import comb, gcd, lcm, prod
+from operator import add, getitem, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -43,25 +44,18 @@ def normalize_coeff(c: Coeff) -> Coeff:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
-def _canonical(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
-    """The term map with zero coefficients dropped and integral ones as int."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
-
-
 def clear_denominators(coeffs: Iterable[Coeff]) -> tuple[int, list[int]]:
     """The lcm d of the coefficients' denominators and each coefficient times
-    d, an int: every exact kernel runs on these and divides by d once."""
+    d, an int: the numerators a `Poly` or `Series` stores, with gcd 1 when the
+    coefficients are reduced."""
     coeffs = list(coeffs)
     den = lcm(*[c.denominator for c in coeffs])
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _over(nums: dict[Exponent, Coeff], den: int) -> dict[Exponent, Coeff]:
-    """The canonical term map of nums / den: zeros dropped, one `Fraction`
-    for each coefficient den does not divide."""
-    if den == 1:
-        return {e: c for e, c in nums.items() if c}
-    return {e: c // den if c % den == 0 else Fraction(c, den) for e, c in nums.items() if c}
+def _rational(num: int, den: int) -> Coeff:
+    """num / den as an int where den divides it, else as a `Fraction`."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -114,7 +108,7 @@ class Ring:
         return Poly(self, {})
 
     def one(self) -> Poly:
-        return Poly(self, {(0,) * self.k: 1})
+        return Poly._trusted(self, {(0,) * self.k: 1})
 
     def constant(self, c: Coeff) -> Poly:
         return Poly(self, {(0,) * self.k: c})
@@ -154,11 +148,14 @@ class Ring:
 class Poly:
     """A sparse polynomial in a truncated ring; immutable by convention.
 
-    The term map never stores zero coefficients or monomials that violate the
-    ring's truncation, so equal polynomials have identical maps.
+    Stored as `nums`, a map from in-ring exponent tuples to nonzero integer
+    numerators, over `den`, one positive denominator with gcd(den, nums) = 1,
+    so equal polynomials have identical maps.  `terms` is the rational view,
+    exponent tuple to int or `Fraction`, built on first read; `nums` and `den`
+    are for kernels that divide once at the end.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "nums", "den", "_terms")
 
     def __init__(self, ring: Ring, terms: dict[Exponent, Coeff] | None = None):
         tidy: dict[Exponent, Coeff] = {}
@@ -175,32 +172,53 @@ class Poly:
                 c = normalize_coeff(c)
                 if c:
                     tidy[e] = c
-        self.ring = ring
-        self.terms = tidy
+        self.ring, self.nums, self.den, self._terms = ring, tidy, 1, tidy
+        if not all(isinstance(c, int) for c in tidy.values()):
+            self.den, nums = clear_denominators(tidy.values())
+            self.nums = dict(zip(tidy, nums))
 
     @classmethod
-    def _trusted(cls, ring: Ring, terms: dict[Exponent, Coeff]) -> Poly:
-        """Wrap a term map that is already canonical: in-ring exponent tuples,
-        nonzero coefficients, integral ones as int.  Skips every check."""
+    def _trusted(cls, ring: Ring, nums: dict[Exponent, int], den: int = 1) -> Poly:
+        """Wrap numerators that are already canonical: in-ring exponent
+        tuples, nonzero ints, den > 0 and gcd(den, nums) = 1.  Skips every check."""
         p = cls.__new__(cls)
-        p.ring = ring
-        p.terms = terms
+        p.ring, p.nums, p.den, p._terms = ring, nums, den, None
         return p
+
+    @classmethod
+    def _reduced(cls, ring: Ring, nums: dict[Exponent, int], den: int) -> Poly:
+        """The polynomial nums / den, den nonzero: zero numerators dropped,
+        the sign moved to the numerators and their common factor with den
+        divided out."""
+        nums = {e: c for e, c in nums.items() if c}
+        g = 1 if den == 1 else gcd(den, *nums.values()) * (1 if den > 0 else -1)
+        if g != 1:
+            nums, den = {e: c // g for e, c in nums.items()}, den // g
+        return cls._trusted(ring, nums, den)
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponent, Coeff]:
+        """The rational view: each coefficient an int, or a `Fraction` where
+        den does not divide its numerator."""
+        if self._terms is None:
+            den, nums = self.den, self.nums
+            self._terms = nums if den == 1 else {e: _rational(c, den) for e, c in nums.items()}
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get((0,) * self.ring.k, 0))
+        return Fraction(self.nums.get((0,) * self.ring.k, 0), self.den)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         """Exact coefficient of a monomial; the monomial must be valid in the ring."""
         e = tuple(exponents)
         if not self.ring.valid_exponents(e):
             raise ValueError(f"monomial {e} is not valid in {self.ring!r}")
-        return Fraction(self.terms.get(e, 0))
+        return Fraction(self.nums.get(e, 0), self.den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -214,15 +232,17 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly._trusted(self.ring, _canonical(out))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: c * a for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * b
+        return Poly._reduced(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: Poly | Coeff) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -237,15 +257,16 @@ class Poly:
     def __mul__(self, other: Poly | Coeff) -> Poly:
         if isinstance(other, (int, Fraction)):
             c = normalize_coeff(other)
-            if not c:
-                return self.ring.zero()
-            scaled = {e: cc * c for e, cc in self.terms.items()}
-            return Poly._trusted(self.ring, _canonical(scaled))
+            return self._scaled(c.numerator, c.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.product_upto(other, self.ring.top_degree)
 
     __rmul__ = __mul__
+
+    def _scaled(self, num: int, den: int) -> Poly:
+        """self * num / den, den nonzero."""
+        return Poly._reduced(self.ring, {e: c * num for e, c in self.nums.items()}, self.den * den)
 
     def product_upto(self, other: Poly, degree: int) -> Poly:
         """The product with every term of total degree above `degree` dropped.
@@ -257,16 +278,16 @@ class Poly:
         packed into two integers.
         """
         self._check_ring(other)
-        if len(self.terms) * len(other.terms) <= prod(self.ring.truncations):
+        if len(self.nums) * len(other.nums) <= prod(self.ring.truncations):
             kernel = _product_pairs
         else:
             kernel = _product_packed
-        return Poly._trusted(self.ring, kernel(self, other, degree))
+        return Poly._reduced(self.ring, kernel(self, other, degree), self.den * other.den)
 
     def __truediv__(self, scalar: Coeff) -> Poly:
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
             raise ValueError(f"can only divide by a nonzero exact scalar, got {scalar!r}")
-        return self * (Fraction(1) / Fraction(scalar))
+        return self._scaled(scalar.denominator, scalar.numerator)
 
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
@@ -282,28 +303,30 @@ class Poly:
         return result
 
     def inverse(self) -> Poly:
-        """Multiplicative inverse; exists iff the constant term c is nonzero.
-        Built degree by degree: with p_j the degree-j part of p, the degree-d
-        part of the inverse is g_d = -(1/c) sum_{j=1..d} p_j g_{d-j}."""
-        ring, c = self.ring, self.constant_term()
-        if c == 0:
+        """Multiplicative inverse; exists iff the constant term is nonzero.
+        One pass over the box by degree, on numerators: with self = P/d, H_0
+        = 1 and H_e = -sum_f P_f P_0^(|f|-1) H_(e-f) over the nonzero f <= e,
+        and the coefficient at e is d H_e / P_0^(|e|+1)."""
+        ring, zero = self.ring, (0,) * self.ring.k
+        p0, top = self.nums.get(zero, 0), ring.top_degree
+        if not p0:
             raise ValueError("polynomial with zero constant term is not invertible")
-        terms: list[dict[Exponent, Coeff]] = [{} for _ in range(ring.top_degree + 1)]
-        for e, x in self.terms.items():
-            terms[sum(e)][e] = x
-        p = [Poly._trusted(ring, t) for t in terms]
-        g = [ring.constant(1 / c)]
-        for d in range(1, ring.top_degree + 1):
-            parts = (p[j].product_upto(g[d - j], d) for j in range(1, d + 1) if p[j].terms)
-            g.append(sum(parts, ring.zero()) * (-1 / c))
-        return Poly._trusted(ring, {e: x for part in g for e, x in part.terms.items()})
+        steps = [(f, c * p0 ** (sum(f) - 1)) for f, c in self.nums.items() if f != zero]
+        H = {zero: 1}
+        for e in _slot_layout(ring.truncations)[1][1:]:  # by degree, after zero
+            # e - f outside the box has a negative entry, so it is not in H
+            h = -sum(c * H.get(tuple(map(sub, e, f)), 0) for f, c in steps)
+            if h:
+                H[e] = h
+        nums = {e: self.den * h * p0 ** (top - sum(e)) for e, h in H.items()}
+        return Poly._reduced(ring, nums, p0 ** (top + 1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.nums == other.nums
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -315,19 +338,17 @@ class Poly:
 # -- the two multiplication kernels of Poly.product_upto --------------------
 
 
-def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
-    """Canonical term map of p*q up to `degree`, one term pair at a time, on
-    the operands' integer numerators over the product of their denominators.
+def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
+    """Numerators of p*q up to `degree` over p.den * q.den, unreduced, one
+    term pair at a time.
 
     The right operand's terms are visited by increasing degree so each left
     term stops early.
     """
     truncs = p.ring.truncations
-    den_p, nums_p = clear_denominators(p.terms.values())
-    den_q, nums_q = clear_denominators(q.terms.values())
-    right = sorted(zip(map(sum, q.terms), q.terms, nums_q))
+    right = sorted(zip(map(sum, q.nums), q.nums, q.nums.values()))
     out: dict[Exponent, int] = {}
-    for e1, c1 in zip(p.terms, nums_p):
+    for e1, c1 in p.nums.items():
         room = degree - sum(e1)
         for d2, e2, c2 in right:
             if d2 > room:
@@ -335,7 +356,7 @@ def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
             e = tuple(map(add, e1, e2))
             if all(map(lt, e, truncs)):
                 out[e] = out.get(e, 0) + c1 * c2
-    return _over(out, den_p * den_q)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -357,14 +378,6 @@ def _slot_layout(truncations: Exponent):
     return strides, monomials, slots, tuple(accumulate(per_degree))
 
 
-def _numerators(p: Poly, strides: Exponent, degree: int) -> tuple[int, list[tuple[int, int]]]:
-    """`clear_denominators` of p's terms of degree <= `degree`, each numerator
-    with its slot, u_i having stride strides[i]."""
-    kept = [e for e in p.terms if sum(e) <= degree]
-    den, nums = clear_denominators(map(p.terms.__getitem__, kept))
-    return den, [(sum(map(mul, e, strides)), v) for e, v in zip(kept, nums)]
-
-
 def _pack(nums: list[tuple[int, int]], width: int) -> int:
     """sum(v * 256**(width * slot)) over (slot, v); every |v| < 256**width."""
     size = (max(s for s, _ in nums) + 1) * width
@@ -379,10 +392,11 @@ def _pack(nums: list[tuple[int, int]], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
-    """Canonical term map of p*q up to `degree`, by Kronecker substitution.
+def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
+    """Numerators of p*q up to `degree` over p.den * q.den, unreduced, by
+    Kronecker substitution.
 
-    Both operands, their denominators cleared, become one integer each with
+    Both operands' numerators become one integer each with
     a fixed-width signed slot per monomial (`_slot_layout`);
     one big-integer product holds every coefficient of p*q.  A slot of the
     product sums at most min(#p, #q) pairs, so its value lies within bound =
@@ -390,11 +404,13 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
     spare hold it.  Adding 2**(8*width - 1) to every slot makes each one a
     nonnegative byte string, so one `to_bytes` decodes them all.
     """
-    if degree < 0 or not p.terms or not q.terms:
+    if degree < 0 or not p.nums or not q.nums:
         return {}
     strides, monomials, slots, ends = _slot_layout(p.ring.truncations)
-    den_p, nums_p = _numerators(p, strides, degree)
-    den_q, nums_q = _numerators(q, strides, degree)
+    nums_p, nums_q = (
+        [(sum(map(mul, e, strides)), v) for e, v in f.nums.items() if sum(e) <= degree]
+        for f in (p, q)
+    )
     if not nums_p or not nums_q:
         return {}
     bound = (
@@ -408,11 +424,10 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, Coeff]:
     span = max(max(s for s, _ in nums_p) + max(s for s, _ in nums_q), slots[-1]) + 1
     offset = int.from_bytes(half.to_bytes(width, "little") * span, "little")
     raw = (_pack(nums_p, width) * _pack(nums_q, width) + offset).to_bytes(span * width, "little")
-    out = {
+    return {
         e: int.from_bytes(raw[s * width : (s + 1) * width], "little") - half
         for s, e in zip(islice(slots, ends[min(degree, len(ends) - 1)]), monomials)
     }
-    return _over(out, den_p * den_q)
 
 
 # -- free functions over Poly ----------------------------------------------
@@ -422,15 +437,8 @@ def elementary_symmetric(ring: Ring, i: int) -> Poly:
     """The i-th elementary symmetric polynomial of the ring variables."""
     if not 0 <= i <= ring.k:
         raise ValueError(f"elementary symmetric index {i} out of range 0..{ring.k}")
-    from itertools import combinations
-
-    terms: dict[Exponent, Coeff] = {}
-    for combo in combinations(range(ring.k), i):
-        e = [0] * ring.k
-        for j in combo:
-            e[j] = 1
-        terms[tuple(e)] = 1
-    return Poly(ring, terms)
+    subsets = combinations(range(ring.k), i)
+    return Poly(ring, {tuple(int(j in combo) for j in range(ring.k)): 1 for combo in subsets})
 
 
 # -- permutation actions on variables -------------------------------------
@@ -453,7 +461,7 @@ def permute_exponents(e: Exponent, perm: Perm) -> Exponent:
 
 def permute_poly(p: Poly, perm: Sequence[int]) -> Poly:
     perm = check_permutation(perm, p.ring.k)
-    return Poly(p.ring, {permute_exponents(e, perm): c for e, c in p.terms.items()})
+    return Poly._trusted(p.ring, {permute_exponents(e, perm): c for e, c in p.nums.items()}, p.den)
 
 
 def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponent]:
@@ -476,93 +484,124 @@ def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponen
 
 
 class Series:
-    """Coefficients c_0..c_D of an exact univariate power series."""
+    """Coefficients c_0..c_D of an exact univariate power series, stored as a
+    `Poly` stores its terms: integer numerators `nums` over one positive
+    denominator `den`, gcd(den, nums) = 1.  `coeffs` is the rational view."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Coeff]):
-        self.coeffs = tuple(normalize_coeff(c) for c in coeffs)
-        if not self.coeffs:
+        self.den, nums = clear_denominators([normalize_coeff(c) for c in coeffs])
+        self.nums = tuple(nums)
+        if not self.nums:
             raise ValueError("a series needs at least its constant coefficient")
+
+    @classmethod
+    def over(cls, nums: Iterable[int], den: int) -> Series:
+        """The series with coefficients nums[j] / den, den nonzero."""
+        nums = tuple(nums)
+        g = gcd(den, *nums) * (1 if den > 0 else -1)
+        s = cls.__new__(cls)
+        s.nums, s.den = tuple(c // g for c in nums), den // g
+        return s
+
+    @property
+    def coeffs(self) -> tuple[Coeff, ...]:
+        return tuple(_rational(c, self.den) for c in self.nums)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def constant_term(self) -> Coeff:
-        return self.coeffs[0]
+        return _rational(self.nums[0], self.den)
 
     def truncated(self, order: int) -> Series:
         """Same series cut or zero-padded to the given order."""
-        cs = self.coeffs[: order + 1]
-        if len(cs) < order + 1:
-            cs = cs + (0,) * (order + 1 - len(cs))
-        return Series(cs)
+        nums = self.nums[: order + 1]
+        return Series.over(nums + (0,) * (order + 1 - len(nums)), self.den)
 
     def __mul__(self, other: Series) -> Series:
         order = min(self.order, other.order)
-        den_a, a = clear_denominators(self.coeffs[: order + 1])
-        den_b, b = clear_denominators(other.coeffs[: order + 1])
         out = [0] * (order + 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(self.nums[: order + 1]):
             if x:
-                for j, y in enumerate(b[: order + 1 - i], i):
+                for j, y in enumerate(other.nums[: order + 1 - i], i):
                     out[j] += x * y
-        return Series(Fraction(c, den_a * den_b) for c in out)
+        return Series.over(out, self.den * other.den)
+
+    def __pow__(self, n: int) -> Series:
+        out = Series.over((1,) + (0,) * self.order, 1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def reciprocal(self) -> Series:
         """Series g with self*g = 1 to the same order; needs nonzero constant
-        term.  With self = F/d, F integral, g_n = d H_n / F_0^(n+1), where H_0
-        = 1 and H_n = -sum_j F_j F_0^(j-1) H_(n-j) over the nonzero F_j."""
-        d, F = clear_denominators(self.coeffs)
+        term.  With self = F/d, g_n = d H_n / F_0^(n+1), where H_0 = 1 and
+        H_n = -sum_j F_j F_0^(j-1) H_(n-j) over the nonzero F_j."""
+        d, F = self.den, self.nums
         if F[0] == 0:
             raise ValueError("series with zero constant term has no reciprocal")
         steps = [(j, x * F[0] ** (j - 1)) for j, x in enumerate(F) if j and x]
         H = [1]
         for n in range(1, len(F)):
             H.append(-sum(x * H[n - j] for j, x in steps if j <= n))
-        return Series(Fraction(d * h, F[0] ** (n + 1)) for n, h in enumerate(H))
+        N = self.order
+        return Series.over([d * h * F[0] ** (N - n) for n, h in enumerate(H)], F[0] ** (N + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
-        suffix = ", ..." if len(self.coeffs) > 8 else ""
+        suffix = ", ..." if len(self.nums) > 8 else ""
         return f"Series([{shown}{suffix}])"
 
 
 def exp_series(order: int) -> Series:
-    """exp(x) to the given order: coefficients 1/j!."""
-    coeffs: list[Coeff] = [1]
-    fact = 1
-    for j in range(1, order + 1):
-        fact *= j
-        coeffs.append(Fraction(1, fact))
-    return Series(coeffs)
+    """exp(x) to the given order: coefficients 1/j!, as order!/j! over order!."""
+    nums = list(accumulate(range(order, 0, -1), mul, initial=1))[::-1]
+    return Series.over(nums, nums[0])
 
 
 def eval_series(f: Series, x: Poly) -> Poly:
     """Substitute a nilpotent ring element into a series: sum f_j * x^j.
 
     Finite because x is nilpotent; x must have zero constant term.  With f =
-    F/d, F integral, the sum of F_j x^j is divided by d once.
+    F/d, a linear form x = sum_i w_i u_i / c, as every Chern root, takes one
+    pass over the box: the coefficient at e is F_|e| multinomial(e) prod_i
+    w_i^e_i c^(top - |e|) over d c^top, top the highest degree kept, the
+    multinomial built one variable at a time.  Any other x sums F_j x^j by
+    products and divides by d once.
     """
-    if x.constant_term() != 0:
+    ring, F = x.ring, f.nums
+    if (0,) * ring.k in x.nums:
         raise ValueError("series substitution requires a zero constant term")
-    d, F = clear_denominators(f.coeffs)
-    acc = x.ring.constant(F[0])
-    power = x.ring.one()
+    if all(sum(e) == 1 for e in x.nums):
+        top = min(f.order, ring.top_degree)
+        w = {e.index(1): c for e, c in x.nums.items()}
+        partial = [((), 0, 1)]  # (exponents so far, their degree, multinomial * prod w^e)
+        for i, n in enumerate(ring.truncations):
+            c = w.get(i, 0)
+            partial = [
+                (e + (a,), j + a, v * comb(j + a, a) * c**a)
+                for e, j, v in partial
+                for a in range(min(n - 1, top - j) + 1 if c else 1)
+            ]
+        nums = {e: F[j] * v * x.den ** (top - j) for e, j, v in partial}
+        return Poly._reduced(ring, nums, f.den * x.den**top)
+    acc, power = ring.constant(F[0]), ring.one()
     for c in F[1:]:
         power = power * x
         if power.is_zero():
             break
         if c:
             acc = acc + power * c
-    return Poly._trusted(x.ring, _over(acc.terms, d))
+    return acc._scaled(1, f.den)
 
 
 # -- canonical text form ----------------------------------------------------

@@ -223,13 +223,7 @@ def root_euler_class(ring: Ring, w: Sequence[int]) -> Poly:
     w = tuple(w)
     if len(w) != ring.k:
         raise ValueError(f"weight length {len(w)} does not match {ring.k} variables")
-    terms = {}
-    for i, c in enumerate(w):
-        if c:
-            e = [0] * ring.k
-            e[i] = 1
-            terms[tuple(e)] = c
-    return Poly(ring, terms)
+    return Poly(ring, {tuple(int(j == i) for j in range(ring.k)): c for i, c in enumerate(w) if c})
 
 
 def e_product(ring: Ring, weights: Iterable[Sequence[int]]) -> Poly:

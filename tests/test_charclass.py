@@ -322,6 +322,47 @@ class TestIndex:
         assert index_group_two_term(whole, V) == index_torus(m, V)
 
 
+class TestFractionsOnlyAtTheEnd:
+    """The product route keeps integer numerators throughout: the only
+    `Fraction` it builds is the value it returns."""
+
+    @staticmethod
+    def built_during(call):
+        """The result of call() and the arguments of every `Fraction` built
+        while it ran."""
+        original, built = Fraction.__dict__["__new__"], []
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = spy
+        try:
+            return call(), built
+        finally:
+            Fraction.__new__ = original
+
+    def test_two_term_index_builds_only_its_value(self):
+        # G(3,6), orbifold prefactor 2, the U(2)xU(1) block on u1, u2
+        m = grassmannian_model(3, 6)
+        rd = m.root_data
+        block = Subgroup((rd.roots[0], rd.roots[2]), 2)
+        rel = QuotientModel(m.ring, rd, m.tangent_bundle, 2, subgroup=block).relative()
+        V = SplitBundle(rel.ring, [((1, 0, -1), 1)])
+        value, built = self.built_during(lambda: index_group_two_term(rel, V))
+        assert len(built) == 1
+        assert value == index_group(rel, V)
+
+    def test_inverse_builds_none(self):
+        ring = grassmannian_model(3, 7).ring
+        total_chern = ring.one()
+        for u in ring.gens():
+            total_chern = total_chern * (ring.one() + u)
+        inverse, built = self.built_during(total_chern.inverse)
+        assert built == []
+        assert inverse * total_chern == ring.one()
+
+
 class TestCharacteristicNumbers:
     def test_euler_examples(self):
         assert euler_characteristic(grassmannian_model(1, 6)) == 6

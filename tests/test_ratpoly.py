@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -182,6 +182,12 @@ def schoolbook_upto(p, q, degree):
     return Poly(p.ring, out).terms
 
 
+def kernel_terms(kernel, p, q, degree):
+    """A kernel's numerators over p.den * q.den, reduced to the canonical
+    rational term map."""
+    return Poly._reduced(p.ring, kernel(p, q, degree), p.den * q.den).terms
+
+
 R1 = Ring(1, [6])
 R22 = Ring(2, [3, 3])
 R4 = Ring(4, [2, 3, 2, 2])
@@ -204,12 +210,12 @@ class TestProductKernels:
     @example(((R444.one() + V1 + V2 / 2 + V3) ** 3, V1**2 + V2 - V3**3 / 5, 7))
     def test_packed_kernel_equals_pair_loop(self, case):
         p, q, degree = case
-        pairs = _product_pairs(p, q, degree)
-        assert _product_packed(p, q, degree) == pairs
+        pairs = kernel_terms(_product_pairs, p, q, degree)
+        assert kernel_terms(_product_packed, p, q, degree) == pairs
         assert pairs == schoolbook_upto(p, q, degree)
         # canonical maps: integral coefficients are ints, so render is unchanged
         for kernel in (_product_pairs, _product_packed):
-            for c in kernel(p, q, degree).values():
+            for c in kernel_terms(kernel, p, q, degree).values():
                 assert type(c) is int or c.denominator > 1
 
     def test_tight_dense_fills_the_slot_width(self):
@@ -260,9 +266,143 @@ class TestClearedKernels:
     @example((R22.constant(Fraction(1, 3)), R22.one() * Fraction(3, 2), 2))
     def test_pair_loop_equals_packed_kernel_on_fractions(self, case):
         p, q, degree = case
-        pairs = _product_pairs(p, q, degree)
-        assert pairs == _product_packed(p, q, degree) == schoolbook_upto(p, q, degree)
+        pairs = kernel_terms(_product_pairs, p, q, degree)
+        assert pairs == kernel_terms(_product_packed, p, q, degree) == schoolbook_upto(p, q, degree)
         assert all(type(c) is int or c.denominator > 1 for c in pairs.values())
+
+
+# -- every Poly operation against plain Fraction dicts ------------------------
+
+
+def ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b, truncs, degree):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= degree and all(x < n for x, n in zip(e, truncs)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_power(a, n, truncs):
+    out = {(0,) * len(truncs): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a, truncs, sum(truncs))
+    return out
+
+
+def ref_inverse(a, truncs):
+    """1/a = (1/c) sum_j q^j with a = c (1 - q), q nilpotent."""
+    zero = (0,) * len(truncs)
+    c = a[zero]
+    q = ref_clean({e: -x / c for e, x in a.items() if e != zero})
+    total, power = {zero: 1 / c}, {zero: 1 / c}
+    for _ in range(sum(truncs)):
+        power = ref_mul(power, q, truncs, sum(truncs))
+        total = ref_add(total, power)
+    return total
+
+
+def ref_eval(coeffs, x, truncs):
+    zero = (0,) * len(truncs)
+    total, power = ref_clean({zero: coeffs[0]}), {zero: Fraction(1)}
+    for c in coeffs[1:]:
+        power = ref_mul(power, x, truncs, sum(truncs))
+        total = ref_add(total, {e: c * v for e, v in power.items()})
+    return total
+
+
+def assert_canonical(p, expected):
+    """p is in canonical form, equals the reference term map, and `==`
+    agrees with `terms`."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert all(p.ring.valid_exponents(e) for e in p.nums)
+    assert p.terms == expected
+    assert all(type(c) is int or c.denominator > 1 for c in p.terms.values())
+    assert {e: Fraction(c, p.den) for e, c in p.nums.items()} == expected
+    q = Poly(p.ring, expected)
+    assert p == q and p.terms == q.terms
+    shifted = q + 1
+    assert (p == shifted) == (p.terms == shifted.terms)
+
+
+REF_COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 7, 2**61 - 1])),
+)
+
+
+@st.composite
+def ref_ring_and_polys(draw):
+    k = draw(st.integers(1, 3))
+    ring = Ring(k, draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+    exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations))
+    terms = st.dictionaries(exps, REF_COEFFS, max_size=14)
+    return ring, draw(terms), draw(terms)
+
+
+class TestAgainstFractionDicts:
+    @settings(max_examples=60, deadline=None)
+    @given(ref_ring_and_polys(), REF_COEFFS.filter(bool), st.data())
+    def test_every_operation_matches_the_reference(self, case, c, data):
+        ring, a, b = case
+        truncs = ring.truncations
+        p, q = Poly(ring, a), Poly(ring, b)
+        a, b = ref_clean(p.terms), ref_clean(q.terms)  # truncated and summed
+        assert_canonical(p, a)
+        assert_canonical(p + q, ref_add(a, b))
+        assert_canonical(p - q, ref_add(a, {e: -x for e, x in b.items()}))
+        assert_canonical(-p, ref_clean({e: -x for e, x in a.items()}))
+        assert_canonical(p * c, ref_clean({e: x * c for e, x in a.items()}))
+        assert_canonical(c * p, ref_clean({e: x * c for e, x in a.items()}))
+        assert_canonical(p / c, ref_clean({e: x / c for e, x in a.items()}))
+        assert_canonical(p * 0, {})
+        degree = data.draw(st.integers(-1, ring.top_degree))
+        expected = ref_mul(a, b, truncs, degree)
+        assert_canonical(p.product_upto(q, degree), expected)
+        for kernel in (_product_pairs, _product_packed):
+            assert_canonical(Poly._reduced(ring, kernel(p, q, degree), p.den * q.den), expected)
+        n = data.draw(st.integers(0, 4))
+        assert_canonical(p**n, ref_power(a, n, truncs))
+        zero = (0,) * ring.k
+        unit = p - p.constant_term() + c
+        assert_canonical(unit.inverse(), ref_inverse(ref_add(a, {zero: c - a.get(zero, 0)}), truncs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.lists(REF_COEFFS, min_size=1, max_size=9))
+    def test_eval_series_matches_the_reference(self, data, coeffs):
+        k = data.draw(st.integers(1, 3))
+        ring = Ring(k, data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+        if data.draw(st.booleans()):
+            # a linear form: zero, negative and rational weights, variables truncated at 1
+            weights = data.draw(st.lists(REF_COEFFS, min_size=k, max_size=k))
+            x = Poly(ring, {tuple(int(i == j) for j in range(k)): w for i, w in enumerate(weights)})
+        else:
+            exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations)).filter(any)
+            x = Poly(ring, data.draw(st.dictionaries(exps, REF_COEFFS, max_size=8)))
+        f = Series(coeffs)
+        assert_canonical(eval_series(f, x), ref_eval(f.coeffs, ref_clean(x.terms), ring.truncations))
+
+    @pytest.mark.parametrize("weights", [(0, -2, 3), (1, 0, 0), (-1, 1, 5)])
+    def test_eval_series_at_integer_roots_with_truncated_variables(self, weights):
+        ring = Ring(3, [4, 1, 3])
+        x = Poly(ring, {(1, 0, 0): weights[0], (0, 1, 0): weights[1], (0, 0, 1): weights[2]})
+        f = exp_series(ring.top_degree)
+        assert_canonical(eval_series(f, x), ref_eval(f.coeffs, ref_clean(x.terms), ring.truncations))
 
 
 class TestCoefficients:
