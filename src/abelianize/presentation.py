@@ -22,11 +22,10 @@ sign rule is exact there because symmetric matrices have real spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
 from .quotient import QuotientModel
@@ -246,8 +245,7 @@ def signature_from_pairing(m: QuotientModel) -> Fraction:
 # -- the assembled report ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeRow:
+class DegreeRow(NamedTuple):
     degree: int
     invariant_dim: int
     ann_dim: int
@@ -255,8 +253,7 @@ class DegreeRow:
     ann_basis: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     rows: tuple[DegreeRow, ...]
     betti: tuple[int, ...]
 

@@ -16,7 +16,7 @@ A `Poly` stores integer numerators over one positive denominator (`nums`,
 
 `Series` holds a univariate power series the same way, numerators over one
 denominator, long enough to cover a ring's top degree; `eval_series`
-substitutes a nilpotent ring element into a series.
+substitutes a linear form, a Chern root, into a series.
 """
 
 from __future__ import annotations
@@ -569,39 +569,29 @@ def exp_series(order: int) -> Series:
 
 
 def eval_series(f: Series, x: Poly) -> Poly:
-    """Substitute a nilpotent ring element into a series: sum f_j * x^j.
+    """Substitute a linear form x = sum_i w_i u_i / c, as every Chern root,
+    into a series: sum f_j * x^j, finite because x is nilpotent.
 
-    Finite because x is nilpotent; x must have zero constant term.  With f =
-    F/d, a linear form x = sum_i w_i u_i / c, as every Chern root, takes one
-    pass over the box: the coefficient at e is F_|e| multinomial(e) prod_i
-    w_i^e_i c^(top - |e|) over d c^top, top the highest degree kept, the
-    multinomial built one variable at a time.  Any other x sums F_j x^j by
-    products and divides by d once.
+    With f = F/d it takes one pass over the box: the coefficient at e is
+    F_|e| multinomial(e) prod_i w_i^e_i c^(top - |e|) over d c^top, top the
+    highest degree kept, the multinomial built one variable at a time.  Any
+    other x raises ValueError.
     """
     ring, F = x.ring, f.nums
-    if (0,) * ring.k in x.nums:
-        raise ValueError("series substitution requires a zero constant term")
-    if all(sum(e) == 1 for e in x.nums):
-        top = min(f.order, ring.top_degree)
-        w = {e.index(1): c for e, c in x.nums.items()}
-        partial = [((), 0, 1)]  # (exponents so far, their degree, multinomial * prod w^e)
-        for i, n in enumerate(ring.truncations):
-            c = w.get(i, 0)
-            partial = [
-                (e + (a,), j + a, v * comb(j + a, a) * c**a)
-                for e, j, v in partial
-                for a in range(min(n - 1, top - j) + 1 if c else 1)
-            ]
-        nums = {e: F[j] * v * x.den ** (top - j) for e, j, v in partial}
-        return Poly._reduced(ring, nums, f.den * x.den**top)
-    acc, power = ring.constant(F[0]), ring.one()
-    for c in F[1:]:
-        power = power * x
-        if power.is_zero():
-            break
-        if c:
-            acc = acc + power * c
-    return acc._scaled(1, f.den)
+    if any(sum(e) != 1 for e in x.nums):
+        raise ValueError("series substitution requires a linear form")
+    top = min(f.order, ring.top_degree)
+    w = {e.index(1): c for e, c in x.nums.items()}
+    partial = [((), 0, 1)]  # (exponents so far, their degree, multinomial * prod w^e)
+    for i, n in enumerate(ring.truncations):
+        c = w.get(i, 0)
+        partial = [
+            (e + (a,), j + a, v * comb(j + a, a) * c**a)
+            for e, j, v in partial
+            for a in range(min(n - 1, top - j) + 1 if c else 1)
+        ]
+    nums = {e: F[j] * v * x.den ** (top - j) for e, j, v in partial}
+    return Poly._reduced(ring, nums, f.den * x.den**top)
 
 
 # -- canonical text form ----------------------------------------------------
@@ -655,7 +645,6 @@ def parse_poly(ring: Ring, text: str) -> Poly:
             pos += 1
         coeff: Coeff = sign
         exps = [0] * ring.k
-        saw_factor = False
         while True:
             if pos < len(s) and s[pos].isdigit():
                 num = read_int()
@@ -667,7 +656,6 @@ def parse_poly(ring: Ring, text: str) -> Poly:
                     coeff = coeff * Fraction(num, den)
                 else:
                     coeff = coeff * num
-                saw_factor = True
             elif pos < len(s) and s[pos] == "u":
                 pos += 1
                 idx = read_int()
@@ -678,15 +666,12 @@ def parse_poly(ring: Ring, text: str) -> Poly:
                     pos += 1
                     power = read_int()
                 exps[idx - 1] += power
-                saw_factor = True
             else:
                 raise fail("expected a rational or a variable factor")
             if pos < len(s) and s[pos] == "*":
                 pos += 1
                 continue
             break
-        if not saw_factor:
-            raise fail("empty term")
         e = tuple(exps)
         terms[e] = terms.get(e, 0) + coeff
         if pos < len(s) and s[pos] not in "+-":

@@ -19,10 +19,9 @@ constructor; other groups come as explicit data (from the config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ratpoly import Perm, Poly, Ring, check_permutation
 
@@ -75,7 +74,8 @@ class RootData:
     """A root set with positivity choice, Weyl generators, and |W|.  Built
     at construction: the roots' `blocks` and W's `generators`, the
     transpositions inside them; the declared Weyl generators and order are
-    checked against W = prod S_|b|."""
+    checked against W = prod S_|b|, and the positive roots must order each
+    block, as the Weyl denominator identities need."""
 
     __slots__ = (
         "rank", "roots", "positive", "weyl_generators", "weyl_order", "blocks", "generators",
@@ -125,6 +125,8 @@ class RootData:
         if zero in root_set:
             raise ValueError("zero weight cannot be a root")
         pos = set(self.positive)
+        if len(pos) != len(self.positive):
+            raise ValueError("duplicate positive roots")
         if not pos <= root_set:
             raise ValueError("positive roots must be among the roots")
         neg = {tuple(-x for x in w) for w in pos}
@@ -132,6 +134,11 @@ class RootData:
             raise ValueError("a root and its negative cannot both be positive")
         if pos | neg != root_set:
             raise ValueError("roots must split as positive roots and their negatives")
+        # a tournament on a block is transitive iff its scores are |b| - 1, ..., 1, 0
+        starts = [w.index(min(w)) for w in self.positive]
+        for b in self.blocks or ():
+            if sorted(map(starts.count, b)) != list(range(len(b))):
+                raise ValueError(f"positive roots must order the block {one_based(b)}")
         if (g := self.moved(dict.fromkeys(self.roots, 1))) is not None:
             raise ValueError(f"root set is not stable under generator {one_based(g)}")
         for g in self.weyl_generators:
@@ -147,9 +154,12 @@ class RootData:
             )
 
     def check_subgroup(self, subgroup: Subgroup) -> None:
-        """Refuse a subgroup whose roots are not roots of this group that
-        form blocks (so closed under negation and their transpositions), or
-        whose Weyl order is not the order prod |b|! of its blocks."""
+        """Refuse a subgroup with duplicate roots, or whose roots are not
+        roots of this group that form blocks (so closed under negation and
+        their transpositions), or whose Weyl order is not the order prod |b|!
+        of its blocks."""
+        if len(set(subgroup.roots)) != len(subgroup.roots):
+            raise ValueError("duplicate subgroup roots")
         if not set(subgroup.roots) <= set(self.roots):
             raise ValueError("subgroup roots must be contained in the model's roots")
         if (blocks := reflection_blocks(subgroup.roots, self.rank)) is None:
@@ -193,16 +203,12 @@ class RootData:
         )
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A full-rank subgroup, known through its root subset and Weyl order."""
+class Subgroup(NamedTuple):
+    """A full-rank subgroup, known through its root subset and Weyl order;
+    `RootData.check_subgroup` checks it against a group's roots."""
 
     roots: tuple[Weight, ...]
     weyl_order: int
-
-    def __post_init__(self):
-        if len(set(self.roots)) != len(self.roots):
-            raise ValueError("duplicate subgroup roots")
 
 
 def unitary_roots(k: int) -> RootData:

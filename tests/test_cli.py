@@ -1005,6 +1005,40 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert run(capsys, *argv) == (0, "20\n", "")
 
+    def test_duplicate_subgroup_roots_are_refused(self, capsys, tmp_path):
+        doc = model_to_config(grassmannian_model(3, 6))
+        doc["subgroup_roots"] = {"indices": ["0", "2", "0"], "weyl_order": "2"}
+        path = tmp_path / "g36-twice.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "index", "--config", str(path), "--subgroup", "--line=1,1,1") == (
+            2,
+            "",
+            f"config error: {path}.subgroup_roots: duplicate subgroup roots\n",
+        )
+
+    def test_positive_roots_that_order_no_block_are_refused(self, capsys, tmp_path):
+        # each loaded, and the Weyl denominator identity behind `index` gave
+        # wrong numbers with exit 0: a positive root listed twice on G(2,4)
+        # printed 10 for --line=1,3 (45 on G(2,4)), and the cycle e2 - e1,
+        # e3 - e2, e1 - e3 on (P^4)^3 printed -10 for --line=0,1,2 (40 on G(3,5))
+        twice = model_to_config(grassmannian_model(2, 4))
+        twice["roots"]["positive"] = ["0", "0"]
+        cycle = model_to_config(grassmannian_model(3, 5))
+        weights = cycle["roots"]["weights"]
+        assert [weights[i] for i in (0, 3, 4)] == [
+            ["-1", "1", "0"], ["0", "-1", "1"], ["1", "0", "-1"],
+        ]
+        cycle["roots"]["positive"] = ["0", "3", "4"]
+        path = tmp_path / "positive.json"
+        for doc, line, message in [
+            (twice, "--line=1,3", "duplicate positive roots"),
+            (cycle, "--line=0,1,2", "positive roots must order the block [1, 2, 3]"),
+        ]:
+            path.write_text(json.dumps(doc))
+            refusal = (2, "", f"config error: {path}.roots: {message}\n")
+            for command, *rest in [("euler",), ("index", line), ("betti",)]:
+                assert run(capsys, command, "--config", str(path), *rest) == refusal
+
     def test_zero_weight_written_as_a_vector_dumps_as_zero(self, capsys, tmp_path):
         doc = g24_config()
         assert doc["tangent_bundle"][-1] == {"weight": "0", "multiplicity": "-2"}

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and a CLI call
+imports no module it does not need.
 
 A name left imported after its last use goes unnoticed by the other tests;
 this check reads each module's syntax tree with the standard `ast` module.
@@ -6,6 +7,8 @@ The package's `__init__.py` is left out, since its imports are its API.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,14 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # `dataclasses` pulls in `inspect`, a noticeable share of every CLI
+    # call's start-up, for records a `NamedTuple` holds as well
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import abelianize.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -342,6 +342,8 @@ class TestSubgroupVariant:
             _with_subgroup(m, Subgroup(((3, 3),), 1))
         with pytest.raises(ValueError, match="must be 2 for its roots"):
             _with_subgroup(m, Subgroup(m.root_data.roots, 3))
+        with pytest.raises(ValueError, match="duplicate subgroup roots"):
+            _with_subgroup(m, Subgroup(m.root_data.roots * 2, 2))
         # +-(e1 - e0) and +-(e2 - e1) of U(3) without +-(e2 - e0) form no blocks
         m = grassmannian_model(3, 6)
         chain = [w for w in m.root_data.roots if w[0] == 0 or w[2] == 0]

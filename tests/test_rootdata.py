@@ -1,5 +1,6 @@
 """Tests for root data, Weyl stability, and root-class products."""
 
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -88,6 +89,19 @@ class TestRootDataValidation:
             RootData(2, [(-1, 1), (1, -1)], [], [], 1)
         with pytest.raises(ValueError):
             RootData(2, [(-1, 1), (1, -1)], [(-1, 1), (1, -1)], [], 1)
+
+    def test_positive_roots_must_order_each_block(self):
+        # each of the six orders of U(3)'s variables loads, with e_j - e_i
+        # positive where i comes first; the two cycles and a duplicate do not
+        roots = unitary_roots(3).roots
+        for order in permutations(range(3)):
+            positive = [w for w in roots if order.index(w.index(-1)) < order.index(w.index(1))]
+            assert RootData(3, roots, positive, [], 6).blocks == ((0, 1, 2),)
+        for cycle in ([(-1, 1, 0), (0, -1, 1), (1, 0, -1)], [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]):
+            with pytest.raises(ValueError, match=r"must order the block \[1, 2, 3\]"):
+                RootData(3, roots, cycle, [], 6)
+        with pytest.raises(ValueError, match="duplicate positive roots"):
+            RootData(2, [(-1, 1), (1, -1)], [(-1, 1), (-1, 1)], [], 2)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):

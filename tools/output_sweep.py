@@ -16,9 +16,10 @@ workloads write at seeds 1-6; on the configs, the subcommands that take
 `--subgroup` in that checkout's parser run with and without it, so a
 checkout that drops the flag lists fewer queries, and `diff` shows which.
 The same queries run on `REFUSALS`, one config per refusal of a model that
-W does not act on as declared.  Config files are written to a temporary
-directory under relative paths, so error messages that name a path read the
-same for every checkout.  Stdlib only.
+W does not act on as declared or whose positive roots order no block.
+Config files are written to a temporary directory under relative paths, so
+error messages that name a path read the same for every checkout.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _config(truncations: list[int], roots, **fields) -> dict:
     return doc
 
 
-#: One config per refusal of a model whose W is not what it declares.
+#: One config per refusal of a model whose W is not what it declares, or
+#: whose positive roots do not order each block.
 REFUSALS = {
     # U(2)'s reflection swaps u1 and u2, whose truncations differ
     "moves-truncations": _config([3, 4], "unitary:2", tangent_bundle=[
@@ -117,6 +119,21 @@ REFUSALS = {
     "subgroup-not-closed": _config([6, 6, 6], "unitary:3",
                                    subgroup_roots={"indices": ["0", "2", "3", "5"],
                                                    "weyl_order": "2"}),
+    # U(2) on (P^3)^2 with e2 - e1 listed twice as positive
+    "positive-twice": _config([4, 4], {
+        "weights": [["-1", "1"], ["1", "-1"]],
+        "positive": ["0", "0"],
+        "weyl_generators": [["2", "1"]],
+        "weyl_order": "2",
+    }),
+    # U(3) on (P^4)^3 with the cyclic choice e2 - e1, e3 - e2, e1 - e3
+    "positive-cycle": _config([5, 5, 5], {
+        "weights": [["-1", "1", "0"], ["-1", "0", "1"], ["1", "-1", "0"],
+                    ["0", "-1", "1"], ["1", "0", "-1"], ["0", "1", "-1"]],
+        "positive": ["0", "3", "4"],
+        "weyl_generators": [["2", "1", "3"], ["1", "3", "2"]],
+        "weyl_order": "6",
+    }),
 }
 
 
