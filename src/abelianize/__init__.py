@@ -32,7 +32,6 @@ from .charclass import (
     euler_characteristic,
     index_group,
     index_group_two_term,
-    index_torus,
     l_class_series,
     lambda_alternating_ch,
     mult_class,
@@ -77,7 +76,6 @@ __all__ = [
     "euler_characteristic",
     "index_group",
     "index_group_two_term",
-    "index_torus",
     "l_class_series",
     "lambda_alternating_ch",
     "mult_class",

@@ -146,19 +146,12 @@ def _tangent_less(m: QuotientModel, weights: Sequence[tuple[int, ...]]) -> Split
     return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in weights])
 
 
-def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
-    """Index of the twisted Dolbeault operator on the torus quotient:
-    the integral of ch(V) * Td(tangent), over all fixed points."""
-    td = todd_series(m.ring.top_degree)
-    return integrate_points(m, all_points(m.ring), (), td, m.tangent_bundle, V)
-
-
 def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     """Index on the nonabelian quotient of the operator twisted by a bundle
     with the given lift, computed on the torus side as the integral of
     ch(lift) * Td(tangent) * prod (1 - exp(e(alpha))) over positive roots,
     by a sum over fixed points.  It depends on the positivity choice unless W
-    fixes the lift: on G(3,6), L(0,1,2) gives 70, and 0 with `RootData.opposite`.
+    fixes the lift: on G(3,6), L(0,1,2) gives 70, and 0 with the opposite one.
 
     Where `orbit_points` admits the model and the lift, W fixes the other
     factors, and by the Weyl denominator formula the last one averages over

@@ -3,21 +3,19 @@
 The rational cohomology of the nonabelian quotient is the ring of Weyl
 invariants of the torus-quotient ring modulo the ideal of invariants killed
 by multiplication with the root-class product e.  Everything here is exact
-linear algebra over Q on one invariant basis (monomial orbit sums) per degree
-d and one Gram matrix, `pairing_matrix`: entry (a, b) is the prefactor times
-the torus integral of a * b * e, for a of degree q - d and b of degree d, q
-the quotient dimension, summed over the model's fixed points with no `Poly`
-product; the matrix of degree q - d is its transpose.  The torus-quotient
-ring has Poincare duality and a Weyl-invariant integral, and e is
-Weyl-invariant, as W maps the roots onto themselves.  So b*e = 0 exactly when
-b pairs to zero with every invariant of degree q - d: ann(e) is the Gram
-kernel and b_d its rank.  All elimination is one fraction-free Gauss-Jordan
-routine: `rref` divides its result by the common pivot and `matrix_rank`
-counts its pivots.
-
-A second, independent route to the signature counts eigenvalue signs of the
-middle-degree pairing matrix through its characteristic polynomial; Descartes'
-sign rule is exact there because symmetric matrices have real spectra.
+linear algebra over Q on Gram matrices: entry (a, b) is the prefactor times
+the torus integral of a * b * e, for invariants a of degree q - d and b of
+degree d, q the quotient dimension, summed over the model's fixed points;
+the matrix of degree q - d is its transpose.  The torus-quotient ring has
+Poincare duality and a Weyl-invariant integral, and e is Weyl-invariant.
+So b*e = 0 exactly when b pairs to zero with every invariant of degree
+q - d: ann(e) is the Gram kernel and b_d its rank.  Ranks and signs take
+the Chern monomials as basis, `chern_grams`, each entry a lookup in one
+table; `presentation_report` prints ann(e) in monomial orbit sums,
+`invariant_basis` and `pairing_matrix`.  All elimination is one
+fraction-free Gauss-Jordan routine, and the signature counts eigenvalue
+signs through the characteristic polynomial (Descartes' rule is exact on a
+real spectrum).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .ratpoly import Exponent, Poly, exponent_orbit
-from .quotient import QuotientModel
+from .quotient import QuotientModel, chern_sums
 
 Matrix = list[list[Fraction]]
 
@@ -176,13 +174,37 @@ def ann_e_basis(m: QuotientModel, inv: list[Poly], gram: Matrix) -> list[Poly]:
     return [sum((b * c for c, b in combo if c), m.ring.zero()) for combo in combos]
 
 
+def chern_grams(m: QuotientModel, degrees: Sequence[int]) -> list[list[list[int]]]:
+    """Per degree d, the pairing's Gram matrix over one positive factor on
+    the Chern monomials of degrees q - d (rows) and d: per block b truncated
+    at n (per variable where the roots form none), prod_j e_j^{m_j} with
+    sum_j m_j < n, and their products over the blocks; e_mu is m_{mu'} plus
+    lower orbit sums (Macdonald I (2.3)).  Coded by the digits m_j in base
+    2 max(n) - 1, entry (mu, nu) is T[mu + nu], T the `chern_sums` over their gcd."""
+    q, truncs, radix = m.quotient_dim, m.ring.truncations, 2 * max(m.ring.truncations) - 1
+    blocks = m.root_data.blocks or tuple((i,) for i in range(m.ring.k))
+    basis, digit = [(0, 0, 0)], 1  # (code, degree, sum of the block's m_j)
+    for b in blocks:
+        for j in range(1, len(b) + 1):
+            basis = [(c + x * digit, d + j * x, used + x) for c, d, used in basis
+                     for x in range(truncs[b[0]] - used) if d + j * x <= q]
+            digit *= radix
+        basis = [(c, d, 0) for c, d, _ in basis]
+    pairs = [([c for c, e, _ in basis if e == q - d], [c for c, e, _ in basis if e == d])
+             for d in degrees]
+    codes = list({a + b for rows, cols in pairs for a in rows for b in cols})
+    sums = chern_sums(m, blocks, ([c // radix**i % radix for i in range(m.ring.k)] for c in codes))
+    g = gcd(*sums) or 1
+    table = {c: x // g for c, x in zip(codes, sums)}
+    return [[[table[a + b] for b in cols] for a in rows] for rows, cols in pairs]
+
+
 def poincare_polynomial(m: QuotientModel) -> list[int]:
     """Betti numbers of the presented quotient, trailing zeros trimmed: the
-    Gram matrix ranks of degrees d <= q/2, mirrored, since the matrix of
-    degree q - d is the transpose."""
+    ranks of the `chern_grams` of degrees d <= q/2, mirrored, since the
+    matrix of degree q - d is the transpose."""
     top = m.quotient_dim
-    bases = [invariant_basis(m, d) for d in range(top + 1)]
-    half = [matrix_rank(pairing_matrix(m, bases[top - d], bases[d])) for d in range(top // 2 + 1)]
+    half = [matrix_rank(gram) for gram in chern_grams(m, range(top // 2 + 1))]
     betti = half + half[: (top + 1) // 2][::-1]
     while betti and betti[-1] == 0:
         betti.pop()
@@ -233,12 +255,11 @@ def pairing_matrix(m: QuotientModel, rows: list[Poly], columns: list[Poly]) -> M
 
 def signature_from_pairing(m: QuotientModel) -> Fraction:
     """Signature as the exact eigenvalue-sign count of the middle-degree
-    pairing matrix; zero when the quotient dimension is odd."""
-    top = m.quotient_dim
-    if top % 2 == 1:
+    `chern_grams` matrix, of the pairing's inertia by Sylvester's law; zero
+    when the quotient dimension is odd."""
+    if m.quotient_dim % 2:
         return Fraction(0)
-    middle = invariant_basis(m, top // 2)
-    pos, neg, _ = eigenvalue_signs(pairing_matrix(m, middle, middle))
+    pos, neg, _ = eigenvalue_signs(chern_grams(m, [m.quotient_dim // 2])[0])
     return Fraction(pos - neg)
 
 

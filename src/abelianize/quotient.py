@@ -148,16 +148,22 @@ class QuotientModel:
                     raise ValueError(f"weyl_action generator {one_based(g)} is not in W")
         if len(root_data.roots) > ring.top_degree:
             raise ValueError("more roots than the torus quotient dimension allows")
-        self.root_data = root_data
         if subgroup is not None:
             root_data.check_subgroup(subgroup)
-        self.ring = ring
-        self.tangent_bundle = tangent_bundle
-        self.orbifold_prefactor = prefactor
-        self.weyl_action = action
-        self.subgroup = subgroup
+        self._set(ring, root_data, tangent_bundle, prefactor, action, subgroup)
+
+    def _set(self, ring, root_data, tangent_bundle, prefactor, action, subgroup) -> None:
+        self.ring, self.root_data, self.tangent_bundle = ring, root_data, tangent_bundle
+        self.orbifold_prefactor, self.weyl_action, self.subgroup = prefactor, action, subgroup
         self._e_cache: dict = {}
         self._points: tuple[list[tuple[tuple[int, ...], int]], int] | None = None
+
+    @classmethod
+    def _trusted(cls, ring: Ring, root_data: RootData, tangent_bundle: SplitBundle) -> QuotientModel:
+        """A built-in model, valid by construction: none of `__init__`'s checks."""
+        m = object.__new__(cls)
+        m._set(ring, root_data, tangent_bundle, Fraction(1), root_data.weyl_generators, None)
+        return m
 
     @property
     def quotient_dim(self) -> int:
@@ -227,7 +233,7 @@ def grassmannian_model(k: int, n: int) -> QuotientModel:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     ring = Ring(k, [n] * k)
     summands = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)] + [((0,) * k, -k)]
-    return QuotientModel(ring, unitary_roots(k), SplitBundle(ring, summands))
+    return QuotientModel._trusted(ring, unitary_roots(k), SplitBundle(ring, summands))
 
 
 def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
@@ -393,7 +399,7 @@ def chern_pairing(m: QuotientModel, exponents: Sequence[int]) -> Fraction:
 def chern_pairings(m: QuotientModel, rows: Sequence[Sequence[int]]) -> list[Fraction]:
     """`chern_pairing` of each exponent vector, from one point set: 0 where
     sum_i i m_i != q (the point sum is exact in top degree only), else the
-    prefactor times sum w prod_i e_i(t)^{m_i} / den over `QuotientModel.e_points`."""
+    prefactor times the `chern_sums` over all the variables, over den."""
     ring = m.ring
     for exps in rows:
         if len(exps) != ring.k:
@@ -403,15 +409,30 @@ def chern_pairings(m: QuotientModel, rows: Sequence[Sequence[int]]) -> list[Frac
     if len(set(ring.truncations)) != 1:
         raise ValueError("chern pairings need equal truncation exponents in every variable")
     top = [sum(i * x for i, x in enumerate(exps, 1)) == m.quotient_dim for exps in rows]
-    pts, den = m.e_points() if any(top) else ([], 1)
-    at = []
-    for t, w in pts:
-        e = [1]
-        for x in t:  # e_i(t), read off prod_j (1 + t_j x)
-            e = [a + x * b for a, b in zip([*e, 0], [0, *e])]
-        at.append((w, e[1:]))
-    scale = m.prefactor() / den
-    return [
-        scale * sum(w * prod(map(pow, e, exps)) for w, e in at) if on else Fraction(0)
-        for exps, on in zip(rows, top)
-    ]
+    if not any(top):
+        return [Fraction(0)] * len(rows)
+    sums = iter(chern_sums(m, [tuple(range(ring.k))], [r for r, on in zip(rows, top) if on]))
+    scale = m.prefactor() / m.e_points()[1]
+    return [scale * next(sums) if on else Fraction(0) for on in top]
+
+
+def chern_sums(m: QuotientModel, blocks: Sequence[Sequence[int]], rows: Iterable) -> list[int]:
+    """den times the integral of each row's Chern monomial times e: sum w
+    prod_b prod_j e_j(t_b)^{v_(b,j)} over `QuotientModel.e_points`, a row
+    listing e_1..e_|b| of each block in turn; rows share their prefixes."""
+    pts, _ = m.e_points()
+    columns = []  # e_j(t_b) at each point, read off prod_{i in b} (1 + t_i x), per row entry
+    for b in blocks:
+        at = [[1] for _ in pts]
+        for i in b:
+            at = [[a + t[i] * c for a, c in zip([*e, 0], [0, *e])] for e, (t, _) in zip(at, pts)]
+        columns += [[e[j] for e in at] for j in range(1, len(b) + 1)]
+    prefix: dict[tuple[int, ...], list[int]] = {(): [w for _, w in pts]}
+
+    def values(v: tuple[int, ...]) -> list[int]:  # w prod e^v at each point
+        if v not in prefix:
+            x, column = v[-1], columns[len(v) - 1]
+            prefix[v] = [a * y**x for a, y in zip(values(v[:-1]), column)] if x else values(v[:-1])
+        return prefix[v]
+
+    return [sum(values(tuple(v))) for v in rows]

@@ -459,11 +459,6 @@ def permute_exponents(e: Exponent, perm: Perm) -> Exponent:
     return tuple(out)
 
 
-def permute_poly(p: Poly, perm: Sequence[int]) -> Poly:
-    perm = check_permutation(perm, p.ring.k)
-    return Poly._trusted(p.ring, {permute_exponents(e, perm): c for e, c in p.nums.items()}, p.den)
-
-
 def exponent_orbit(e: Exponent, generators: Sequence[Perm]) -> frozenset[Exponent]:
     """The orbit of e under the group the generators generate, breadth first."""
     seen = {e}

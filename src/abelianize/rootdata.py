@@ -13,8 +13,9 @@ listed.  `RootData` builds W's generators once, the transpositions inside
 the blocks, and checks the roots, the declared generators and the order
 against them; `RootData.moved` names one that moves a multiset of weights,
 `g in root_data` tests membership, and `check_subgroup` and `complement`
-answer for a full-rank subgroup.  Only the unitary family has a built-in
-constructor; other groups come as explicit data (from the config).
+answer for a full-rank subgroup.  Products of unitary groups are built
+from their blocks (`RootData.from_blocks`); other groups come as explicit
+data (from the config).
 """
 
 from __future__ import annotations
@@ -102,6 +103,19 @@ class RootData:
         )
         self._validate()
 
+    @classmethod
+    def from_blocks(cls, rank: int, blocks: Blocks) -> RootData:
+        """prod U(|b|) on disjoint sorted blocks, with none of `__init__`'s
+        checks: as `unitary_roots`, one block at a time."""
+        pairs = [(i, j) for b in blocks for i in b for j in b if i != j]
+        rd = object.__new__(cls)
+        rd.rank, rd.blocks, rd.weyl_order = rank, blocks, block_order(blocks)
+        rd.roots = tuple(tuple(int(x == j) - int(x == i) for x in range(rank)) for i, j in pairs)
+        rd.positive = tuple(w for w, (i, j) in zip(rd.roots, pairs) if i < j)
+        swaps = (_swap(i, j, rank) for b in blocks for i, j in zip(b, b[1:]))
+        rd.generators = rd.weyl_generators = tuple(swaps)
+        return rd
+
     def moved(self, weights: dict[Weight, int]) -> Perm | None:
         """A generator of W that moves the multiset of weights (each weight
         with its multiplicity), or None where W fixes it."""
@@ -177,14 +191,6 @@ class RootData:
         positive = [w for w in self.positive if w not in inside]
         return RootData(self.rank, roots, positive, (), order)
 
-    @property
-    def negative(self) -> tuple[Weight, ...]:
-        return tuple(tuple(-x for x in w) for w in self.positive)
-
-    def opposite(self) -> RootData:
-        """Same data with the opposite positivity convention."""
-        return RootData(self.rank, self.roots, self.negative, self.weyl_generators, self.weyl_order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootData):
             return NotImplemented
@@ -217,11 +223,7 @@ def unitary_roots(k: int) -> RootData:
     symmetric group generated by adjacent transpositions."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    roots = [tuple(-1 if x == i else int(x == j) for x in range(k)) for i, j in pairs]
-    positive = [w for w, (i, j) in zip(roots, pairs) if i < j]
-    gens = [_swap(i, i + 1, k) for i in range(k - 1)]
-    return RootData(k, roots, positive, gens, factorial(k))
+    return RootData.from_blocks(k, (tuple(range(k)),))
 
 
 def root_euler_class(ring: Ring, w: Sequence[int]) -> Poly:

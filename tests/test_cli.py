@@ -197,6 +197,14 @@ class TestSubcommands:
         status, _, err = run(capsys, "euler")
         assert status == 2
 
+    @pytest.mark.parametrize("k, n", [("0", "3"), ("-1", "3"), ("4", "3"), ("1", "0")])
+    def test_bad_grassmannian_exits_2(self, capsys, k, n):
+        # the built-in model skips the generic checks once k and n are valid
+        for argv in (("euler",), ("betti",), ("pairing", "--exps", "1")):
+            status, out, err = run(capsys, argv[0], "--grassmannian", k, n, *argv[1:])
+            assert (status, out) == (2, "")
+            assert "--grassmannian" in err and "1 <= K <= N" in err
+
     def test_zero_denominator_is_a_located_parse_error(self, capsys):
         status, out, err = run(
             capsys, "integrate", "--grassmannian", "2", "4", "--", "1/0*u1^2*u2^2"

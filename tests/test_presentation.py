@@ -1,6 +1,7 @@
 """Tests for invariant bases, the annihilator ideal, and the pairing."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 import sympy
@@ -9,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from abelianize.config import model_from_config, model_to_config
 from abelianize.quotient import (
     QuotientModel,
+    SplitBundle,
     grassmannian_model,
     integrate_group,
     integrate_torus,
     orbit_points,
 )
-from abelianize.rootdata import Subgroup
+from abelianize.ratpoly import Ring
+from abelianize.rootdata import RootData, Subgroup
 from abelianize.charclass import euler_characteristic, signature
 from abelianize.presentation import (
     ann_e_basis,
@@ -29,6 +32,7 @@ from abelianize.presentation import (
     rref,
     signature_from_pairing,
 )
+from references import permute_poly
 
 
 def gaussian_binomial(n, k):
@@ -164,8 +168,6 @@ class TestInvariantBasis:
             invariant_basis(m, -1)
 
     def test_elements_are_invariant(self):
-        from abelianize.ratpoly import permute_poly
-
         m = grassmannian_model(3, 5)
         for d in range(m.ring.top_degree + 1):
             for b in invariant_basis(m, d):
@@ -281,12 +283,47 @@ def product_route(m):
     return betti, anns
 
 
+def block_model(blocks, truncations):
+    """prod U(|b|) over the given blocks of variables, on prod_i P^{n_i - 1}
+    with the Euler-sequence tangent, built through the validating
+    constructors."""
+    k = len(truncations)
+    roots = RootData.from_blocks(k, blocks)
+    rd = RootData(k, roots.roots, roots.positive, (), prod(factorial(len(b)) for b in blocks))
+    ring = Ring(k, truncations)
+    lines = [(tuple(int(i == j) for j in range(k)), n) for i, n in enumerate(truncations)]
+    return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * k, -k)]))
+
+
+def torus_config(truncations):
+    """A config with no roots on prod_i P^{n_i - 1}: every monomial is an
+    invariant and W is trivial."""
+    k = len(truncations)
+    tangent = [{"weight": [str(int(i == j)) for j in range(k)], "multiplicity": str(n)}
+               for i, n in enumerate(truncations)]
+    return model_from_config({
+        "schema": "1",
+        "ring": {"variables": str(k), "truncations": [str(n) for n in truncations]},
+        "roots": {"weights": [], "positive": [], "weyl_order": "1"},
+        "tangent_bundle": [*tangent, {"weight": "0", "multiplicity": str(-k)}],
+    })
+
+
 class TestRankRoute:
     def test_matches_the_product_route(self):
         cases = [grassmannian_model(k, n) for k in range(1, 4) for n in range(k, 8)]
         cases.append(grassmannian_model(4, 6))
         u2u1, torus = _subgroup_configs()
         cases += [u2u1, torus, torus.relative()]
+        # several blocks; then blocks on truncations that differ between
+        # blocks, which `chern_pairings` refuses; then no roots at all
+        u2, u3 = (0, 1), (0, 1, 2)
+        cases += [block_model((u2, (2, 3)), [n] * 4) for n in (4, 5)]
+        cases += [block_model((u2, (2,)), [n] * 3) for n in (4, 5, 6)]
+        cases.append(block_model((u3, (3, 4)), [4] * 5))
+        cases += [block_model((u2, (2,)), [5, 5, 3]), block_model(((0, 2), (1,)), [5, 3, 5])]
+        cases.append(block_model((u2, (2, 3)), [3, 3, 5, 5]))
+        cases.append(torus_config([3, 4, 2]))
         for m in cases:
             betti, anns = product_route(m)
             assert poincare_polynomial(m) == betti
@@ -396,6 +433,19 @@ class TestSignatureCrossCheck:
                 m = grassmannian_model(k, n)
                 assert signature(m) == signature_from_pairing(m)
 
+    def test_chern_basis_has_the_inertia_of_the_orbit_sums(self):
+        # the middle Gram matrix on Chern monomials is congruent to the one
+        # on orbit sums, so the eigenvalue signs agree (Sylvester); every
+        # model here has an even quotient dimension
+        u2 = (0, 1)
+        models = [grassmannian_model(2, 4), grassmannian_model(3, 5), grassmannian_model(4, 6)]
+        models += [block_model((u2, (2, 3)), [3] * 4), block_model((u2, (2,)), [5, 5, 3])]
+        models += [block_model(((0, 2), (1,)), [4, 3, 4]), torus_config([3, 3, 5])]
+        for m in models:
+            middle = invariant_basis(m, m.quotient_dim // 2)
+            pos, neg, _ = eigenvalue_signs(pairing_matrix(m, middle, middle))
+            assert signature_from_pairing(m) == signature(m) == pos - neg
+
 
 class TestSubgroupPath:
     def test_trivial_subgroup_reproduces_default_presentation(self):
@@ -421,7 +471,8 @@ class TestReport:
     def test_each_degree_is_built_once(self, monkeypatch):
         # G(3,6), q = 9: the report builds one invariant basis per degree and
         # one Gram matrix per degree d <= 4 (its columns), whose transpose is
-        # the matrix of degree 9 - d; so do the Betti numbers
+        # the matrix of degree 9 - d; the Betti numbers build neither, as
+        # their Gram matrices are lookups in one Chern pairing table
         import abelianize.presentation as presentation
 
         degrees = {"invariant_basis": [], "pairing_matrix": []}
@@ -441,9 +492,10 @@ class TestReport:
         presentation_report(m)
         assert sorted(degrees["invariant_basis"]) == list(range(10))
         assert sorted(degrees["pairing_matrix"]) == [0, 1, 2, 3, 4]
+        degrees["invariant_basis"].clear()
         degrees["pairing_matrix"].clear()
-        poincare_polynomial(m)
-        assert sorted(degrees["pairing_matrix"]) == [0, 1, 2, 3, 4]
+        assert poincare_polynomial(m) == gaussian_binomial(6, 3)
+        assert degrees == {"invariant_basis": [], "pairing_matrix": []}
 
     def test_projective_space_has_trivial_ann(self):
         report = presentation_report(grassmannian_model(1, 3))

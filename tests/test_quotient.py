@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abelianize.ratpoly import Poly, Ring, elementary_symmetric, permute_poly
+from abelianize.ratpoly import Poly, Ring, elementary_symmetric
 from abelianize.rootdata import RootData, Subgroup, e_product, unitary_roots
 from abelianize.quotient import (
     QuotientModel,
@@ -21,6 +21,7 @@ from abelianize.quotient import (
 from abelianize.schubert import oracle_chern_pairing
 from abelianize.presentation import ann_e_basis, invariant_basis, pairing_matrix
 from abelianize.cli import pairing_degree_vectors
+from references import permute_poly
 
 
 class TestSplitBundle:
@@ -102,6 +103,29 @@ class TestGrassmannianModel:
             grassmannian_model(0, 4)
         with pytest.raises(ValueError):
             grassmannian_model(5, 4)
+
+    def test_built_ins_equal_the_validated_construction(self):
+        # the built-ins skip the generic checks; each check holds here, as
+        # building the same data through `RootData` and `QuotientModel` shows
+        for k in range(1, 9):
+            pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+            roots = [tuple(-1 if x == i else int(x == j) for x in range(k)) for i, j in pairs]
+            positive = [w for w, (i, j) in zip(roots, pairs) if i < j]
+            gens = [tuple(i + 1 if x == i else i if x == i + 1 else x for x in range(k))
+                    for i in range(k - 1)]
+            checked = RootData(k, roots, positive, gens, factorial(k))
+            fast = unitary_roots(k)
+            assert fast == checked
+            assert (fast.blocks, fast.generators) == (checked.blocks, checked.generators)
+            for n in range(k, k + 3):
+                ring = Ring(k, [n] * k)
+                lines = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)]
+                tangent = SplitBundle(ring, [*lines, ((0,) * k, -k)])
+                model = grassmannian_model(k, n)
+                assert model == QuotientModel(ring, checked, tangent)
+                assert type(model.orbifold_prefactor) is Fraction
+                rd = model.root_data
+                assert (rd.blocks, rd.generators) == (checked.blocks, checked.generators)
 
     def test_tangent_rank_must_match_dimension(self):
         ring = Ring(2, [4, 4])

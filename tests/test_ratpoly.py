@@ -19,11 +19,11 @@ from abelianize.ratpoly import (
     exponent_orbit,
     parse_poly,
     permute_exponents,
-    permute_poly,
     render_poly,
     _product_packed,
     _product_pairs,
 )
+from references import permute_poly
 
 
 def random_poly(rng, ring, max_terms=6, max_coeff=9):

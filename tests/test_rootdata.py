@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from abelianize.quotient import QuotientModel, grassmannian_model
-from abelianize.ratpoly import Ring, permute_poly
+from abelianize.ratpoly import Ring
 from abelianize.rootdata import (
     RootData,
     Subgroup,
@@ -15,6 +15,7 @@ from abelianize.rootdata import (
     root_euler_class,
     unitary_roots,
 )
+from references import negative, opposite, permute_poly
 
 #: U(2) x U(2)'s roots: the blocks {0, 1} and {2, 3}.
 U2XU2 = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
@@ -42,6 +43,20 @@ class TestUnitaryRoots:
     def test_rejects_zero_rank(self):
         with pytest.raises(ValueError):
             unitary_roots(0)
+
+    @pytest.mark.parametrize(
+        "blocks, order", [(((0, 1), (2, 3)), 4), (((0, 2), (1,)), 2), (((0,), (1, 2, 3), (4, 5)), 12)]
+    )
+    def test_from_blocks_equals_the_validated_construction(self, blocks, order):
+        rank = sum(map(len, blocks))
+        fast = RootData.from_blocks(rank, blocks)
+        pairs = {(i, j) for b in blocks for i in b for j in b if i != j}
+        assert {(w.index(-1), w.index(1)) for w in fast.roots} == pairs
+        assert all(w.index(-1) < w.index(1) for w in fast.positive)
+        checked = RootData(rank, fast.roots, fast.positive, fast.weyl_generators, fast.weyl_order)
+        assert fast == checked
+        assert (fast.blocks, fast.generators) == (checked.blocks, checked.generators)
+        assert fast.weyl_order == order
 
 
 class TestRootDataValidation:
@@ -155,9 +170,9 @@ class TestRootDataValidation:
 
     def test_opposite_swaps_positivity(self):
         rd = unitary_roots(3)
-        opp = rd.opposite()
-        assert set(opp.positive) == set(rd.negative)
-        assert opp.opposite() == rd
+        opp = opposite(rd)
+        assert set(opp.positive) == set(negative(rd))
+        assert opposite(opp) == rd
 
 
 class TestMoved:
@@ -228,13 +243,13 @@ class TestEProduct:
         rd = unitary_roots(2)
         assert e_product(ring, rd.roots) == -((u1 - u2) ** 2)
         assert e_product(ring, rd.positive) == u2 - u1
-        assert e_product(ring, rd.negative) == u1 - u2
+        assert e_product(ring, negative(rd)) == u1 - u2
 
     def test_positive_times_negative_is_all(self):
         for k in (2, 3):
             ring = Ring(k, [k + 2] * k)
             rd = unitary_roots(k)
-            assert e_product(ring, rd.positive) * e_product(ring, rd.negative) == e_product(
+            assert e_product(ring, rd.positive) * e_product(ring, negative(rd)) == e_product(
                 ring, rd.roots
             )
 
