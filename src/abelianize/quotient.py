@@ -14,17 +14,20 @@ order.  The full-rank-subgroup variant is the same formulas on another model,
 `QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
 A torus integral is a sum over fixed points, `point_weights` of `all_points`
 or, where the roots' reflections fix the class, of `orbit_points` (one point
-per Weyl orbit, its count times |W|): `integrate_points` for a class given
-as a series and bundles, `chern_pairings` and the Gram matrices for Chern
-monomials and invariants, at the model's `e_points`, built once a model.
-Only an explicit lift takes products: `integrate_torus` reads the top-monomial
-coefficient of a product of `Poly` factors.
+per Weyl orbit, its count times |W|).  `integrate_points` sums a class given
+as a series and bundles over all its points at once, each degree of the
+exponential one primitive integer column over the points with its content
+kept as two ints, so that no entry carries a scale common to every point.
+`chern_pairings` and the Gram matrices sum Chern monomials and invariants at
+the model's `e_points`, built once a model.  Only an explicit lift takes
+products: `integrate_torus` reads the top-monomial coefficient of a product
+of `Poly` factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, repeat
+from itertools import combinations, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, getitem, itemgetter, mul, sub
 from typing import Iterable, Sequence
@@ -338,48 +341,65 @@ def integrate_points(
     of the Euler classes of `roots` and f a series with constant term 1, as a
     sum over `point_weights` (Atiyah-Bott).  Chern roots scaled by lam, the
     class at t is ch(twist)(lam) exp(sum_j l_j p_j lam^j) at lam^N, N = top
-    - #roots, l = log f and p_j the j-th power sum of V's weights at t.  With
-    c the lcm of the denominators of (j-1)! j l_j, K_n = n! c^n [lam^n]
-    exp(...) = sum_j C(n-1, j-1) c^j (j-1)! j l_j p_j K_{n-j} over the j with
-    l_j != 0; where those j share a factor g, so do the n with K_n != 0, and
-    only those are kept.  With f = F/d, x F' = F * sum_j j l_j x^j gives j
-    l_j = L_j / F_0^j in one integer recurrence."""
+    - #roots, l = log f and p_j the j-th power sum of V's weights at t.
+
+    All points go together, as one column over the points per degree.  The
+    j l_j are the coefficients of x f'/f.  The linear term l_1 p_1 joins the
+    exponent of each line of the twist (of the trivial line without one), so
+    the rest, kappa_n = [lam^n] exp(sum_{j>1} l_j p_j lam^j), follows n
+    kappa_n = sum_j j l_j p_j kappa_{n-j} over the j > 1 with l_j != 0;
+    where those j share a factor g (2 for Todd and the L-class), so do the
+    n with kappa_n != 0, and only those are kept.  Each kappa_n is a
+    primitive integer column times a positive content held as two ints, so
+    no entry carries a scale common to all points.  p_j is built for those
+    j only (and j = 1 where l_1 != 0): a weight w of V and -w fold into one
+    row (a + (-1)^j b) x^j, x = w.t, cached by x for each pair (a, b) of
+    multiplicities."""
     N = m.ring.top_degree - len(roots)
-    F = f.truncated(N).nums
-    s = [0] + [x * F[0] ** (i - 1) for i, x in enumerate(F[1:], 1)]
-    L = [0]  # L_j = j s_j - sum_i s_i L_{j-i}, s_i = F_i F_0^(i-1)
-    for j in range(1, N + 1):
-        L.append(j * s[j] - sum(map(mul, s[1:j], reversed(L[1:]))))
-    scaled = [Fraction(factorial(j - 1) * x, F[0] ** j) for j, x in enumerate(L[1:], 1)]
-    c = lcm(*(x.denominator for x in scaled))
-    H = [x.numerator * (c**j // x.denominator) for j, x in enumerate(scaled, 1)]
-    g = gcd(*(j for j, h in enumerate(H, 1) if h)) or N + 1
-    # K_n's terms as (C(n-1, j-1) H_j, n - j), j = i + 1, the zero H_j left out
-    steps = [
-        [(comb(n - 1, i) * h, n - 1 - i) for i, h in enumerate(H[:n]) if h] for n in range(N + 1)
-    ]
-    ch_scale = [comb(N, j) * c**j for j in range(N + 1)]
-    powers: dict[tuple[int, int], list[int]] = {}
-
-    def power_sums(bundle: SplitBundle, t: list[int]) -> list[int]:
-        sums = [0] * (N + 1)
-        for w, mult in bundle.summands:
-            row = (sum(map(mul, w, t)), mult)  # mult * (w . t)^j, j = 0..N
-            if row not in powers:
-                powers[row] = list(accumulate(repeat(row[0], N), mul, initial=mult))
-            sums = list(map(add, sums, powers[row]))
-        return sums
-
+    f = f.truncated(N + 1)  # so that l_1 is read at N = 0 too
+    dlog = Series.over([j * x for j, x in enumerate(f.nums)], f.den) * f.reciprocal()
+    L, d = dlog.nums, dlog.den  # j l_j = L_j / d
+    used = [j for j in range(1, N + 1) if L[j]]
+    steps = [(j, L[j] // (c := gcd(L[j], d)), d // c) for j in used if j > 1]
+    folded: dict[tuple[int, ...], tuple[int, int]] = {}  # w up to sign: mults of w and -w
+    for w, k in V.multiplicities().items():
+        if any(w):
+            key = max(w, tuple(-x for x in w))
+            a, b = folded.get(key, (0, 0))
+            folded[key] = (a + k, b) if w == key else (a, b + k)
     pts, den = point_weights(m, points, roots)
-    total = 0
-    for t, w in pts:
-        p = power_sums(V, t)
-        K = [1] + [0] * N
-        for n in range(g, N + 1, g):
-            K[n] = sum(b * p[n - i] * K[i] for b, i in steps[n])
-        ch = power_sums(twist, t) if twist is not None else [1]
-        total += w * sum(map(mul, map(mul, ch_scale, ch), reversed(K)))
-    return Fraction(total, den * factorial(N) * c**N)
+    ts, ws = [t for t, _ in pts], [w for _, w in pts]
+    xs = [[sum(map(mul, w, t)) for t in ts] for w in folded]
+    tables: dict[tuple[int, int], dict[int, list[int]]] = {ab: {} for ab in folded.values()}
+    tabs = [tables[ab] for ab in folded.values()]  # x: (a + (-1)^j b) x^j over the used j
+    for (a, b), tab, col in zip(folded.values(), tabs, xs):
+        tab.update((x, [(a - b if j % 2 else a + b) * x**j for j in used]) for x in set(col) - set(tab))
+    at_points = (map(sum, zip(*map(getitem, tabs, x))) for x in zip(*xs))  # p_j, j used
+    p = {j: [0] * len(pts) for j in used}  # p_j over the points
+    p.update(zip(used, zip(*at_points)))
+    kappa = {0: ([1] * len(pts), 1, 1)}  # n: (primitive column, content num, content den)
+    g = gcd(*(j for j, _, _ in steps)) or N + 1
+    for n in range(g, N + 1, g):
+        terms = [(p[j], a, b, kappa[n - j]) for j, a, b in steps if n - j in kappa]
+        D = lcm(*(b * kd for _, _, b, (_, _, kd) in terms))
+        acc = [0] * len(pts)
+        for pj, a, b, (col, kn, kd) in terms:
+            acc = list(map(add, acc, map(mul, map(mul, pj, col), repeat(a * kn * (D // (b * kd))))))
+        if h := gcd(*acc):
+            c = gcd(h, n * D)
+            kappa[n] = ([x // h for x in acc], h // c, n * D // c)
+    c = gcd(L[1], d)
+    a1, b1 = L[1] // c, d // c  # l_1 = a1 / b1
+    lines = twist.multiplicities() if twist is not None else {(0,) * m.ring.k: 1}
+    p1 = p.get(1, repeat(0))  # unused where l_1 = 0, or at N = 0, where only z^0 is read
+    zs = [([b1 * sum(map(mul, w, t)) + a1 * q for t, q in zip(ts, p1)], k) for w, k in lines.items()]
+    parts = []  # [lam^N] of sum_lines k exp(lam z / b1) kappa(lam), one part per kappa_n
+    for n, (col, kn, kd) in kappa.items():
+        j, wc = N - n, list(map(mul, ws, col))
+        dot = sum(k * sum(map(mul, wc, map(pow, z, repeat(j)))) for z, k in zs)
+        parts.append((kn * dot, kd * factorial(j) * b1**j))
+    D = lcm(*(q for _, q in parts))
+    return Fraction(sum(x * (D // q) for x, q in parts), D * den)
 
 
 def integrate_group(m: QuotientModel, lift: Poly) -> Fraction:

@@ -353,6 +353,29 @@ class TestFractionsOnlyAtTheEnd:
         assert len(built) == 1
         assert value == index_group(rel, V)
 
+    def test_point_sums_build_only_their_value(self):
+        # the L-class on G(3,9) over its orbits, and the Todd index of
+        # L(0,1,2) on G(3,6) over all points, twisted by L(0,1,2) det E
+        m = grassmannian_model(3, 9)
+        roots = m.root_data.roots
+        V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in roots])
+        args = (m, orbit_points(m), roots, l_class_series(m.quotient_dim), V)
+        value, built = self.built_during(lambda: integrate_points(*args))
+        assert len(built) == 1
+        assert value == dense_integrate_points(*args)
+        assert m.prefactor() * value == signature(m) == 4
+        m = grassmannian_model(3, 6)
+        positive = m.root_data.positive
+        E = SplitBundle(m.ring, [(w, 1) for w in positive])
+        lift = SplitBundle(m.ring, [((0, 1, 2), 1)])
+        V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in positive])
+        negated = [tuple(-x for x in w) for w in positive]
+        td = todd_series(m.ring.top_degree - len(negated))
+        args = (m, all_points(m.ring), negated, td, V, lift.tensor(exterior_power(E, E.rank)))
+        value, built = self.built_during(lambda: integrate_points(*args))
+        assert len(built) == 1
+        assert value == dense_integrate_points(*args) == index_group(m, lift) == 70
+
     def test_inverse_builds_none(self):
         ring = grassmannian_model(3, 7).ring
         total_chern = ring.one()
@@ -508,37 +531,107 @@ def dense_integrate_points(m, points, roots, f, V, twist=None):
     return Fraction(total, den * factorial(N) * c**N)
 
 
+def exp_times(a, even):
+    """exp(a x) * (1 + sum_i even[i] x^(2i + 2)): log f is a x plus even
+    terms, as Todd's is; with no even terms, a x alone."""
+    spread = [1] + [0] * (2 * len(even))
+    spread[2::2] = even
+
+    def series(order):
+        exp_ax = Series([a**j / factorial(j) for j in range(order + 1)])
+        return exp_ax * Series(spread).truncated(order)
+
+    return series
+
+
 @st.composite
 def point_series(draw):
     """A named class series or a custom one with constant term 1; a custom
-    g(x^s) has log with l_j = 0 off the multiples of s."""
-    kind = draw(st.sampled_from([*CLASS_SERIES, "custom"]))
-    if kind != "custom":
+    g(x^s) has log with l_j = 0 off the multiples of s, and exp(a x) g(x^2)
+    has a linear log term besides its even ones."""
+    kind = draw(st.sampled_from([*CLASS_SERIES, "custom", "exp"]))
+    if kind in CLASS_SERIES:
         return CLASS_SERIES[kind]
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    if kind == "exp":
+        return exp_times(draw(values.filter(bool)), draw(st.lists(values, max_size=3)))
     step = draw(st.integers(1, 3))
-    coeffs = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), max_size=6))
+    coeffs = draw(st.lists(values, max_size=6))
     spread = [0] * (step * len(coeffs) + 1)
     spread[0] = 1
     spread[step::step] = coeffs
     return lambda order: Series(spread).truncated(order)
 
 
+def torus_config(truncations):
+    """A config with no roots on prod P^(n_i - 1), the Euler-sequence
+    tangent bundle and unequal truncations allowed."""
+    k = len(truncations)
+    unit = [[str(int(i == j)) for j in range(k)] for i in range(k)]
+    return model_from_config({
+        "schema": "1",
+        "ring": {"variables": str(k), "truncations": [str(n) for n in truncations]},
+        "roots": {"weights": [], "positive": [], "weyl_generators": [], "weyl_order": "1"},
+        "tangent_bundle": [
+            *({"weight": w, "multiplicity": str(n)} for w, n in zip(unit, truncations)),
+            {"weight": "0", "multiplicity": str(-k)},
+        ],
+    })
+
+
+POINT_MODELS = [
+    *(grassmannian_model(k, n) for k, n in [(1, 4), (1, 7), (2, 4), (2, 5), (3, 5), (3, 6), (2, 3)]),
+    grassmannian_model(2, 2),  # N = 0
+    grassmannian_model(3, 3),
+    torus_config([3, 4, 2]),
+    torus_config([4, 1, 3]),
+]
+
+
+@st.composite
+def point_cases(draw):
+    """A model, where its points come from, a twist of up to three lines
+    or none, and a weight w added to V with -w at another multiplicity, or
+    none.  Zero weights and negative multiplicities may be drawn; a twist
+    need not be Weyl-invariant, as both kernels sum over the same points."""
+    m = draw(st.sampled_from(POINT_MODELS))
+    weight = st.tuples(*[st.integers(-2, 2)] * m.ring.k)
+    mult = st.integers(-2, 3).filter(bool)
+    where = draw(st.sampled_from(["orbits", "all", "torus"]))
+    twist = draw(st.none() | st.lists(st.tuples(weight, mult), min_size=1, max_size=3))
+    pair = draw(st.none() | st.tuples(weight.filter(any), mult, mult).filter(lambda c: c[1] != c[2]))
+    return m, where, twist, pair
+
+
 class TestIntegratePoints:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([(1, 4), (1, 7), (2, 4), (2, 5), (3, 5), (3, 6), (2, 3)]),
-        point_series(),
-        st.sampled_from(["orbits", "all", "torus"]),
-        st.one_of(st.none(), st.tuples(st.integers(-2, 2), st.integers(-2, 3).filter(bool))),
+    @settings(max_examples=80, deadline=None)
+    @given(point_cases(), point_series())
+    @example(
+        (grassmannian_model(3, 6), "orbits", None, None),
+        lambda order: Series([1, 0, Fraction(1, 2)]).truncated(order),
     )
-    @example((3, 6), lambda order: Series([1, 0, Fraction(1, 2)]).truncated(order), "orbits", None)
-    @example((2, 5), todd_series, "all", (1, 2))
-    def test_matches_the_dense_recurrence(self, kn, series, where, line):
-        m = grassmannian_model(*kn)
+    @example((grassmannian_model(2, 5), "all", [((1, 1), 2)], None), todd_series)
+    @example((grassmannian_model(2, 2), "orbits", [((0, 0), -2), ((1, -1), 3)], None), todd_series)
+    @example((grassmannian_model(3, 3), "all", None, None), total_chern_series)
+    @example((grassmannian_model(2, 4), "all", None, ((1, -2), 3, -1)), l_class_series)
+    @example((grassmannian_model(3, 5), "orbits", [((0, 0, 0), 1)], None), exp_times(Fraction(3, 2), []))
+    @example(
+        (grassmannian_model(2, 5), "orbits", [((2, 2), -1), ((0, 0), 2)], ((1, 0), 2, 5)),
+        exp_times(Fraction(-1, 3), [2, 0, Fraction(-1, 5)]),
+    )
+    @example(
+        (torus_config([3, 4, 2]), "all", [((1, 0, -1), 1), ((0, 0, 0), -1)], ((1, 2, 0), 1, 3)),
+        todd_series,
+    )
+    def test_matches_the_dense_recurrence(self, case, series):
+        m, where, lines, pair = case
         roots = () if where == "torus" else m.root_data.roots
-        points = orbit_points(m) if where == "orbits" else all_points(m.ring)
+        points = (where == "orbits" and orbit_points(m)) or all_points(m.ring)
         V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in roots])
-        twist = None if line is None else SplitBundle(m.ring, [((line[0],) * kn[0], line[1])])
+        if pair is not None:
+            w, a, b = pair
+            V = V + SplitBundle(m.ring, [(w, a), (tuple(-x for x in w), b)])
+        twist = None if lines is None else SplitBundle(m.ring, lines)
         f = series(m.ring.top_degree)
         got = integrate_points(m, points, roots, f, V, twist)
         assert got == dense_integrate_points(m, points, roots, f, V, twist)
