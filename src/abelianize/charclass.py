@@ -86,9 +86,9 @@ def mult_class(f: Series, V: SplitBundle) -> Poly:
     """Apply a multiplicative series to a split bundle.
 
     Each summand contributes f(root)^multiplicity, root being the Euler class
-    of its weight: the series is raised to the power before it is
-    substituted.  Negative multiplicities go through the series reciprocal,
-    so virtual bundles are supported.
+    of its weight, and is skipped where that is 1 (a trivial line): the series
+    is raised to the power before it is substituted.  Negative multiplicities
+    go through the series reciprocal, so virtual bundles are supported.
     """
     if f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
@@ -96,6 +96,8 @@ def mult_class(f: Series, V: SplitBundle) -> Poly:
     powers: dict[int, Series] = {}  # f^mult, once for each multiplicity
     out = V.ring.one()
     for w, mult in V.summands:
+        if not any(w):
+            continue
         if mult not in powers:
             powers[mult] = (f if mult > 0 else f.reciprocal()) ** abs(mult)
         out = out * eval_series(powers[mult], root_euler_class(V.ring, w))

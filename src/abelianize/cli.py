@@ -283,7 +283,7 @@ def _cmd_oracle_check(args, out) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """Built once per process, unchanged by parsing; `commands` holds each subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="abelianize",
         description=(
@@ -293,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        return parser.commands.setdefault(name, sub.add_parser(name, help=help))
 
     def add_model_args(
         p: argparse.ArgumentParser, subgroup: bool = False, csv: bool = False, latex: bool = False
@@ -316,42 +320,42 @@ def build_parser() -> argparse.ArgumentParser:
                 help="use the model's subgroup_roots block (full-rank-subgroup formulas)",
             )
 
-    p = sub.add_parser("pairing", help="pair monomials in dual-tautological Chern classes")
+    p = add_command("pairing", help="pair monomials in dual-tautological Chern classes")
     add_model_args(p, csv=True, latex=True)
     p.add_argument("--exps", help="comma-separated exponents m_1,...,m_k")
     p.add_argument("--table", action="store_true", help="emit all top-degree pairings")
     p.add_argument("--oracle", action="store_true", help="cross-check against the Pieri oracle")
     p.set_defaults(func=_cmd_pairing)
 
-    p = sub.add_parser("integrate", help="integrate a lifted class over the quotient")
+    p = add_command("integrate", help="integrate a lifted class over the quotient")
     add_model_args(p, subgroup=True, latex=True)
     p.add_argument("expr", help="polynomial in the canonical grammar, e.g. 'u1^3*u2^3'")
     p.add_argument("--torus", action="store_true", help="integrate over the torus quotient")
     p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser("betti", help="Betti numbers of the quotient presentation")
+    p = add_command("betti", help="Betti numbers of the quotient presentation")
     add_model_args(p, csv=True)
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("presentation", help="degreewise presentation report")
+    p = add_command("presentation", help="degreewise presentation report")
     add_model_args(p, csv=True)
     p.set_defaults(func=_cmd_presentation)
 
-    p = sub.add_parser("euler", help="Euler characteristic of the quotient")
+    p = add_command("euler", help="Euler characteristic of the quotient")
     add_model_args(p, latex=True)
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("signature", help="signature of the quotient")
+    p = add_command("signature", help="signature of the quotient")
     add_model_args(p, latex=True)
     p.set_defaults(func=_cmd_signature)
 
-    p = sub.add_parser("charnum", help="characteristic number for a multiplicative class")
+    p = add_command("charnum", help="characteristic number for a multiplicative class")
     add_model_args(p, latex=True)
     p.add_argument("--class", dest="klass", default="total-chern", help="named series")
     p.add_argument("--series", help="custom series as rational coefficients c0,c1,...")
     p.set_defaults(func=_cmd_charnum)
 
-    p = sub.add_parser("index", help="index of the twisted operator on the quotient")
+    p = add_command("index", help="index of the twisted operator on the quotient")
     add_model_args(p, subgroup=True, latex=True)
     p.add_argument(
         "--line",
@@ -366,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("oracle-check", help="compare every pairing against the Pieri oracle")
+    p = add_command("oracle-check", help="compare every pairing against the Pieri oracle")
     p.add_argument("--grassmannian", nargs=2, type=int, metavar=("K", "N"))
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-n", type=int, default=7)
     p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("config-dump", help="serialize the model back to config JSON")
+    p = add_command("config-dump", help="serialize the model back to config JSON")
     add_model_args(p)
     p.set_defaults(func=_cmd_config_dump)
 
@@ -388,8 +392,13 @@ def _cmd_config_dump(args, out) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one query; the parser of the subcommand argv[0] names reads argv[1:]."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (parser.parse_args(argv), [])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args, sys.stdout)
     except ConfigError as err:

@@ -18,10 +18,10 @@ per Weyl orbit, its count times |W|).  `integrate_points` sums a class given
 as a series and bundles over all its points at once, each degree of the
 exponential one primitive integer column over the points with its content
 kept as two ints, so that no entry carries a scale common to every point.
-`chern_pairings` and the Gram matrices sum Chern monomials and invariants at
-the model's `e_points`, built once a model.  Only an explicit lift takes
-products: `integrate_torus` reads the top-monomial coefficient of a product
-of `Poly` factors.
+`chern_pairings` and the Gram matrices sum Chern monomials (`chern_sums`,
+e_j(t_b) one column over the points, one variable at a time) and invariants
+at the model's `e_points`, built once a model.  `integrate_torus` pairs a
+lift with e by complementary exponents; only a third factor takes a product.
 """
 
 from __future__ import annotations
@@ -441,12 +441,16 @@ def chern_sums(m: QuotientModel, blocks: Sequence[Sequence[int]], rows: Iterable
     prod_b prod_j e_j(t_b)^{v_(b,j)} over `QuotientModel.e_points`, a row
     listing e_1..e_|b| of each block in turn; rows share their prefixes."""
     pts, _ = m.e_points()
-    columns = []  # e_j(t_b) at each point, read off prod_{i in b} (1 + t_i x), per row entry
+    columns = []  # e_j(t_b) over the points, one per row entry
     for b in blocks:
-        at = [[1] for _ in pts]
+        E: list[list[int]] = []  # e_1.. of the block's variables so far: e_j += t_i e_(j-1)
         for i in b:
-            at = [[a + t[i] * c for a, c in zip([*e, 0], [0, *e])] for e, (t, _) in zip(at, pts)]
-        columns += [[e[j] for e in at] for j in range(1, len(b) + 1)]
+            ti, low, out = [t[i] for t, _ in pts], [1] * len(pts), []
+            for e in E:
+                out.append(list(map(add, e, map(mul, ti, low))))
+                low = e
+            E = out + [list(map(mul, ti, low))]
+        columns += E
     prefix: dict[tuple[int, ...], list[int]] = {(): [w for _, w in pts]}
 
     def values(v: tuple[int, ...]) -> list[int]:  # w prod e^v at each point

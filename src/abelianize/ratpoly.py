@@ -8,8 +8,8 @@ zero polynomial has no terms, so representations are canonical.
 
 A `Poly` stores integer numerators over one positive denominator (`nums`,
 `den`): no zero numerator, and gcd(den, numerators) = 1.  Every kernel
-(addition, scalar multiples, both product kernels, `inverse`,
-`eval_series`) takes and returns numerators and reduces by one gcd, so no
+(addition, scalar multiples, both product kernels, `inverse`, `eval_series`,
+`parse_poly`) takes or returns numerators and reduces by one gcd, so no
 `Fraction` is built inside the arithmetic.  `terms`, the rational view
 (Python ints or `fractions.Fraction`, never floats), is built on first read;
 `coefficient` and `constant_term` build one `Fraction` per call.
@@ -619,7 +619,7 @@ def parse_poly(ring: Ring, text: str) -> Poly:
     if not s:
         raise ValueError("empty polynomial text")
     pos = 0
-    terms: dict[Exponent, Coeff] = {}
+    terms: list[tuple[Exponent, int, int]] = []
 
     def fail(msg: str) -> ValueError:
         return ValueError(f"parse error at position {pos} in {text!r}: {msg}")
@@ -634,23 +634,19 @@ def parse_poly(ring: Ring, text: str) -> Poly:
         return int(s[start:pos])
 
     while pos < len(s):
-        sign = 1
+        num, den = (-1 if s[pos] == "-" else 1), 1
         if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
             pos += 1
-        coeff: Coeff = sign
         exps = [0] * ring.k
         while True:
             if pos < len(s) and s[pos].isdigit():
-                num = read_int()
+                num *= read_int()
                 if pos < len(s) and s[pos] == "/":
                     pos += 1
-                    den = read_int()
-                    if not den:
+                    d = read_int()
+                    if not d:
                         raise fail("zero denominator")
-                    coeff = coeff * Fraction(num, den)
-                else:
-                    coeff = coeff * num
+                    den *= d
             elif pos < len(s) and s[pos] == "u":
                 pos += 1
                 idx = read_int()
@@ -667,8 +663,12 @@ def parse_poly(ring: Ring, text: str) -> Poly:
                 pos += 1
                 continue
             break
-        e = tuple(exps)
-        terms[e] = terms.get(e, 0) + coeff
+        if all(map(lt, exps, ring.truncations)):
+            terms.append((tuple(exps), num, den))
         if pos < len(s) and s[pos] not in "+-":
             raise fail("expected '+' or '-' between terms")
-    return Poly(ring, terms)
+    D = lcm(*(d for _, _, d in terms))
+    nums: dict[Exponent, int] = {}
+    for e, num, den in terms:
+        nums[e] = nums.get(e, 0) + num * (D // den)
+    return Poly._reduced(ring, nums, D)

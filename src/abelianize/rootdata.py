@@ -1,9 +1,9 @@
 """Root systems, the Weyl group, and root Euler classes.
 
-A weight of the k-torus is an integer vector; it determines a line bundle on
-the torus quotient whose Euler class is the corresponding degree-1 linear
-form in the ring generators.  `RootData` bundles a root set, a choice of
-positive roots, Weyl generators, and the Weyl group order.
+A weight of the k-torus is an integer vector: a line bundle on the torus
+quotient whose Euler class is a linear form in the ring generators, which
+`e_product` multiplies on integer numerators, with no `Poly` product.
+`RootData` bundles roots, positive roots, Weyl generators and |W|.
 
 This module is the one place that knows W and answers "does W fix this?".
 W is the group the roots' reflections generate.  The reflection of a root
@@ -235,8 +235,18 @@ def root_euler_class(ring: Ring, w: Sequence[int]) -> Poly:
 
 
 def e_product(ring: Ring, weights: Iterable[Sequence[int]]) -> Poly:
-    """Product of the Euler classes of the given weights; the empty product is 1."""
-    out = ring.one()
+    """Product of the Euler classes of the weights, 1 for none, on integer numerators."""
+    truncs = ring.truncations
+    out = {(0,) * ring.k: 1}
     for w in weights:
-        out = out * root_euler_class(ring, w)
-    return out
+        if len(w) != ring.k:
+            raise ValueError(f"weight length {len(w)} does not match {ring.k} variables")
+        steps = [(i, x) for i, x in enumerate(w) if x and truncs[i] > 1]
+        acc: dict[tuple[int, ...], int] = {}
+        for e, c in out.items():
+            for i, x in steps:
+                if e[i] + 1 < truncs[i]:
+                    f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                    acc[f] = acc.get(f, 0) + c * x
+        out = {e: c for e, c in acc.items() if c}
+    return Poly._trusted(ring, out)

@@ -165,6 +165,17 @@ class TestMultClass:
             f = CLASS_SERIES[name](ring.top_degree)
             assert mult_class(f, a + b) == mult_class(f, a) * mult_class(f, b)
 
+    @pytest.mark.parametrize("mult", [-3, -1, 1, 2, 5])
+    def test_trivial_lines_leave_it_unchanged(self, mult):
+        # a zero weight, or one on a variable truncated at 1, has root 0
+        ring = Ring(3, [4, 3, 1])
+        V = SplitBundle(ring, [((1, 0, 0), 2), ((-1, 1, 0), -1), ((0, 1, 1), 1)])
+        trivial = SplitBundle(ring, [((0, 0, 0), mult), ((0, 0, 2), mult + 7)])
+        named = [build(ring.top_degree) for build in CLASS_SERIES.values()]
+        for f in [*named, Series([1, 2, -1, 3])]:
+            assert mult_class(f, trivial) == ring.one()
+            assert mult_class(f, V + trivial) == mult_class(f, trivial + V) == mult_class(f, V)
+
     def test_degree_zero_part_is_one(self):
         ring = Ring(2, [4, 4])
         V = SplitBundle(ring, [((1, 0), 3), ((0, 1), -2)])

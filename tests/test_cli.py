@@ -1,5 +1,6 @@
 """Tests for the command-line driver and the config schema."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,62 @@ class TestSubcommands:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+TOP_USAGE = (
+    "usage: abelianize [-h]\n"
+    "                  {pairing,integrate,betti,presentation,euler,signature,charnum,"
+    "index,oracle-check,config-dump}\n"
+    "                  ...\n"
+)
+
+
+def sha256(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDispatch:
+    """`main` hands argv[1:] to the subcommand's own parser; every byte of
+    these results was recorded from the full two-level parse (help texts
+    by digest, at 80 columns)."""
+
+    @pytest.mark.parametrize(
+        "argv, status, out, err",
+        [
+            ([], 2, "", TOP_USAGE + "abelianize: error: the following arguments are required: "
+             "command\n"),
+            (["--help"], 0,
+             "sha256:105a007e1033d5936781bbdd64aa0db00dea41bd5d9c85ed55d1f036c57bf6c4", ""),
+            (["frobnicate"], 2, "", TOP_USAGE + "abelianize: error: argument command: invalid "
+             "choice: 'frobnicate' (choose from 'pairing', 'integrate', 'betti', 'presentation', "
+             "'euler', 'signature', 'charnum', 'index', 'oracle-check', 'config-dump')\n"),
+            (["pairing", "--help"], 0,
+             "sha256:da92dd6bab24710963d5c418a573759b4b536249c293449ddd459664b4372005", ""),
+            (["pairing", "--bogus"], 2, "",
+             TOP_USAGE + "abelianize: error: unrecognized arguments: --bogus\n"),
+            (["betti", "--grassmannian", "2", "4", "--subgroup"], 2, "",
+             TOP_USAGE + "abelianize: error: unrecognized arguments: --subgroup\n"),
+            (["integrate", "--grassmannian", "2", "4", "--", "-u1^3*u2^3"], 0, "0\n", ""),
+            (["index", "--grassmannian", "2", "4", "--line=-1,-1"], 0, "0\n", ""),
+        ],
+    )
+    def test_matches_the_full_parse(self, capsys, monkeypatch, argv, status, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got = [captured.out, captured.err]
+        got = [sha256(text) if want.startswith("sha256:") else text
+               for text, want in zip(got, (out, err))]
+        assert (code, *got) == (status, out, err)
+
+    def test_each_subcommand_parser_is_kept(self):
+        parser = cli.build_parser()
+        for name, command in parser.commands.items():
+            assert command.prog == f"abelianize {name}"
+            assert command.get_default("func") is getattr(cli, f"_cmd_{name.replace('-', '_')}")
+
+
 def g24_config() -> dict:
     return model_to_config(grassmannian_model(2, 4))
 
@@ -317,8 +374,9 @@ class TestRouteGate:
         assert routes == ["integrate_points"]
 
     def test_pairings_and_gram_matrices_form_no_product(self, capsys, monkeypatch, tmp_path):
-        # pairings and Gram matrices are point sums; only an explicit lift
-        # (`integrate`) still takes the torus-integral product
+        # pairings and Gram matrices are point sums; an explicit lift
+        # (`integrate`) pairs two factors, the lift and e, and forms no
+        # product; only the two-term index still multiplies
         calls = []
 
         def spy(name, original):
@@ -353,7 +411,9 @@ class TestRouteGate:
             assert (status, err) == (0, "")
         assert calls == []
         assert run(capsys, "integrate", *g36, "u1^5*u2^4")[0] == 0
-        assert "integrate_torus" in calls and "product_upto" in calls
+        assert calls == ["integrate_torus"]
+        assert run(capsys, "index", *g36, "--line=1,1,1", "--check-two-term")[0] == 0
+        assert "integrate_torus" in calls[1:] and "product_upto" in calls
 
     def test_one_point_set_per_gram_query(self, capsys, monkeypatch, tmp_path):
         # the q/2 + 1 Gram matrices of one betti or presentation query share

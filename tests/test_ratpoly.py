@@ -23,7 +23,7 @@ from abelianize.ratpoly import (
     _product_packed,
     _product_pairs,
 )
-from references import permute_poly
+from references import parse_poly as parse_poly_reference, permute_poly
 
 
 def random_poly(rng, ring, max_terms=6, max_coeff=9):
@@ -667,6 +667,38 @@ class TestSeries:
         assert f.truncated(0).coeffs == (1,)
 
 
+@st.composite
+def parse_cases(draw):
+    """A ring, polynomial text in its grammar (rational factors, repeated
+    monomials, variables past their truncation, spaces), and a place and a
+    character for a one-character mutation."""
+    k = draw(st.integers(1, 3))
+    ring = Ring(k, draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    rational = st.builds(
+        lambda n, d: f"{n}/{d}" if d is not None else str(n),
+        st.integers(0, 12), st.none() | st.integers(1, 8),
+    )
+    variable = st.builds(
+        lambda i, p: f"u{i}^{p}" if p is not None else f"u{i}",
+        st.integers(1, k), st.none() | st.integers(0, 5),
+    )
+    term = st.lists(rational | variable, min_size=1, max_size=4).map("*".join)
+    signs = st.sampled_from(["+", "-", " + ", " - "])
+    terms = draw(st.lists(st.tuples(signs, term), min_size=1, max_size=6))
+    text = (draw(st.sampled_from(["", "-", "+", " "])) + terms[0][1]
+            + "".join(sign + t for sign, t in terms[1:]))
+    at = draw(st.integers(0, len(text)))
+    return ring, text, at, draw(st.sampled_from(list("0123456789u^*/+- x") + [""]))
+
+
+def parse_outcome(parse, ring, text):
+    """The polynomial, or the error's type and message."""
+    try:
+        return parse(ring, text)
+    except ValueError as err:
+        return type(err), str(err)
+
+
 class TestTextForm:
     def test_render_examples(self):
         ring = Ring(3, [4, 4, 4])
@@ -691,6 +723,16 @@ class TestTextForm:
         located = r"at position 3 in '1/0\*u1\^2\*u2\^2': zero denominator"
         with pytest.raises(ValueError, match=located):
             parse_poly(ring, "1/0*u1^2*u2^2")
+
+    @settings(max_examples=150, deadline=None)
+    @given(parse_cases())
+    @example((Ring(2, [3, 1]), "1/2*u1^2*u2 + 3*u1^3 - 2/4*u1 + 1/2*u1 - 0/7", 10, ""))
+    @example((Ring(2, [3, 3]), "1/2*u1 - 3/4*u2", 2, "0"))
+    def test_parse_equals_the_fraction_reference(self, case):
+        ring, text, at, char = case
+        for t in (text, text[:at] + char + text[at + 1 :], text[:at] + char + text[at:]):
+            expected = parse_outcome(parse_poly_reference, ring, t)
+            assert parse_outcome(parse_poly, ring, t) == expected
 
     def test_parse_accepts_spaces_and_signs(self):
         ring = Ring(2, [4, 4])

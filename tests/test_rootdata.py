@@ -4,6 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from abelianize.quotient import QuotientModel, grassmannian_model
 from abelianize.ratpoly import Ring
@@ -232,6 +233,16 @@ class TestRootEulerClass:
             root_euler_class(Ring(2, [4, 4]), (1, 0, 0))
 
 
+@st.composite
+def e_cases(draw):
+    """A ring and a weight list with zero entries, variables truncated at 1
+    and repeated weights."""
+    k = draw(st.integers(1, 4))
+    ring = Ring(k, draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    weights = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), max_size=6))
+    return ring, draw(st.permutations(weights + weights[: len(weights) // 2]))
+
+
 class TestEProduct:
     def test_empty_product(self):
         ring = Ring(1, [4])
@@ -272,6 +283,22 @@ class TestEProduct:
                     vandermonde = vandermonde * (gens[i] - gens[j])
             sign = (-1) ** (k * (k - 1) // 2)
             assert e_product(ring, unitary_roots(k).roots) == sign * vandermonde**2
+
+    @settings(max_examples=80, deadline=None)
+    @given(e_cases())
+    @example((Ring(2, [4, 1]), []))
+    @example((Ring(3, [3, 1, 3]), [(1, 2, 0), (0, 5, 0), (1, 2, 0), (0, 0, 0)]))
+    def test_equals_the_product_of_root_classes(self, case):
+        ring, weights = case
+        product = ring.one()
+        for w in weights:
+            product = product * root_euler_class(ring, w)
+        e = e_product(ring, weights)
+        assert (e.nums, e.den) == (product.nums, product.den)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="weight length 3"):
+            e_product(Ring(2, [4, 4]), [(1, -1), (1, 0, 0)])
 
     def test_complement_selection(self):
         m = grassmannian_model(3, 4)
