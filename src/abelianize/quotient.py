@@ -354,7 +354,8 @@ def integrate_points(
     no entry carries a scale common to all points.  p_j is built for those
     j only (and j = 1 where l_1 != 0): a weight w of V and -w fold into one
     row (a + (-1)^j b) x^j, x = w.t, cached by x for each pair (a, b) of
-    multiplicities."""
+    multiplicities.  A line whose z = b1 w.t + a1 p_1 is 0 at every point
+    adds only at lam^0, as the trivial line does under the L-class."""
     N = m.ring.top_degree - len(roots)
     f = f.truncated(N + 1)  # so that l_1 is read at N = 0 too
     dlog = Series.over([j * x for j, x in enumerate(f.nums)], f.den) * f.reciprocal()
@@ -396,7 +397,7 @@ def integrate_points(
     parts = []  # [lam^N] of sum_lines k exp(lam z / b1) kappa(lam), one part per kappa_n
     for n, (col, kn, kd) in kappa.items():
         j, wc = N - n, list(map(mul, ws, col))
-        dot = sum(k * sum(map(mul, wc, map(pow, z, repeat(j)))) for z, k in zs)
+        dot = sum(k * sum(map(mul, wc, map(pow, z, repeat(j)))) for z, k in zs if not j or any(z))
         parts.append((kn * dot, kd * factorial(j) * b1**j))
     D = lcm(*(q for _, q in parts))
     return Fraction(sum(x * (D // q) for x, q in parts), D * den)

@@ -10,9 +10,11 @@ A `Poly` stores integer numerators over one positive denominator (`nums`,
 `den`): no zero numerator, and gcd(den, numerators) = 1.  Every kernel
 (addition, scalar multiples, both product kernels, `inverse`, `eval_series`,
 `parse_poly`) takes or returns numerators and reduces by one gcd, so no
-`Fraction` is built inside the arithmetic.  `terms`, the rational view
-(Python ints or `fractions.Fraction`, never floats), is built on first read;
-`coefficient` and `constant_term` build one `Fraction` per call.
+`Fraction` is built inside the arithmetic, and the product kernels and
+`inverse` key each monomial by one integer slot code (`_Codes`), so no
+exponent tuple is built per term pair.  `terms`, the rational view (ints or
+`Fraction`s, never floats), is built on first read; `coefficient` and
+`constant_term` build one `Fraction` per call.
 
 `Series` holds a univariate power series the same way, numerators over one
 denominator, long enough to cover a ring's top degree; `eval_series`
@@ -21,11 +23,12 @@ substitutes a linear form, a Chern root, into a series.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, product
 from math import comb, gcd, lcm, prod
-from operator import add, getitem, lt, mul, sub
+from operator import getitem, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -271,18 +274,22 @@ class Poly:
     def product_upto(self, other: Poly, degree: int) -> Poly:
         """The product with every term of total degree above `degree` dropped.
 
-        This is the ring's one multiplication.  The packed kernel's work
-        grows with the number of monomials in the ring's box, the loop's with
-        the number of term pairs: it loops over term pairs when there are no
-        more pairs than monomials, and otherwise multiplies the operands
-        packed into two integers.
+        This is the ring's one multiplication.  A constant operand scales
+        the other.  Otherwise the packed kernel's work grows with the number
+        of monomials in the ring's box, the pair loop's with the number of
+        term pairs: it loops over pairs where there are at most eight times
+        as many pairs as monomials, else multiplies the operands packed into
+        two ints.
         """
         self._check_ring(other)
-        if len(self.nums) * len(other.nums) <= prod(self.ring.truncations):
-            kernel = _product_pairs
+        small, large = sorted((self, other), key=lambda f: len(f.nums))
+        if len(small.nums) == 1 and (c := small.nums.get((0,) * self.ring.k)):
+            nums = {e: v * c for e, v in large.nums.items() if sum(e) <= degree}
+        elif len(self.nums) * len(other.nums) <= 8 * prod(self.ring.truncations):
+            nums = _product_pairs(self, other, degree)
         else:
-            kernel = _product_packed
-        return Poly._reduced(self.ring, kernel(self, other, degree), self.den * other.den)
+            nums = _product_packed(self, other, degree)
+        return Poly._reduced(self.ring, nums, self.den * other.den)
 
     def __truediv__(self, scalar: Coeff) -> Poly:
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
@@ -306,19 +313,19 @@ class Poly:
         """Multiplicative inverse; exists iff the constant term is nonzero.
         One pass over the box by degree, on numerators: with self = P/d, H_0
         = 1 and H_e = -sum_f P_f P_0^(|f|-1) H_(e-f) over the nonzero f <= e,
-        and the coefficient at e is d H_e / P_0^(|e|+1)."""
+        and the coefficient at e is d H_e / P_0^(|e|+1).  H is keyed by slot
+        code, and code(e) - code(f) is a code only where f <= e (`_Codes`)."""
         ring, zero = self.ring, (0,) * self.ring.k
         p0, top = self.nums.get(zero, 0), ring.top_degree
         if not p0:
             raise ValueError("polynomial with zero constant term is not invertible")
-        steps = [(f, c * p0 ** (sum(f) - 1)) for f, c in self.nums.items() if f != zero]
-        H = {zero: 1}
-        for e in _slot_layout(ring.truncations)[1][1:]:  # by degree, after zero
-            # e - f outside the box has a negative entry, so it is not in H
-            h = -sum(c * H.get(tuple(map(sub, e, f)), 0) for f, c in steps)
-            if h:
-                H[e] = h
-        nums = {e: self.den * h * p0 ** (top - sum(e)) for e, h in H.items()}
+        codes, (monomials, slots, _) = _Codes(ring.truncations), _slot_layout(ring.truncations)
+        steps = [(codes[f], c * p0 ** (sum(f) - 1)) for f, c in self.nums.items() if f != zero]
+        H = {0: 1}
+        for s in slots[1:]:  # by degree, after zero
+            if h := -sum(c * H.get(s - t, 0) for t, c in steps):
+                H[s] = h
+        nums = {e: self.den * H[s] * p0 ** (top - sum(e)) for e, s in zip(monomials, slots) if s in H}
         return Poly._reduced(ring, nums, p0 ** (top + 1))
 
     def __eq__(self, other) -> bool:
@@ -340,42 +347,52 @@ class Poly:
 
 def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
     """Numerators of p*q up to `degree` over p.den * q.den, unreduced, one
-    term pair at a time.
-
-    The right operand's terms are visited by increasing degree so each left
-    term stops early.
-    """
-    truncs = p.ring.truncations
-    right = sorted(zip(map(sum, q.nums), q.nums, q.nums.values()))
-    out: dict[Exponent, int] = {}
+    term pair at a time: a pair's slot code is the sum of its terms' codes,
+    and `_Codes` says whether that sum codes a monomial.  The right terms go
+    by increasing degree, so each left term stops early."""
+    codes = _Codes(p.ring.truncations)
+    right = sorted((sum(e), codes[e], c) for e, c in q.nums.items())
+    out: dict[int, int] = {}
     for e1, c1 in p.nums.items():
-        room = degree - sum(e1)
-        for d2, e2, c2 in right:
+        room, s1 = degree - sum(e1), codes[e1]
+        for d2, s2, c2 in right:
             if d2 > room:
                 break
-            e = tuple(map(add, e1, e2))
-            if all(map(lt, e, truncs)):
-                out[e] = out.get(e, 0) + c1 * c2
-    return out
+            if codes[s := s1 + s2]:
+                out[s] = out.get(s, 0) + c1 * c2
+    return {codes[s]: c for s, c in out.items()}
+
+
+@lru_cache(maxsize=8)  # one map per ring
+class _Codes(dict):
+    """The slot codes of a ring's box, both ways, each made on first lookup
+    so that no box is enumerated: exponent tuple e to code(e) = sum_i e_i
+    stride_i, stride_i = prod_{j<i} (2 n_j - 1), and a sum of two codes to
+    the exponent tuple it codes, or None outside the box.  Digits add
+    without carrying, and each integer of size at most code(top) is sum_i
+    d_i stride_i for exactly one d with |d_i| <= n_i - 1, so code(e) -
+    code(f) is a code exactly when e >= f."""
+
+    def __init__(self, truncations: Exponent):
+        self.truncations = truncations
+        self.strides = tuple(accumulate((2 * n - 1 for n in truncations[:-1]), mul, initial=1))
+
+    def __missing__(self, key: Exponent | int) -> int | Exponent | None:
+        if isinstance(key, tuple):
+            self[key] = sum(map(mul, key, self.strides))
+        else:
+            e = tuple(key // s % (2 * n - 1) for s, n in zip(self.strides, self.truncations))
+            self[key] = e if all(map(lt, e, self.truncations)) else None
+        return self[key]
 
 
 @lru_cache(maxsize=8)
 def _slot_layout(truncations: Exponent):
-    """Where `_product_packed` puts each monomial of a ring.
-
-    Variable u_{i+1} has stride prod_{j<i} (2 n_j - 1).  Two in-ring
-    exponents of one variable add to at most 2 n_i - 2, so slot indices add
-    without carrying from one variable into the next.  Returns the strides,
-    every in-ring monomial ordered by degree, their slot indices in the same
-    order, and for each degree d the number of monomials of degree <= d.
-    """
-    strides = tuple(accumulate((2 * n - 1 for n in truncations[:-1]), mul, initial=1))
+    """The box that `_product_packed` and `Poly.inverse` run over: every
+    monomial by degree, and its slot code (`_Codes`) and degree."""
     monomials = tuple(sorted(product(*map(range, truncations)), key=sum))
-    slots = tuple(sum(map(mul, e, strides)) for e in monomials)
-    per_degree = [0] * (sum(truncations) - len(truncations) + 1)
-    for e in monomials:
-        per_degree[sum(e)] += 1
-    return strides, monomials, slots, tuple(accumulate(per_degree))
+    slots = tuple(map(_Codes(truncations).__getitem__, monomials))
+    return monomials, slots, tuple(map(sum, monomials))
 
 
 def _pack(nums: list[tuple[int, int]], width: int) -> int:
@@ -406,11 +423,8 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
     """
     if degree < 0 or not p.nums or not q.nums:
         return {}
-    strides, monomials, slots, ends = _slot_layout(p.ring.truncations)
-    nums_p, nums_q = (
-        [(sum(map(mul, e, strides)), v) for e, v in f.nums.items() if sum(e) <= degree]
-        for f in (p, q)
-    )
+    codes, (monomials, slots, degrees) = _Codes(p.ring.truncations), _slot_layout(p.ring.truncations)
+    nums_p, nums_q = ([(codes[e], v) for e, v in f.nums.items() if sum(e) <= degree] for f in (p, q))
     if not nums_p or not nums_q:
         return {}
     bound = (
@@ -426,7 +440,7 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
     raw = (_pack(nums_p, width) * _pack(nums_q, width) + offset).to_bytes(span * width, "little")
     return {
         e: int.from_bytes(raw[s * width : (s + 1) * width], "little") - half
-        for s, e in zip(islice(slots, ends[min(degree, len(ends) - 1)]), monomials)
+        for s, e in zip(islice(slots, bisect_right(degrees, degree)), monomials)
     }
 
 
@@ -527,10 +541,10 @@ class Series:
         return Series.over(out, self.den * other.den)
 
     def __pow__(self, n: int) -> Series:
-        out = Series.over((1,) + (0,) * self.order, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n < 2:  # by squaring
+            return self if n else Series.over((1,) + (0,) * self.order, 1)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def reciprocal(self) -> Series:
         """Series g with self*g = 1 to the same order; needs nonzero constant

@@ -1,18 +1,23 @@
 """Reference functions that no query calls, kept for the tests.
 
-    from references import index_torus, negative, opposite, parse_poly, permute_poly
+    from references import index_torus, inverse, negative, opposite, parse_poly
+    from references import permute_poly, product_pairs
 
 `permute_poly` checks Weyl invariance of a polynomial term by term;
 `index_torus` is the index on the torus quotient itself, which the group
 index of a model with no roots must equal; `opposite` flips the positivity
 convention, on which a twisted index depends; `parse_poly` is the polynomial
 parser that sums one `Fraction` per term, against which the engine's
-integer-numerator parser is checked.
+integer-numerator parser is checked; `product_pairs` and `inverse` are the
+ring product's pair loop and the inverse's recurrence on exponent tuples,
+against which the kernels on slot codes are checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from operator import add, lt, sub
 from typing import Sequence
 
 from abelianize.charclass import todd_series
@@ -104,3 +109,40 @@ def parse_poly(ring: Ring, text: str) -> Poly:
         if pos < len(s) and s[pos] not in "+-":
             raise fail("expected '+' or '-' between terms")
     return Poly(ring, terms)
+
+
+def product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
+    """Numerators of p*q up to `degree` over p.den * q.den, unreduced, one
+    term pair at a time on exponent tuples, the right operand's terms
+    visited by increasing degree so each left term stops early."""
+    truncs = p.ring.truncations
+    right = sorted(zip(map(sum, q.nums), q.nums, q.nums.values()))
+    out: dict[Exponent, int] = {}
+    for e1, c1 in p.nums.items():
+        room = degree - sum(e1)
+        for d2, e2, c2 in right:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            if all(map(lt, e, truncs)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def inverse(p: Poly) -> Poly:
+    """1/p by one pass over the box by degree on exponent tuples: with p =
+    P/d, H_0 = 1 and H_e = -sum_f P_f P_0^(|f|-1) H_(e-f) over the nonzero
+    f <= e, and the coefficient at e is d H_e / P_0^(|e|+1)."""
+    ring, zero = p.ring, (0,) * p.ring.k
+    p0, top = p.nums.get(zero, 0), ring.top_degree
+    if not p0:
+        raise ValueError("polynomial with zero constant term is not invertible")
+    steps = [(f, c * p0 ** (sum(f) - 1)) for f, c in p.nums.items() if f != zero]
+    H = {zero: 1}
+    for e in sorted(product(*map(range, ring.truncations)), key=sum)[1:]:  # by degree
+        # e - f outside the box has a negative entry, so it is not in H
+        h = -sum(c * H.get(tuple(map(sub, e, f)), 0) for f, c in steps)
+        if h:
+            H[e] = h
+    nums = {e: p.den * h * p0 ** (top - sum(e)) for e, h in H.items()}
+    return Poly._reduced(ring, nums, p0 ** (top + 1))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 import pytest
@@ -20,10 +21,12 @@ from abelianize.ratpoly import (
     parse_poly,
     permute_exponents,
     render_poly,
+    _Codes,
     _product_packed,
     _product_pairs,
 )
-from references import parse_poly as parse_poly_reference, permute_poly
+from references import inverse as inverse_reference, parse_poly as parse_poly_reference
+from references import permute_poly, product_pairs as product_pairs_reference
 
 
 def random_poly(rng, ring, max_terms=6, max_coeff=9):
@@ -226,6 +229,8 @@ class TestProductKernels:
             assert _product_packed(p, p, ring.top_degree)[ring.top_exponents] == bound
 
     def test_product_upto_on_either_side_of_the_loop_threshold(self):
+        # the pair loop runs up to eight pairs per monomial of the box, the
+        # packed kernel above; a constant operand scales the other
         ring = Ring(3, [5, 5, 5])
 
         def dense(top, coeff):
@@ -233,11 +238,63 @@ class TestProductKernels:
             return Poly(ring, terms)
 
         small = dense(2, lambda d: d - 3)
-        large = dense(3, lambda d: Fraction(1, d + 2))
+        large = dense(5, lambda d: Fraction(1, d + 2))
         box = prod(ring.truncations)
-        assert len(small.terms) ** 2 <= box < len(small.terms) * len(large.terms)
-        for a, b in [(small, small), (small, large), (large, small), (large, large)]:
-            assert a.product_upto(b, 7).terms == schoolbook_upto(a, b, 7)
+        assert len(small.terms) * len(large.terms) <= 8 * box < len(large.terms) ** 2
+        constant = ring.constant(Fraction(-7, 3))
+        for a, b in [(small, small), (small, large), (large, small), (large, large),
+                     (constant, large), (large, constant), (constant, constant)]:
+            for degree in (2, 7):
+                assert a.product_upto(b, degree).terms == schoolbook_upto(a, b, degree)
+
+
+@st.composite
+def units(draw):
+    """A polynomial with a nonzero constant term, often not 1 or -1, in a
+    ring of up to four variables with unequal truncations, some at 1."""
+    k = draw(st.integers(1, 4))
+    ring = Ring(k, draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+    exps = st.tuples(*(st.integers(0, n - 1) for n in ring.truncations))
+    coeffs = st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=2**40))
+    p = Poly(ring, draw(st.dictionaries(exps, coeffs, max_size=16)))
+    c = draw(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=9)).filter(bool))
+    return p - p.constant_term() + c
+
+
+class TestSlotCodes:
+    @given(st.data())
+    def test_code_difference_is_a_code_exactly_when_e_dominates_f(self, data):
+        k = data.draw(st.integers(1, 4))
+        truncs = tuple(data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+        box = st.tuples(*(st.integers(0, n - 1) for n in truncs))
+        e, f = data.draw(box), data.draw(box)
+        codes = _Codes(truncs)
+        box_codes = {codes[x] for x in product(*map(range, truncs))}
+        assert len(box_codes) == prod(truncs)
+        difference = codes[e] - codes[f]
+        assert (difference in box_codes) == all(a >= b for a, b in zip(e, f))
+        if difference in box_codes:
+            assert difference == codes[tuple(a - b for a, b in zip(e, f))]
+        total = tuple(a + b for a, b in zip(e, f))
+        inside = all(x < n for x, n in zip(total, truncs))
+        assert codes[codes[e] + codes[f]] == (total if inside else None)
+
+    @settings(deadline=None)
+    @given(operands_and_degree())
+    @example((R4.constant(Fraction(3, 2)), tight_dense(R4), R4.top_degree))
+    @example((Ring(3, [1, 4, 2]).one(), Ring(3, [1, 4, 2]).variable(1) / 3, 3))
+    def test_pair_loop_equals_the_tuple_reference(self, case):
+        p, q, degree = case
+        assert _product_pairs(p, q, degree) == product_pairs_reference(p, q, degree)
+
+    @settings(deadline=None)
+    @given(units())
+    @example(Ring(3, [2, 1, 5]).constant(3) + Ring(3, [2, 1, 5]).variable(2) / 7)
+    @example(R444.constant(Fraction(-2, 5)) + V1 * V2 - V3**2)
+    def test_inverse_equals_the_tuple_reference(self, unit):
+        inverse = unit.inverse()
+        expected = inverse_reference(unit)
+        assert (inverse.nums, inverse.den) == (expected.nums, expected.den)
 
 
 @st.composite

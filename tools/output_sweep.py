@@ -1,4 +1,4 @@
-"""Print one line per CLI query of a fixed sweep, for byte-identity checks.
+"""Print one line per query of a fixed sweep, for byte-identity checks.
 
     python tools/output_sweep.py CHECKOUT > sweep.txt
 
@@ -17,6 +17,12 @@ workloads write at seeds 1-6; on the configs, the subcommands that take
 checkout that drops the flag lists fewer queries, and `diff` shows which.
 The same queries run on `REFUSALS`, one config per refusal of a model that
 W does not act on as declared or whose positive roots order no block.
+Last come library lines, which no CLI query reaches, on each G(k,n) above:
+the Segre pairings, the integrals of prod_i (1 + u_i)^-1 * prod_i e_i^m_i
+with `Poly.inverse` and ring products, at the `pairing --exps` vectors of
+every degree up to the dimension; and the values of `mult_class` (total
+Chern, Todd and L-class of the tangent bundle) and `lambda_alternating_ch`
+(of the positive-root bundle), rendered.
 Config files are written to a temporary directory under relative paths, so
 error messages that name a path read the same for every checkout.  Stdlib
 only.
@@ -190,6 +196,50 @@ def _config_shape(path: str) -> tuple[int, int, int]:
         return 1, 1, 0
 
 
+def _library(k: int, n: int):
+    """(label, call) for each library line on G(k,n); a call returns the
+    line's output text."""
+    from abelianize import charclass, quotient, ratpoly
+
+    model = quotient.grassmannian_model(k, n)
+    ring, q = model.ring, k * (n - k)
+    grassmannian = ("--grassmannian", str(k), str(n))
+
+    def segre(exps: str):
+        total_chern = ring.one()
+        for i in range(k):
+            total_chern = total_chern * (ring.one() + ring.variable(i))
+        lift = total_chern.inverse()
+        for i, m in enumerate(map(int, exps.split(",")), start=1):
+            lift = lift * ratpoly.elementary_symmetric(ring, i) ** m
+        return str(quotient.integrate_group(model, lift))
+
+    for d in range(q + 1):
+        for exps in _exps(k, d):
+            yield ("lib", "segre", *grassmannian, "--exps", exps), lambda exps=exps: segre(exps)
+    for name, series in charclass.CLASS_SERIES.items():
+        yield (("lib", "mult_class", name, *grassmannian),
+               lambda series=series: str(charclass.mult_class(series(q), model.tangent_bundle)))
+    positive = quotient.SplitBundle(ring, [(w, 1) for w in model.root_data.positive])
+    yield (("lib", "lambda_alternating_ch", *grassmannian),
+           lambda: str(charclass.lambda_alternating_ch(positive)))
+
+
+def _line(argv: tuple[str, ...], call) -> str:
+    """status, hash of stdout and stderr, and argv, for one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = call()
+        except SystemExit as exc:
+            status = exc.code
+        except Exception as exc:  # a traceback is an outcome to compare too
+            status = f"raised {type(exc).__name__}"
+            print(exc, file=err)
+    digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+    return f"{status}\t{digest[:16]}\t{shlex.join(argv)}"
+
+
 def sweep(checkout: str) -> list[tuple[str, ...]]:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     from abelianize import cli
@@ -197,10 +247,11 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
 
     print(f"abelianize from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     subgroup = frozenset(c for c in COMMANDS if _takes_subgroup(cli.build_parser(), c))
-    argvs = []
+    argvs, grassmannians = [], []
     for k in range(1, 5):
         n = k
         while k * (n - k) <= 16:
+            grassmannians.append((k, n))
             argvs.extend(_queries(("--grassmannian", str(k), str(n)), k, n, k * (n - k)))
             argvs.append(("oracle-check", "--grassmannian", str(k), str(n)))
             n += 1
@@ -220,18 +271,11 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
         argvs.extend(_queries(("--config", path), k, n, degree, subgroup))
 
     for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                status = cli.main(list(argv))
-            except SystemExit as exc:
-                status = exc.code
-            except Exception as exc:  # a traceback is an outcome to compare too
-                status = f"raised {type(exc).__name__}"
-                print(exc, file=err)
-        digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
-        print(f"{status}\t{digest[:16]}\t{shlex.join(argv)}", flush=True)
-    return argvs
+        print(_line(argv, lambda: cli.main(list(argv))), flush=True)
+    library = [line for k, n in grassmannians for line in _library(k, n)]
+    for argv, call in library:
+        print(_line(argv, lambda: print(call()) or 0), flush=True)
+    return argvs + [argv for argv, _ in library]
 
 
 def main() -> None:
