@@ -9,23 +9,40 @@ cases are the Euler characteristic and the signature, all evaluated on the
 torus side as sums over fixed points.  The two-term form of the index stays
 on products, as an evaluation that shares no kernel with the point sums.
 
-The named series are generated from the exponential series by exact
-reciprocal/product recurrences rather than hard-coded tables.
+The named series and the log-derivatives x f'/f that the point sums read
+come from one integer table of Bernoulli numbers, with no series division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from .ratpoly import Poly, Series, eval_series, exp_series
 from .rootdata import root_euler_class
-from .quotient import QuotientModel, SplitBundle, all_points, orbit_points
+from .quotient import QuotientModel, SplitBundle, all_points, orbit_points, stabilizer_blocks
 from .quotient import integrate_points, integrate_torus
 
 
 # -- named multiplicative series ------------------------------------------
+
+
+def _bernoulli(order: int) -> dict[int, tuple[int, int]]:
+    """2^j B_j / j! = (-1)^(n-1) T_n / ((4^n - 1) (2n - 1)!) as integers (a, b)
+    at even j = 2n <= order, T_n the tangent numbers (Knuth-Buckholtz)."""
+    T = [factorial(n - 1) for n in range(1, order // 2 + 1)]
+    for k in range(1, len(T)):
+        for j in range(k, len(T)):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return {2 * n: ((-1) ** (n - 1) * t, (4**n - 1) * factorial(2 * n - 1)) for n, t in enumerate(T, 1)}
+
+
+def _series(order: int, terms: dict[int, tuple[int, int]]) -> Series:
+    """sum_j (a_j / b_j) x^j to the given order, from integers, no `Fraction`."""
+    den = lcm(*(b for _, b in terms.values()))
+    return Series.over([a * den // b for a, b in map(terms.get, range(order + 1), repeat((0, 1)))], den)
 
 
 def total_chern_series(order: int) -> Series:
@@ -34,34 +51,21 @@ def total_chern_series(order: int) -> Series:
 
 
 def todd_series(order: int) -> Series:
-    """x/(1 - exp(-x)), as the reciprocal of (1 - exp(-x))/x."""
-    e = exp_series(order + 1)
-    # (1 - exp(-x))/x has coefficient (-1)^j / (j+1)! at x^j
-    den = Series.over([(-1) ** j * e.nums[j + 1] for j in range(order + 1)], e.den)
-    return den.reciprocal()
-
-
-def _cosh_series(order: int) -> Series:
-    e = exp_series(order)
-    return Series.over([e.nums[j] if j % 2 == 0 else 0 for j in range(order + 1)], e.den)
-
-
-def _sinh_over_x_series(order: int) -> Series:
-    e = exp_series(order + 1)
-    return Series.over([e.nums[j + 1] if j % 2 == 0 else 0 for j in range(order + 1)], e.den)
+    """x/(1 - exp(-x)) = 1 + x/2 + sum_j B_j x^j / j! over even j > 0."""
+    bernoulli = _bernoulli(order).items()
+    return _series(order, {0: (1, 1), 1: (1, 2), **{j: (a, b << j) for j, (a, b) in bernoulli}})
 
 
 def l_class_series(order: int) -> Series:
-    """x/tanh(x) = cosh(x) / (sinh(x)/x)."""
-    return _cosh_series(order) * _sinh_over_x_series(order).reciprocal()
+    """x/tanh(x) = sum_j 2^j B_j x^j / j! over even j."""
+    return _series(order, {0: (1, 1), **_bernoulli(order)})
 
 
 def tanh_series(order: int) -> Series:
-    """tanh(x) = sinh(x)/cosh(x), which is x/(x/tanh x): the root factor of the
-    L-class, a reference for x/f(x) built from sinh and cosh."""
-    e = exp_series(order)
-    sinh = Series.over([e.nums[j] if j % 2 == 1 else 0 for j in range(order + 1)], e.den)
-    return sinh * _cosh_series(order).reciprocal()
+    """tanh(x) = sum_j 2^j (2^j - 1) B_j x^(j-1) / j! over even j > 0, which
+    is x/(x/tanh x): the root factor of the L-class, a reference for x/f(x)."""
+    bernoulli = _bernoulli(order + 1).items()
+    return _series(order, {j - 1: (a * ((1 << j) - 1), b) for j, (a, b) in bernoulli})
 
 
 def euler_factor_series(order: int) -> Series:
@@ -69,6 +73,21 @@ def euler_factor_series(order: int) -> Series:
     x/f(x) built from the geometric series."""
     geom = Series([1, 1]).truncated(order).reciprocal()
     return Series.over([0, *geom.nums[:order]], geom.den)
+
+
+def class_log(name: str, order: int) -> Series:
+    """x f'/f = sum_j j l_j x^j, l = log f, of a class in `CLASS_SERIES`
+    (Hirzebruch, *Topological Methods*, section 1): (-1)^(j-1) for 1 + x,
+    l_1 = 1/2 and -B_j / j! at j > 1 for Todd, 2^j (2^j - 2) B_j / j! for
+    the L-class."""
+    if name == "total-chern":
+        return _series(order, {j: ((-1) ** (j - 1), 1) for j in range(1, order + 1)})
+    bernoulli = _bernoulli(order).items()  # B_j = 0 at odd j > 1
+    if name == "todd":
+        return _series(order, {1: (1, 2), **{j: (-a, b << j) for j, (a, b) in bernoulli}})
+    if name == "l-class":
+        return _series(order, {j: (a * ((1 << j) - 2), b) for j, (a, b) in bernoulli})
+    raise ValueError(f"unknown class {name!r}")
 
 
 #: Named multiplicative series usable in characteristic-number computations.
@@ -144,8 +163,8 @@ def lambda_alternating_ch(E: SplitBundle) -> Poly:
 
 
 def _tangent_less(m: QuotientModel, weights: Sequence[tuple[int, ...]]) -> SplitBundle:
-    """The tangent bundle less one line of each weight."""
-    return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in weights])
+    """The tangent bundle less one line of each of the model's own weights."""
+    return SplitBundle._trusted(m.ring, m.tangent_bundle.summands + tuple((w, -1) for w in weights))
 
 
 def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
@@ -160,19 +179,22 @@ def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     W to prod x/Td(x) over all roots: the integral of ch(lift) *
     Td(tangent - roots) * e over |W|.  Elsewhere, over all points,
     1 - e^x = -x e^x / Td(x) makes the last factor prod (-alpha) *
-    ch(L_2rho) / Td(E), E the positive-root bundle and L_2rho = det E."""
+    ch(L_2rho) / Td(E), E the positive-root bundle and L_2rho = det E, one
+    point per orbit of the `stabilizer_blocks` that fix this integrand."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
     points, roots = orbit_points(m, V_lift), m.root_data.roots
     if points is not None:
-        td, V = todd_series(m.quotient_dim), _tangent_less(m, roots)
+        td, V = class_log("todd", m.quotient_dim), _tangent_less(m, roots)
         return integrate_points(m, points, roots, td, V, V_lift) / m.root_data.weyl_order
     positive = m.root_data.positive
-    E = SplitBundle(m.ring, [(w, 1) for w in positive])
+    E = SplitBundle._trusted(m.ring, tuple((w, 1) for w in positive))
     negated = [tuple(-x for x in w) for w in positive]
-    td = todd_series(m.ring.top_degree - len(negated))
-    V = V_lift.tensor(exterior_power(E, E.rank))
-    return integrate_points(m, all_points(m.ring), negated, td, _tangent_less(m, positive), V)
+    td = class_log("todd", m.ring.top_degree - len(negated))
+    V, twist = _tangent_less(m, positive), V_lift.tensor(exterior_power(E, E.rank))
+    weights = (dict.fromkeys(negated, 1), V.multiplicities(), twist.multiplicities())
+    points = all_points(m.ring, stabilizer_blocks(m.ring.truncations, *weights), True)
+    return integrate_points(m, points, negated, td, V, twist)
 
 
 def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
@@ -192,13 +214,16 @@ def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
 # -- characteristic numbers --------------------------------------------------
 
 
-def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
+def characteristic_number(m: QuotientModel, f: Series | str) -> Fraction:
     """Characteristic number of the nonabelian quotient for a multiplicative
     series f: the prefactored torus integral of f(tangent) times x/f(x) at
     each root, which is f(tangent - roots) * e, summed over the Weyl orbits
     of `orbit_points` where it admits the model, else over all points.  The
-    series is read to the quotient dimension."""
-    if f.constant_term != 1:
+    series is read to the quotient dimension; a `CLASS_SERIES` name reads its
+    `class_log`."""
+    if isinstance(f, str):
+        f = class_log(f, m.quotient_dim)
+    elif f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
     roots, points = m.root_data.roots, orbit_points(m) or all_points(m.ring)
     return m.prefactor() * integrate_points(m, points, roots, f, _tangent_less(m, roots))
@@ -207,7 +232,7 @@ def characteristic_number(m: QuotientModel, f: Series) -> Fraction:
 def euler_characteristic(m: QuotientModel) -> Fraction:
     """Euler characteristic of the nonabelian quotient: the characteristic
     number of the total Chern class."""
-    return characteristic_number(m, total_chern_series(m.quotient_dim))
+    return characteristic_number(m, "total-chern")
 
 
 def signature(m: QuotientModel) -> Fraction:
@@ -215,4 +240,4 @@ def signature(m: QuotientModel) -> Fraction:
     L-class; zero in odd complex dimension."""
     if m.quotient_dim % 2 == 1:
         return Fraction(0)
-    return characteristic_number(m, l_class_series(m.quotient_dim))
+    return characteristic_number(m, "l-class")

@@ -93,13 +93,11 @@ def _grassmannian_n(m: QuotientModel) -> int:
     model is refused with a ConfigError."""
     k = m.ring.k
     n = m.ring.truncations[0]
-    lines = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)]
-    grassmannian_tangent = SplitBundle(m.ring, lines + [((0,) * k, -k)])
     if set(m.ring.truncations) != {n}:
         reason = f"truncations {list(m.ring.truncations)} are not all equal"
     elif set(m.root_data.roots) != set(unitary_roots(k).roots):
         reason = f"the roots and Weyl order are not those of U({k})"
-    elif m.tangent_bundle.multiplicities() != grassmannian_tangent.multiplicities():
+    elif m.tangent_bundle.multiplicities() != grassmannian_model(k, n).tangent_bundle.multiplicities():
         reason = f"the tangent bundle is not {n} copies of each u_i minus {k} trivial lines"
     else:
         return n
@@ -207,12 +205,11 @@ def _cmd_charnum(args, out) -> int:
         except (ValueError, ZeroDivisionError, TypeError):
             raise ConfigError("--series", f"not a rational list: {args.series!r}") from None
         f = Series(coeffs).truncated(m.quotient_dim)
+    elif args.klass in charclass.CLASS_SERIES:
+        f = args.klass
     else:
-        builder = charclass.CLASS_SERIES.get(args.klass)
-        if builder is None:
-            known = ", ".join(sorted(charclass.CLASS_SERIES))
-            raise ConfigError("--class", f"unknown class {args.klass!r}; known: {known}")
-        f = builder(m.quotient_dim)
+        known = ", ".join(sorted(charclass.CLASS_SERIES))
+        raise ConfigError("--class", f"unknown class {args.klass!r}; known: {known}")
     value = charclass.characteristic_number(m, f)
     print(_fmt(value, args.latex), file=out)
     return 0

@@ -218,8 +218,8 @@ def pairing_matrix(m: QuotientModel, rows: list[Poly], columns: list[Poly]) -> M
     they are orbit points), A and B the polynomials at the points, each
     evaluated once.  Exact in top degree only: degree d meets q - d alone.
     The points are the model's, so the Gram matrices of one query share them."""
-    pts, den = m.e_points()
-    h, ones, ts = m.ring.k // 2, [1] * len(pts), [[t[i] for t, _ in pts] for i in range(m.ring.k)]
+    ts, weights, den, _ = m.e_points()
+    h, ones = m.ring.k // 2, [1] * len(weights)
     powers: dict[tuple[int, int], list[int]] = {}
     halves: dict[tuple[int, Exponent], list[int]] = {}
 
@@ -241,7 +241,6 @@ def pairing_matrix(m: QuotientModel, rows: list[Poly], columns: list[Poly]) -> M
             parts.setdefault(sum(e), []).append(v if c == 1 else [c * x for x in v])
         return {d: vs[0] if len(vs) == 1 else list(map(sum, zip(*vs))) for d, vs in parts.items()}
 
-    weights = [w for _, w in pts]
     A = [{d: list(map(mul, v, weights)) for d, v in values(a).items()} for a in rows]
     B = [values(b) for b in columns]
     pre, q = m.prefactor(), m.quotient_dim

@@ -12,12 +12,12 @@ integral.  Integration over the nonabelian quotient multiplies a lifted class
 by the product e of all root Euler classes and divides by the Weyl group
 order.  The full-rank-subgroup variant is the same formulas on another model,
 `QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
-A torus integral is a sum over fixed points, `point_weights` of `all_points`
-or, where the roots' reflections fix the class, of `orbit_points` (one point
-per Weyl orbit, its count times |W|).  `integrate_points` sums a class given
-as a series and bundles over all its points at once, each degree of the
-exponential one primitive integer column over the points with its content
-kept as two ints, so that no entry carries a scale common to every point.
+A torus integral is a sum over `all_points`, or over one point per orbit of
+a Young subgroup that fixes the class, counted by the orbit's size (W's for
+`orbit_points`), laid out by `point_weights` as columns over the points.
+`integrate_points` sums a class given by a series' log-derivative and
+bundles over all its points at once, each degree of the exponential one
+primitive integer column with its content kept as two ints.
 `chern_pairings` and the Gram matrices sum Chern monomials (`chern_sums`,
 e_j(t_b) one column over the points, one variable at a time) and invariants
 at the model's `e_points`, built once a model.  `integrate_torus` pairs a
@@ -27,13 +27,13 @@ lift with e by complementary exponents; only a third factor takes a product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, getitem, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .ratpoly import Perm, Poly, Ring, Series, check_permutation, rat
-from .rootdata import RootData, Subgroup, as_weight, e_product, one_based, unitary_roots
+from .rootdata import Blocks, RootData, Subgroup, as_weight, e_product, one_based, unitary_roots
 
 
 class SplitBundle:
@@ -59,6 +59,13 @@ class SplitBundle:
                 tidy.append((w, mult))
         self.ring = ring
         self.summands = tuple(tidy)
+
+    @classmethod
+    def _trusted(cls, ring: Ring, summands: tuple) -> SplitBundle:
+        """Summands already tidy, as a model's own weights are: no checks."""
+        V = object.__new__(cls)
+        V.ring, V.summands = ring, summands
+        return V
 
     @property
     def rank(self) -> int:
@@ -159,7 +166,7 @@ class QuotientModel:
         self.ring, self.root_data, self.tangent_bundle = ring, root_data, tangent_bundle
         self.orbifold_prefactor, self.weyl_action, self.subgroup = prefactor, action, subgroup
         self._e_cache: dict = {}
-        self._points: tuple[list[tuple[tuple[int, ...], int]], int] | None = None
+        self._points: tuple[list[list[int]], list[int], int, dict] | None = None
 
     @classmethod
     def _trusted(cls, ring: Ring, root_data: RootData, tangent_bundle: SplitBundle) -> QuotientModel:
@@ -181,7 +188,7 @@ class QuotientModel:
             self._e_cache[None] = e_product(self.ring, self.root_data.roots)
         return self._e_cache[None]
 
-    def e_points(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    def e_points(self) -> tuple[list[list[int]], list[int], int, dict]:
         """`point_weights` of e at `orbit_points`, or at `all_points` where the
         gate refuses the model: the points every pairing of W-invariants sums
         over, built on first use and kept with the model, which a query
@@ -234,9 +241,9 @@ def grassmannian_model(k: int, n: int) -> QuotientModel:
     """
     if k < 1 or n < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    ring = Ring(k, [n] * k)
-    summands = [(tuple(int(i == j) for j in range(k)), n) for i in range(k)] + [((0,) * k, -k)]
-    return QuotientModel._trusted(ring, unitary_roots(k), SplitBundle(ring, summands))
+    ring, unit = Ring(k, [n] * k), int(n > 1)  # P^0 has no weight
+    summands = tuple((tuple(unit * (i == j) for j in range(k)), n) for i in range(k)) + (((0,) * k, -k),)
+    return QuotientModel._trusted(ring, unitary_roots(k), SplitBundle._trusted(ring, summands))
 
 
 def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
@@ -277,56 +284,85 @@ def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...
     their reflections generate (a relative model's complement roots may
     not), and W must fix every given bundle (`RootData.moved`); the model
     has checked the truncations and the tangent.  A point with two equal
-    entries in a block is a zero of a root; every other orbit is free, |W|
-    points, one increasing along each block: `all_points` of the blocks,
-    times |W|."""
+    entries in a block is a zero of a root: `all_points` of the blocks."""
     rd = m.root_data
     if rd.blocks is None or any(rd.moved(V.multiplicities()) is not None for V in bundles):
         return None
-    return {a: count * rd.weyl_order for a, count in all_points(m.ring, rd.blocks).items()}
+    return all_points(m.ring, rd.blocks)
 
 
-def all_points(ring: Ring, blocks: Sequence[tuple[int, ...]] = ()) -> dict[tuple[int, ...], int]:
+def all_points(ring: Ring, blocks: Blocks = (), repeats: bool = False) -> dict[tuple[int, ...], int]:
     """Every fixed point a of prod P^{n_i - 1} (u_i at the a_i-th weight),
-    or, given blocks of variables, the points increasing along each block;
-    one per mirror pair a, n - 1 - a, counted 2, or 1 where a is its own
-    mirror.  The mirror, an involution, negates every weight, which
-    multiplies a top-degree class and the point's denominator by (-1)^top."""
+    or one per orbit of prod S_|b| for blocks b, increasing along each block
+    (non-decreasing with repeats) and counted by its orbit's size; one per
+    mirror pair a, n - 1 - a, counted twice unless a is its own mirror.  The
+    mirror commutes with S_|b| and negates every weight, which multiplies a
+    top-degree class and the point's denominator by (-1)^top."""
     blocks = blocks or [(i,) for i in range(ring.k)]
-    flats: list = []  # each point in block order with its mirror
+    flats = [((), (), 1)]  # each point in block order, its mirror and its orbit's size
     for b in blocks:
-        top = ring.truncations[b[0]] - 1
-        combos = combinations(range(top + 1), len(b))
-        pairs = [(c, tuple([top - x for x in c[::-1]])) for c in combos]
-        flats = [(a + c, r + s) for a, r in flats for c, s in pairs] if flats else pairs
+        top, size = ring.truncations[b[0]] - 1, factorial(len(b))
+        combos = (combinations_with_replacement if repeats else combinations)(range(top + 1), len(b))
+        pairs = [(c, tuple([top - x for x in c[::-1]]), size) for c in combos]
+        if repeats:  # |b|! over the order of the permutations that fix c
+            pairs = [(c, s, size // prod(map(factorial, map(c.count, set(c))))) for c, s, _ in pairs]
+        flats = [(a + c, r + s, k * o) for a, r, k in flats for c, s, o in pairs]
     variables = sum(blocks, ())
     if variables != tuple(range(ring.k)):
         place = itemgetter(*map(variables.index, range(ring.k)))
-        flats = [(place(a), place(r)) for a, r in flats]
-    return {a: 1 if a == r else 2 for a, r in flats if a <= r}
+        flats = [(place(a), place(r), k) for a, r, k in flats]
+    return {a: k if a == r else 2 * k for a, r, k in flats if a <= r}
+
+
+def stabilizer_blocks(truncations: Sequence[int], *weights: dict[tuple[int, ...], int]) -> Blocks:
+    """The blocks of the Young subgroup generated by the transpositions (i j)
+    with n_i = n_j that fix every multiset of weights (weight: multiplicity).
+    With (i j) and (j l) among them, so is (i l) = (i j)(j l)(i j): each
+    variable joins the block of the least variable it may be swapped with."""
+    rank, least = len(truncations), list(range(len(truncations)))
+    for i, j in combinations(range(rank), 2):
+        if least[j] == j and truncations[i] == truncations[j]:
+            at = itemgetter(*(j if x == i else i if x == j else x for x in range(rank)))
+            if all({at(w): c for w, c in s.items()} == s for s in weights):
+                least[j] = i
+    return tuple(tuple(i for i in range(rank) if least[i] == x) for x in sorted(set(least)))
+
+
+def _column(xs: dict, ts: list[list[int]], w: Sequence[int]) -> list[int]:
+    """w.t over the points from the t_i, built once for w and -w (in xs)."""
+    w = tuple(w)
+    if (key := max(w, tuple(-x for x in w))) not in xs:
+        col = None  # sum_i c_i t_i over the nonzero entries c_i of the key
+        for c, t in zip(key, ts):
+            if c:
+                t = t if c == 1 else [c * y for y in t]
+                col = t if col is None else list(map(add, col, t))
+        xs[key] = [0] * len(ts[0]) if col is None else col
+    return xs[key] if key == w else [-y for y in xs[key]]
 
 
 def point_weights(
     m: QuotientModel, points: dict[tuple[int, ...], int], roots: Sequence[Sequence[int]]
-) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+) -> tuple[list[list[int]], list[int], int, dict]:
     """Localization at `points` of a top-degree class c times e, e the product
-    of the Euler classes of `roots`: the torus weights t_i = 2a_i - (n_i - 1)
-    of each point a with e(t) != 0 and its weight w = count * e(t) * prod_i
-    C(n_i - 1, a_i) (-1)^{n_i - 1 - a_i}, and den = 2^top prod_i (n_i - 1)!,
-    so that the integral is sum w c(t) / den, as prod_{b != a}(t_a - t_b) =
-    2^{n-1} a! (n-1-a)! (-1)^{n-1-a} on P^{n-1}."""
+    of the Euler classes of `roots`, as columns over the points a with
+    e(t) != 0: t_i = 2a_i - (n_i - 1), w = count * e(t) * prod_i C(n_i - 1,
+    a_i) (-1)^{n_i - 1 - a_i}, den = 2^top prod_i (n_i - 1)! and the roots'
+    `_column`s, so that the integral is sum w c(t) / den, as prod_{b != a}
+    (t_a - t_b) = 2^{n-1} a! (n-1-a)! (-1)^{n-1-a} on P^{n-1}."""
     truncs = m.ring.truncations
-    shift = [range(1 - n, n, 2) for n in truncs]
-    sign = [[comb(n - 1, x) * (-1) ** (n - 1 - x) for x in range(n)] for n in truncs]
-    out = []
-    for a, count in points.items():
-        t = tuple(map(getitem, shift, a))
-        w = count * prod(map(getitem, sign, a))
-        for r in roots:
-            w *= sum(map(mul, r, t))
-        if w:
-            out.append((t, w))
-    return out, 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs)
+    ws, ts, xs = list(points.values()), [], {}
+    for n, a in zip(truncs, zip(*points) if points else repeat(())):
+        sign = [comb(n - 1, x) * (-1) ** (n - 1 - x) for x in range(n)]
+        ws = list(map(mul, ws, map(sign.__getitem__, a)))
+        ts.append(list(map(range(1 - n, n, 2).__getitem__, a)))
+    for r in roots:
+        ws = list(map(mul, ws, _column(xs, ts, r)))
+    if not all(ws):
+        keep = list(map(bool, ws))
+        ws, ts = list(compress(ws, keep)), [list(compress(t, keep)) for t in ts]
+        xs = {w: list(compress(x, keep)) for w, x in xs.items()}
+    return ts, ws, 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs), xs
 
 
 def integrate_points(
@@ -343,23 +379,25 @@ def integrate_points(
     class at t is ch(twist)(lam) exp(sum_j l_j p_j lam^j) at lam^N, N = top
     - #roots, l = log f and p_j the j-th power sum of V's weights at t.
 
+    The j l_j are the coefficients of x f'/f, passed in place of f (constant
+    term 0) by the named classes (`charclass.class_log`) and else formed here.
     All points go together, as one column over the points per degree.  The
-    j l_j are the coefficients of x f'/f.  The linear term l_1 p_1 joins the
-    exponent of each line of the twist (of the trivial line without one), so
-    the rest, kappa_n = [lam^n] exp(sum_{j>1} l_j p_j lam^j), follows n
-    kappa_n = sum_j j l_j p_j kappa_{n-j} over the j > 1 with l_j != 0;
-    where those j share a factor g (2 for Todd and the L-class), so do the
-    n with kappa_n != 0, and only those are kept.  Each kappa_n is a
-    primitive integer column times a positive content held as two ints, so
-    no entry carries a scale common to all points.  p_j is built for those
-    j only (and j = 1 where l_1 != 0): a weight w of V and -w fold into one
-    row (a + (-1)^j b) x^j, x = w.t, cached by x for each pair (a, b) of
-    multiplicities.  A line whose z = b1 w.t + a1 p_1 is 0 at every point
-    adds only at lam^0, as the trivial line does under the L-class."""
+    linear term l_1 p_1 joins the exponent of each line of the twist (of the
+    trivial line without one), so the rest, kappa_n = [lam^n] exp(sum_{j>1}
+    l_j p_j lam^j), follows n kappa_n = sum_j j l_j p_j kappa_{n-j} over the
+    j > 1 with l_j != 0; where those j share a factor g (2 for Todd and the
+    L-class), so do the n with kappa_n != 0, and only those are kept.  Each
+    kappa_n is a primitive integer column times a positive content held as
+    two ints, so no entry carries a scale common to all points.  p_j is
+    built for those j only (and j = 1 where l_1 != 0): a weight w of V and
+    -w fold into one row (a + (-1)^j b) x^j, x = w.t (`_column`, the roots'
+    own), cached by x for each pair (a, b) of multiplicities.  A line whose
+    z = b1 w.t + a1 p_1 is 0 at every point adds only at lam^0."""
     N = m.ring.top_degree - len(roots)
     f = f.truncated(N + 1)  # so that l_1 is read at N = 0 too
-    dlog = Series.over([j * x for j, x in enumerate(f.nums)], f.den) * f.reciprocal()
-    L, d = dlog.nums, dlog.den  # j l_j = L_j / d
+    if f.nums[0]:  # f itself, not its log-derivative
+        f = Series.over([j * x for j, x in enumerate(f.nums)], f.den) * f.reciprocal()
+    L, d = f.nums, f.den  # j l_j = L_j / d
     used = [j for j in range(1, N + 1) if L[j]]
     steps = [(j, L[j] // (c := gcd(L[j], d)), d // c) for j in used if j > 1]
     folded: dict[tuple[int, ...], tuple[int, int]] = {}  # w up to sign: mults of w and -w
@@ -368,22 +406,21 @@ def integrate_points(
             key = max(w, tuple(-x for x in w))
             a, b = folded.get(key, (0, 0))
             folded[key] = (a + k, b) if w == key else (a, b + k)
-    pts, den = point_weights(m, points, roots)
-    ts, ws = [t for t, _ in pts], [w for _, w in pts]
-    xs = [[sum(map(mul, w, t)) for t in ts] for w in folded]
+    ts, ws, den, cols = point_weights(m, points, roots)
+    xs = [_column(cols, ts, w) for w in folded]
     tables: dict[tuple[int, int], dict[int, list[int]]] = {ab: {} for ab in folded.values()}
     tabs = [tables[ab] for ab in folded.values()]  # x: (a + (-1)^j b) x^j over the used j
     for (a, b), tab, col in zip(folded.values(), tabs, xs):
         tab.update((x, [(a - b if j % 2 else a + b) * x**j for j in used]) for x in set(col) - set(tab))
     at_points = (map(sum, zip(*map(getitem, tabs, x))) for x in zip(*xs))  # p_j, j used
-    p = {j: [0] * len(pts) for j in used}  # p_j over the points
+    p = {j: [0] * len(ws) for j in used}  # p_j over the points
     p.update(zip(used, zip(*at_points)))
-    kappa = {0: ([1] * len(pts), 1, 1)}  # n: (primitive column, content num, content den)
+    kappa = {0: ([1] * len(ws), 1, 1)}  # n: (primitive column, content num, content den)
     g = gcd(*(j for j, _, _ in steps)) or N + 1
     for n in range(g, N + 1, g):
         terms = [(p[j], a, b, kappa[n - j]) for j, a, b in steps if n - j in kappa]
         D = lcm(*(b * kd for _, _, b, (_, _, kd) in terms))
-        acc = [0] * len(pts)
+        acc = [0] * len(ws)
         for pj, a, b, (col, kn, kd) in terms:
             acc = list(map(add, acc, map(mul, map(mul, pj, col), repeat(a * kn * (D // (b * kd))))))
         if h := gcd(*acc):
@@ -393,7 +430,7 @@ def integrate_points(
     a1, b1 = L[1] // c, d // c  # l_1 = a1 / b1
     lines = twist.multiplicities() if twist is not None else {(0,) * m.ring.k: 1}
     p1 = p.get(1, repeat(0))  # unused where l_1 = 0, or at N = 0, where only z^0 is read
-    zs = [([b1 * sum(map(mul, w, t)) + a1 * q for t, q in zip(ts, p1)], k) for w, k in lines.items()]
+    zs = [([b1 * x + a1 * q for x, q in zip(_column(cols, ts, w), p1)], k) for w, k in lines.items()]
     parts = []  # [lam^N] of sum_lines k exp(lam z / b1) kappa(lam), one part per kappa_n
     for n, (col, kn, kd) in kappa.items():
         j, wc = N - n, list(map(mul, ws, col))
@@ -433,7 +470,7 @@ def chern_pairings(m: QuotientModel, rows: Sequence[Sequence[int]]) -> list[Frac
     if not any(top):
         return [Fraction(0)] * len(rows)
     sums = iter(chern_sums(m, [tuple(range(ring.k))], [r for r, on in zip(rows, top) if on]))
-    scale = m.prefactor() / m.e_points()[1]
+    scale = m.prefactor() / m.e_points()[2]
     return [scale * next(sums) if on else Fraction(0) for on in top]
 
 
@@ -441,18 +478,18 @@ def chern_sums(m: QuotientModel, blocks: Sequence[Sequence[int]], rows: Iterable
     """den times the integral of each row's Chern monomial times e: sum w
     prod_b prod_j e_j(t_b)^{v_(b,j)} over `QuotientModel.e_points`, a row
     listing e_1..e_|b| of each block in turn; rows share their prefixes."""
-    pts, _ = m.e_points()
+    ts, ws, _, _ = m.e_points()
     columns = []  # e_j(t_b) over the points, one per row entry
     for b in blocks:
         E: list[list[int]] = []  # e_1.. of the block's variables so far: e_j += t_i e_(j-1)
         for i in b:
-            ti, low, out = [t[i] for t, _ in pts], [1] * len(pts), []
+            ti, low, out = ts[i], [1] * len(ws), []
             for e in E:
                 out.append(list(map(add, e, map(mul, ti, low))))
                 low = e
             E = out + [list(map(mul, ti, low))]
         columns += E
-    prefix: dict[tuple[int, ...], list[int]] = {(): [w for _, w in pts]}
+    prefix: dict[tuple[int, ...], list[int]] = {(): ws}
 
     def values(v: tuple[int, ...]) -> list[int]:  # w prod e^v at each point
         if v not in prefix:

@@ -1,7 +1,7 @@
 """Reference functions that no query calls, kept for the tests.
 
     from references import index_torus, inverse, negative, opposite, parse_poly
-    from references import permute_poly, product_pairs
+    from references import per_point_weights, permute_poly, product_pairs
 
 `permute_poly` checks Weyl invariance of a polynomial term by term;
 `index_torus` is the index on the torus quotient itself, which the group
@@ -10,14 +10,17 @@ convention, on which a twisted index depends; `parse_poly` is the polynomial
 parser that sums one `Fraction` per term, against which the engine's
 integer-numerator parser is checked; `product_pairs` and `inverse` are the
 ring product's pair loop and the inverse's recurrence on exponent tuples,
-against which the kernels on slot codes are checked.
+against which the kernels on slot codes are checked; `per_point_weights`
+is the localization data of `quotient.point_weights` built one point at a
+time, as the point sums' dense reference reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from operator import add, lt, sub
+from math import comb, factorial, prod
+from operator import add, getitem, lt, mul, sub
 from typing import Sequence
 
 from abelianize.charclass import todd_series
@@ -37,6 +40,24 @@ def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
     the integral of ch(V) * Td(tangent), over all fixed points."""
     td = todd_series(m.ring.top_degree)
     return integrate_points(m, all_points(m.ring), (), td, m.tangent_bundle, V)
+
+
+def per_point_weights(m: QuotientModel, points: dict, roots: Sequence[Sequence[int]]):
+    """([(t, w)], den): at each point a with e(t) != 0, the torus weights
+    t_i = 2a_i - (n_i - 1) and w = count * e(t) * prod_i C(n_i - 1, a_i)
+    (-1)^{n_i - 1 - a_i}, with den = 2^top prod_i (n_i - 1)!."""
+    truncs = m.ring.truncations
+    shift = [range(1 - n, n, 2) for n in truncs]
+    sign = [[comb(n - 1, x) * (-1) ** (n - 1 - x) for x in range(n)] for n in truncs]
+    out = []
+    for a, count in points.items():
+        t = tuple(map(getitem, shift, a))
+        w = count * prod(map(getitem, sign, a))
+        for r in roots:
+            w *= sum(map(mul, r, t))
+        if w:
+            out.append((t, w))
+    return out, 2**m.ring.top_degree * prod(factorial(n - 1) for n in truncs)
 
 
 def negative(rd: RootData) -> tuple[Weight, ...]:

@@ -81,6 +81,28 @@ def test_main_alternates_sides_and_reads_the_parents_metrics(tmp_path, monkeypat
     assert len(err.splitlines()) == 6
 
 
+def test_each_side_compiles_into_a_bytecode_directory_of_its_own(tmp_path, monkeypatch):
+    # with PYTHONDONTWRITEBYTECODE set, a checkout whose __pycache__ is stale
+    # recompiles on every import; each side's runs write their bytecode
+    # under the checkout's own run-file directory instead
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    calls = []
+
+    def fake_subprocess_run(argv, cwd, env, **kwargs):
+        calls.append((cwd, env))
+        line = json.dumps({"correct": True, "metrics": {}})
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, stdout=f"details\n{line}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    for side in ("parent", "change", "parent"):
+        assert bench_pairs.run_side(str(tmp_path / side), "w", 1, 1) == {"correct": True, "metrics": {}}
+    prefixes = [env["PYTHONPYCACHEPREFIX"] for _, env in calls]
+    assert prefixes == [str(tmp_path / side / ".perfbench_out" / "pycache")
+                        for side in ("parent", "change", "parent")]
+    assert all("PYTHONDONTWRITEBYTECODE" not in env for _, env in calls)
+    assert calls[0][1]["PATH"] == os.environ["PATH"]
+
+
 @pytest.mark.parametrize("correct, status", [(True, 0), (False, 1)])
 def test_main_names_runs_that_are_not_correct(tmp_path, monkeypatch, capsys, correct, status):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))

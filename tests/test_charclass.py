@@ -5,8 +5,9 @@ before anything downstream relies on them.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -25,11 +26,12 @@ from abelianize.quotient import (
     integrate_points,
     integrate_torus,
     orbit_points,
-    point_weights,
+    stabilizer_blocks,
 )
 from abelianize.charclass import (
     CLASS_SERIES,
     characteristic_number,
+    class_log,
     chern_character,
     euler_characteristic,
     euler_factor_series,
@@ -44,7 +46,7 @@ from abelianize.charclass import (
     todd_series,
     total_chern_series,
 )
-from references import index_torus, opposite
+from references import index_torus, opposite, per_point_weights
 
 
 def root_factor_series(f, order):
@@ -136,6 +138,55 @@ class TestSeriesOracles:
         assert set(CLASS_SERIES) == {"total-chern", "todd", "l-class"}
         for builder in CLASS_SERIES.values():
             assert builder(5).constant_term == 1
+
+
+def log_derivative(f):
+    """x f'/f of a list of Fractions with f[0] = 1, by the recurrence
+    j l_j = j f_j - sum_{0<i<j} f_i (j-i) l_(j-i)."""
+    out = [Fraction(0)] * len(f)
+    for j in range(1, len(f)):
+        out[j] = j * f[j] - sum(f[i] * out[j - i] for i in range(1, j))
+    return out
+
+
+class TestClosedForms:
+    """The Bernoulli table builds the named series and their log-derivatives
+    x f'/f in closed form; both must equal what division gives."""
+
+    ORACLES = {
+        "total-chern": lambda order: [Fraction(1), Fraction(1)] + [Fraction(0)] * (order - 1),
+        "todd": oracle_todd,
+        "l-class": oracle_l_class,
+    }
+
+    def test_named_series_match_long_division_to_order_40(self):
+        assert [Fraction(c) for c in todd_series(40).coeffs] == oracle_todd(40)
+        assert [Fraction(c) for c in l_class_series(40).coeffs] == oracle_l_class(40)
+        assert [Fraction(c) for c in tanh_series(41).coeffs] == oracle_tanh(41)
+
+    def test_class_logs_are_the_log_derivatives_to_order_40(self):
+        for name, oracle in self.ORACLES.items():
+            expected = log_derivative(oracle(40))
+            assert [Fraction(c) for c in class_log(name, 40).coeffs] == expected
+            for order in range(41):
+                f = CLASS_SERIES[name](order)
+                dlog = Series.over([j * x for j, x in enumerate(f.nums)], f.den) * f.reciprocal()
+                assert class_log(name, order) == dlog == Series(expected[: order + 1])
+
+    def test_closed_forms(self):
+        assert class_log("total-chern", 4).coeffs == (0, 1, -1, 1, -1)
+        assert class_log("todd", 4).coeffs == (0, Fraction(1, 2), Fraction(-1, 12), 0, Fraction(1, 720))
+        assert class_log("l-class", 4).coeffs == (0, 0, Fraction(2, 3), 0, Fraction(-14, 45))
+        with pytest.raises(ValueError, match="unknown class"):
+            class_log("a-hat", 4)
+
+    def test_the_table_builds_no_fraction(self):
+        def build():
+            return [class_log(name, 40) for name in CLASS_SERIES] + [
+                todd_series(40), l_class_series(40), tanh_series(40)]
+
+        _, built = TestFractionsOnlyAtTheEnd.built_during(build)
+        assert built == []
 
 
 class TestMultClass:
@@ -530,7 +581,7 @@ def dense_integrate_points(m, points, roots, f, V, twist=None):
     def power_sums(bundle, t):
         return [sum(k * sum(map(mul, w, t)) ** j for w, k in bundle.summands) for j in range(N + 1)]
 
-    pts, den = point_weights(m, points, roots)
+    pts, den = per_point_weights(m, points, roots)
     total = 0
     for t, w in pts:
         G = [h * p for h, p in zip(H, power_sums(V, t))]
@@ -693,6 +744,118 @@ class TestAllPoints:
         assert index_torus(m, V) == integrate_torus(
             m, chern_character(V), mult_class(todd_series(m.ring.top_degree), m.tangent_bundle)
         )
+
+
+def block_model(truncations, blocks):
+    """prod U(|b|) on prod P^(n_i - 1) with the Euler-sequence tangent."""
+    k = len(truncations)
+    ring = Ring(k, truncations)
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    tangent = SplitBundle(ring, [*zip(unit, truncations), ((0,) * k, -k)])
+    return QuotientModel(ring, RootData.from_blocks(k, blocks), tangent)
+
+
+def relative_model(k, n, alone):
+    """The model of U(k-1)xU(1) in U(k) on G(k,n), U(1) on the variable alone."""
+    m = grassmannian_model(k, n)
+    block = Subgroup(tuple(w for w in m.root_data.roots if w[alone] == 0), factorial(k - 1))
+    return QuotientModel(m.ring, m.root_data, m.tangent_bundle, 2, subgroup=block).relative()
+
+
+STABILIZER_MODELS = [
+    grassmannian_model(2, 4),
+    grassmannian_model(3, 5),
+    relative_model(3, 4, 2),
+    relative_model(3, 5, 0),
+    relative_model(4, 5, 3),
+    block_model([3, 3, 3, 3], ((0, 1), (2, 3))),
+    block_model([4, 4, 2], ((0, 1), (2,))),
+    torus_config([3, 3, 3]),
+    torus_config([3, 1, 1, 3]),
+    torus_config([4, 1, 3]),
+]
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """A block or relative model and a twist of up to three lines, with
+    multiplicities up to 3 and below 0, made invariant under a swap of two
+    variables or not, or a uniform line: each shape gives a stabilizer of
+    its own size, from trivial to all variables of one truncation."""
+    m = draw(st.sampled_from(STABILIZER_MODELS))
+    k = m.ring.k
+    mult = st.integers(-2, 3).filter(bool)
+    lines = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * k), mult), min_size=1, max_size=3))
+    shape = draw(st.sampled_from(["plain", "swap", "uniform"]))
+    if shape == "swap":
+        i, j = draw(st.permutations(range(k)))[:2]
+        swap = [j if x == i else i if x == j else x for x in range(k)]
+        lines += [(tuple(w[x] for x in swap), c) for w, c in lines]
+    elif shape == "uniform":
+        lines = [((draw(st.integers(-2, 2)),) * k, draw(mult))]
+    return m, lines
+
+
+def unfolded(ring, blocks, points):
+    """Each point of prod P^(n_i - 1) as often as the orbit representatives
+    stand for it: the permutations inside each block of every representative
+    and of its mirror, whose number must be its count."""
+    seen = Counter()
+    for a, count in points.items():
+        orbit = {a}
+        for b in blocks:
+            orbit = {tuple(dict(zip(b, p)).get(i, x) for i, x in enumerate(c))
+                     for c in orbit for p in permutations([c[i] for i in b])}
+        orbit |= {tuple(n - 1 - x for x, n in zip(c, ring.truncations)) for c in orbit}
+        assert count == len(orbit)
+        seen.update(orbit)
+    return seen
+
+
+class TestStabilizerOrbits:
+    """The all-points index sums one point per orbit of the Young subgroup
+    that fixes its integrand; by symmetry that is the sum over every point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stabilizer_cases())
+    @example((relative_model(3, 6, 2), [((1, 1, 1), 2)]))
+    @example((torus_config([3, 3, 3]), [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2)]))
+    @example((torus_config([3, 1, 1, 3]), [((1, 0, 0, 1), 1)]))
+    def test_orbit_sum_equals_the_plain_sum(self, case):
+        m, lines = case
+        lift = SplitBundle(m.ring, lines)
+        positive = m.root_data.positive
+        E = SplitBundle(m.ring, [(w, 1) for w in positive])
+        negated = [tuple(-x for x in w) for w in positive]
+        V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in positive])
+        twist = lift.tensor(exterior_power(E, E.rank))
+        weights = (dict.fromkeys(negated, 1), V.multiplicities(), twist.multiplicities())
+        blocks = stabilizer_blocks(m.ring.truncations, *weights)
+        orbits, plain = all_points(m.ring, blocks, True), all_points(m.ring)
+        everywhere = Counter(product(*map(range, m.ring.truncations)))
+        assert unfolded(m.ring, blocks, orbits) == unfolded(m.ring, (), plain) == everywhere
+        td = todd_series(m.ring.top_degree - len(negated))
+        value = integrate_points(m, orbits, negated, td, V, twist)
+        assert value == integrate_points(m, plain, negated, td, V, twist)
+        if orbit_points(m, lift) is None:
+            assert index_group(m, lift) == value
+
+    def test_blocks(self):
+        unit = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+        assert stabilizer_blocks((3, 3, 3), unit) == ((0, 1, 2),)
+        assert stabilizer_blocks((3, 3, 4), unit) == ((0, 1), (2,))
+        assert stabilizer_blocks((3, 3, 3), unit, {(1, 2, 0): 1}) == ((0,), (1,), (2,))
+        assert stabilizer_blocks((3, 3, 3), unit, {(1, 2, 2): 1, (2, 1, 2): 1}) == ((0, 1), (2,))
+        # (0 2) and (1 2) each fix the multisets; together they generate S_3
+        assert stabilizer_blocks((2, 2, 2), {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}) == ((0, 1, 2),)
+        assert stabilizer_blocks((5,)) == ((0,),)
+
+    def test_repeats_count_each_orbit(self):
+        ring = Ring(3, [3, 3, 2])
+        points = all_points(ring, ((0, 1), (2,)), True)
+        assert points[(0, 0, 0)] == 2 and points[(0, 1, 0)] == 4 and points[(1, 1, 0)] == 2
+        assert sum(points.values()) == 18
+        assert all_points(ring, ((0, 1), (2,))) == {a: c for a, c in points.items() if a[0] != a[1]}
 
 
 def gl_weyl_dimension(lam):

@@ -33,7 +33,7 @@ from abelianize.quotient import (
     integrate_points,
     integrate_torus,
 )
-from abelianize.ratpoly import Poly
+from abelianize.ratpoly import Poly, Series
 from abelianize.schubert import oracle_betti
 
 
@@ -465,6 +465,66 @@ class TestRouteGate:
             status, _, err = run(capsys, *argv)
             assert (status, err) == (0, "")
         assert products == []
+
+    def test_named_classes_invert_no_series(self, capsys, monkeypatch, tmp_path):
+        # the named classes hand the point sums x f'/f in closed form, so
+        # their queries divide no series; a custom series is inverted once
+        calls = []
+        original = Series.reciprocal
+
+        def spy(self):
+            calls.append(self.order)
+            return original(self)
+
+        monkeypatch.setattr(Series, "reciprocal", spy)
+        doc = model_to_config(grassmannian_model(3, 6))
+        block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
+        doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+        path = tmp_path / "g36-block.json"
+        path.write_text(json.dumps(doc))
+        g37, cfg = ("--grassmannian", "3", "7"), ("--config", str(path))
+        for argv in (
+            ("euler", *g37),
+            ("signature", *g37),
+            *(("charnum", *model, "--class", name) for name in charclass.CLASS_SERIES
+              for model in (g37, cfg)),
+            ("index", *g37, "--line=1,1,1"),
+            ("index", *g37, "--line=0,1,2"),
+            ("index", *cfg, "--subgroup", "--line=1,1,1:2"),
+            ("euler", *cfg),
+            ("signature", *cfg),
+        ):
+            status, _, err = run(capsys, *argv)
+            assert (status, err) == (0, "")
+        assert calls == []
+        assert run(capsys, "charnum", *g37, "--series", "1,1/2,-2/3")[0] == 0
+        assert calls == [13]  # read to the quotient dimension 12, and l_1 at 13
+
+    def test_subgroup_index_sums_stabilizer_orbits(self, capsys, monkeypatch, tmp_path):
+        # G(3,6), prefactor 2, with the U(2)xU(1) block on u1, u2: swapping
+        # u1 and u2 fixes the relative model's integrand and the twist, so
+        # the index sums one point per orbit, 63 where all points are 108
+        sums = []
+        original = charclass.integrate_points
+
+        def spy(*args):
+            sums.append((len(args[1]), sum(args[1].values())))
+            return original(*args)
+
+        monkeypatch.setattr(charclass, "integrate_points", spy)
+        doc = model_to_config(grassmannian_model(3, 6))
+        block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
+        doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
+        doc["orbifold_prefactor"] = "2"
+        path = tmp_path / "g36-block.json"
+        path.write_text(json.dumps(doc))
+        argv = ("index", "--config", str(path), "--subgroup", "--line=1,1,1:2")
+        assert run(capsys, *argv, "--check-two-term") == (0, "40\n", "")
+        assert len(all_points(grassmannian_model(3, 6).ring)) == 108
+        assert sums == [(63, 6**3)]
+        sums.clear()
+        assert run(capsys, "index", "--config", str(path), "--subgroup", "--line=1,2,0")[0] == 0
+        assert sums == [(108, 6**3)]  # no swap fixes this twist
 
     def test_two_term_check_crosses_the_routes(self, capsys, routes):
         g37 = ("--grassmannian", "3", "7")

@@ -12,7 +12,12 @@ median and quartiles (`statistics.quantiles`, exclusive method), the
 change's median relative to the parent's, and how many pairs the change won,
 ties counting for neither.  A gain holds where the change wins at least nine
 pairs in ten and its median is better than the parent's by more than the
-distance between the parent's quartiles.  Stdlib only.
+distance between the parent's quartiles.  Each run writes and reads its
+bytecode under PYTHONPYCACHEPREFIX=`.perfbench_out/pycache` in its own
+checkout, with bytecode writing on whatever the calling environment says,
+so that both sides import modules compiled from their own sources: with
+PYTHONDONTWRITEBYTECODE set, a checkout whose `__pycache__` is stale
+recompiles on every import, which shows in `setup_s`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -69,12 +74,21 @@ def format_row(row: Row) -> str:
             f"{rel:>7s}  change ahead {row.wins}/{row.pairs}  {verdict}")
 
 
+def run_env(checkout: str) -> dict[str, str]:
+    """This environment with bytecode writing on, into the checkout's own
+    `.perfbench_out/pycache`, where the benchmark keeps its run files."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = os.path.join(os.path.abspath(checkout), ".perfbench_out", "pycache")
+    return env
+
+
 def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """The result object of one untraced run in the checkout."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=30 * seconds + 600, check=True)
+        cwd=checkout, env=run_env(checkout), capture_output=True, text=True,
+        timeout=30 * seconds + 600, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 

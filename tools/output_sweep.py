@@ -10,7 +10,10 @@ stdout or stderr does.
 
 The queries are every model subcommand on each G(k,n) with k <= 4 and
 dimension k(n-k) <= 16, with `pairing --exps` at vectors of degree q - 1,
-q + 1 and q + 2 for the dimension q, plus `oracle-check` on each such G(k,n),
+q + 1 and q + 2 for the dimension q, and `index` at the uniform twist
+(1,...,1), at (0,1,...,k-1), which no transposition fixes, and at
+(1,...,1,0), which the permutations of the first k - 1 variables fix, the
+last two also with `--check-two-term`; plus `oracle-check` on each G(k,n),
 and the same model subcommands on every config file the two benchmark
 workloads write at seeds 1-6; on the configs, the subcommands that take
 `--subgroup` in that checkout's parser run with and without it, so a
@@ -154,6 +157,7 @@ def _exps(k: int, degree: int) -> list[str]:
 
 def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup=frozenset()):
     line = ",".join(["1"] * k)
+    twists = dict.fromkeys([",".join(map(str, range(k))), ",".join(["1"] * (k - 1) + ["0"])])
     off_top = [degree - 1, degree + 1, degree + 2]  # pairings that must print 0
     plain = [
         ("pairing", *model, "--table"),
@@ -165,6 +169,8 @@ def _queries(model: tuple[str, ...], k: int, n: int, degree: int, subgroup=froze
         ("signature", *model),
         ("charnum", *model, "--class", "todd"),
         ("index", *model, f"--line={line}"),
+        *(("index", *model, f"--line={twist}", *check) for twist in twists
+          for check in ((), ("--check-two-term",))),
         ("config-dump", *model),
     ]
     for argv in plain:
