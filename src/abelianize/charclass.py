@@ -6,8 +6,10 @@ series); applied to a split bundle they become finite exact products in the
 truncated ring.  On top of these sit the elliptic-operator index of a lifted
 bundle and one characteristic-number formula, whose total-Chern and L-class
 cases are the Euler characteristic and the signature, all evaluated on the
-torus side as sums over fixed points.  The two-term form of the index stays
-on products, as an evaluation that shares no kernel with the point sums.
+torus side as sums over fixed points.  Each sum names the Young subgroup
+that fixes its integrand by its blocks, W's or `stabilizer_blocks`, and
+`quotient` builds the points.  The two-term form of the index stays on
+products, as an evaluation that shares no kernel with the point sums.
 
 The named series and the log-derivatives x f'/f that the point sums read
 come from one integer table of Bernoulli numbers, with no series division.
@@ -22,8 +24,7 @@ from typing import Callable, Sequence
 
 from .ratpoly import Poly, Series, eval_series, exp_series
 from .rootdata import root_euler_class
-from .quotient import QuotientModel, SplitBundle, all_points, orbit_points, stabilizer_blocks
-from .quotient import integrate_points, integrate_torus
+from .quotient import QuotientModel, SplitBundle, integrate_points, integrate_torus, stabilizer_blocks
 
 
 # -- named multiplicative series ------------------------------------------
@@ -174,27 +175,26 @@ def index_group(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
     by a sum over fixed points.  It depends on the positivity choice unless W
     fixes the lift: on G(3,6), L(0,1,2) gives 70, and 0 with the opposite one.
 
-    Where `orbit_points` admits the model and the lift, W fixes the other
-    factors, and by the Weyl denominator formula the last one averages over
-    W to prod x/Td(x) over all roots: the integral of ch(lift) *
-    Td(tangent - roots) * e over |W|.  Elsewhere, over all points,
+    Where the roots form blocks, W = prod S_|b| fixes the other factors; if
+    it fixes the lift too, by the Weyl denominator formula the last factor
+    averages over W to prod x/Td(x) over all roots: the integral of ch(lift)
+    * Td(tangent - roots) * e over |W|, one point per W-orbit.  Elsewhere
     1 - e^x = -x e^x / Td(x) makes the last factor prod (-alpha) *
     ch(L_2rho) / Td(E), E the positive-root bundle and L_2rho = det E, one
     point per orbit of the `stabilizer_blocks` that fix this integrand."""
     if V_lift.ring != m.ring:
         raise ValueError("bundle lives in the wrong ring")
-    points, roots = orbit_points(m, V_lift), m.root_data.roots
-    if points is not None:
-        td, V = class_log("todd", m.quotient_dim), _tangent_less(m, roots)
-        return integrate_points(m, points, roots, td, V, V_lift) / m.root_data.weyl_order
-    positive = m.root_data.positive
+    rd = m.root_data
+    if rd.blocks is not None and rd.moved(V_lift.multiplicities()) is None:
+        td, V = class_log("todd", m.quotient_dim), _tangent_less(m, rd.roots)
+        return integrate_points(m, rd.blocks, rd.roots, td, V, V_lift) / rd.weyl_order
+    positive = rd.positive
     E = SplitBundle._trusted(m.ring, tuple((w, 1) for w in positive))
     negated = [tuple(-x for x in w) for w in positive]
     td = class_log("todd", m.ring.top_degree - len(negated))
     V, twist = _tangent_less(m, positive), V_lift.tensor(exterior_power(E, E.rank))
     weights = (dict.fromkeys(negated, 1), V.multiplicities(), twist.multiplicities())
-    points = all_points(m.ring, stabilizer_blocks(m.ring.truncations, *weights), True)
-    return integrate_points(m, points, negated, td, V, twist)
+    return integrate_points(m, stabilizer_blocks(m.ring.truncations, *weights), negated, td, V, twist)
 
 
 def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
@@ -217,16 +217,16 @@ def index_group_two_term(m: QuotientModel, V_lift: SplitBundle) -> Fraction:
 def characteristic_number(m: QuotientModel, f: Series | str) -> Fraction:
     """Characteristic number of the nonabelian quotient for a multiplicative
     series f: the prefactored torus integral of f(tangent) times x/f(x) at
-    each root, which is f(tangent - roots) * e, summed over the Weyl orbits
-    of `orbit_points` where it admits the model, else over all points.  The
-    series is read to the quotient dimension; a `CLASS_SERIES` name reads its
+    each root, which is f(tangent - roots) * e, summed over the W-orbits of
+    the roots' blocks, or over all points where they form none.  The series
+    is read to the quotient dimension; a `CLASS_SERIES` name reads its
     `class_log`."""
     if isinstance(f, str):
         f = class_log(f, m.quotient_dim)
     elif f.constant_term != 1:
         raise ValueError("a multiplicative class series must have constant term 1")
-    roots, points = m.root_data.roots, orbit_points(m) or all_points(m.ring)
-    return m.prefactor() * integrate_points(m, points, roots, f, _tangent_less(m, roots))
+    rd = m.root_data
+    return m.prefactor() * integrate_points(m, rd.blocks, rd.roots, f, _tangent_less(m, rd.roots))
 
 
 def euler_characteristic(m: QuotientModel) -> Fraction:

@@ -12,9 +12,10 @@ integral.  Integration over the nonabelian quotient multiplies a lifted class
 by the product e of all root Euler classes and divides by the Weyl group
 order.  The full-rank-subgroup variant is the same formulas on another model,
 `QuotientModel.relative`: the complement roots and the ratio of Weyl orders.
-A torus integral is a sum over `all_points`, or over one point per orbit of
-a Young subgroup that fixes the class, counted by the orbit's size (W's for
-`orbit_points`), laid out by `point_weights` as columns over the points.
+A torus integral is a sum over one point per orbit of a Young subgroup
+that fixes the class, named by its blocks (W's where the roots form blocks,
+one per variable for every point), counted by the orbit's size: built here
+only, by `all_points`, and laid out by `point_weights` as columns.
 `integrate_points` sums a class given by a series' log-derivative and
 bundles over all its points at once, each degree of the exponential one
 primitive integer column with its content kept as two ints.
@@ -189,13 +190,13 @@ class QuotientModel:
         return self._e_cache[None]
 
     def e_points(self) -> tuple[list[list[int]], list[int], int, dict]:
-        """`point_weights` of e at `orbit_points`, or at `all_points` where the
-        gate refuses the model: the points every pairing of W-invariants sums
-        over, built on first use and kept with the model, which a query
-        builds once."""
+        """`point_weights` of e at the `all_points` of the roots' blocks (of
+        every variable where they form none): the points every pairing of
+        W-invariants sums over, built on first use and kept with the model,
+        which a query builds once."""
         if self._points is None:
-            points = orbit_points(self) or all_points(self.ring)
-            self._points = point_weights(self, points, self.root_data.roots)
+            rd = self.root_data
+            self._points = point_weights(self, all_points(self.ring, rd.blocks, rd.roots), rd.roots)
         return self._points
 
     def prefactor(self) -> Fraction:
@@ -276,35 +277,24 @@ def integrate_torus(m: QuotientModel, p: Poly, *factors: Poly) -> Fraction:
     return Fraction(total, acc.den * last.den)
 
 
-def orbit_points(m: QuotientModel, *bundles: SplitBundle) -> dict[tuple[int, ...], int] | None:
-    """The fixed points a of prod P^{n_i - 1} (u_i at the a_i-th weight)
-    that the point sums run over for a Weyl-invariant class, each with the
-    number of points it stands for, or None where that is not exact.  A shape
-    test: the roots must form blocks, so that W = prod S_|b| is the group
-    their reflections generate (a relative model's complement roots may
-    not), and W must fix every given bundle (`RootData.moved`); the model
-    has checked the truncations and the tangent.  A point with two equal
-    entries in a block is a zero of a root: `all_points` of the blocks."""
-    rd = m.root_data
-    if rd.blocks is None or any(rd.moved(V.multiplicities()) is not None for V in bundles):
-        return None
-    return all_points(m.ring, rd.blocks)
-
-
-def all_points(ring: Ring, blocks: Blocks = (), repeats: bool = False) -> dict[tuple[int, ...], int]:
-    """Every fixed point a of prod P^{n_i - 1} (u_i at the a_i-th weight),
-    or one per orbit of prod S_|b| for blocks b, increasing along each block
-    (non-decreasing with repeats) and counted by its orbit's size; one per
-    mirror pair a, n - 1 - a, counted twice unless a is its own mirror.  The
-    mirror commutes with S_|b| and negates every weight, which multiplies a
-    top-degree class and the point's denominator by (-1)^top."""
+def all_points(ring: Ring, blocks: Blocks | None = (), roots: Sequence = ()) -> dict[tuple[int, ...], int]:
+    """One fixed point a of prod P^{n_i - 1} (u_i at the a_i-th weight) per
+    orbit of prod S_|b|, for blocks b of one truncation each (one per
+    variable where there are none) that fix the integrand, counted by the
+    orbit's size: increasing along a block that a root c(e_j - e_i) joins,
+    as two equal entries there are a zero of e, else non-decreasing.  One
+    per mirror pair a, n - 1 - a, counted twice unless a is its own mirror:
+    the mirror commutes with S_|b| and negates every weight, which
+    multiplies a top-degree class and the point's denominator by (-1)^top."""
     blocks = blocks or [(i,) for i in range(ring.k)]
     flats = [((), (), 1)]  # each point in block order, its mirror and its orbit's size
     for b in blocks:
         top, size = ring.truncations[b[0]] - 1, factorial(len(b))
-        combos = (combinations_with_replacement if repeats else combinations)(range(top + 1), len(b))
+        i, j = b[0], b[-1]  # where a root joins two variables of b, by symmetry one joins these
+        strict = len(b) == 1 or any(w[i] and not w[i] + w[j] and w.count(0) == ring.k - 2 for w in roots)
+        combos = (combinations if strict else combinations_with_replacement)(range(top + 1), len(b))
         pairs = [(c, tuple([top - x for x in c[::-1]]), size) for c in combos]
-        if repeats:  # |b|! over the order of the permutations that fix c
+        if not strict:  # |b|! over the order of the permutations that fix c
             pairs = [(c, s, size // prod(map(factorial, map(c.count, set(c))))) for c, s, _ in pairs]
         flats = [(a + c, r + s, k * o) for a, r, k in flats for c, s, o in pairs]
     variables = sum(blocks, ())
@@ -367,7 +357,7 @@ def point_weights(
 
 def integrate_points(
     m: QuotientModel,
-    points: dict[tuple[int, ...], int],
+    blocks: Blocks | None,
     roots: Sequence[Sequence[int]],
     f: Series,
     V: SplitBundle,
@@ -375,7 +365,8 @@ def integrate_points(
 ) -> Fraction:
     """Integral over the torus quotient of ch(twist) * f(V) * e, e the product
     of the Euler classes of `roots` and f a series with constant term 1, as a
-    sum over `point_weights` (Atiyah-Bott).  Chern roots scaled by lam, the
+    sum over `point_weights` (Atiyah-Bott) at the `all_points` of blocks that
+    the integrand's symmetry group contains.  Chern roots scaled by lam, the
     class at t is ch(twist)(lam) exp(sum_j l_j p_j lam^j) at lam^N, N = top
     - #roots, l = log f and p_j the j-th power sum of V's weights at t.
 
@@ -406,7 +397,7 @@ def integrate_points(
             key = max(w, tuple(-x for x in w))
             a, b = folded.get(key, (0, 0))
             folded[key] = (a + k, b) if w == key else (a, b + k)
-    ts, ws, den, cols = point_weights(m, points, roots)
+    ts, ws, den, cols = point_weights(m, all_points(m.ring, blocks, roots), roots)
     xs = [_column(cols, ts, w) for w in folded]
     tables: dict[tuple[int, int], dict[int, list[int]]] = {ab: {} for ab in folded.values()}
     tabs = [tables[ab] for ab in folded.values()]  # x: (a + (-1)^j b) x^j over the used j

@@ -254,9 +254,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Coeff) -> Poly:
-        return (-self) + other
-
     def __mul__(self, other: Poly | Coeff) -> Poly:
         if isinstance(other, (int, Fraction)):
             c = normalize_coeff(other)
@@ -290,11 +287,6 @@ class Poly:
         else:
             nums = _product_packed(self, other, degree)
         return Poly._reduced(self.ring, nums, self.den * other.den)
-
-    def __truediv__(self, scalar: Coeff) -> Poly:
-        if not isinstance(scalar, (int, Fraction)) or scalar == 0:
-            raise ValueError(f"can only divide by a nonzero exact scalar, got {scalar!r}")
-        return self._scaled(scalar.denominator, scalar.numerator)
 
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:

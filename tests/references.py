@@ -24,7 +24,7 @@ from operator import add, getitem, lt, mul, sub
 from typing import Sequence
 
 from abelianize.charclass import todd_series
-from abelianize.quotient import QuotientModel, SplitBundle, all_points, integrate_points
+from abelianize.quotient import QuotientModel, SplitBundle, integrate_points
 from abelianize.ratpoly import Coeff, Exponent, Poly, Ring, check_permutation, permute_exponents
 from abelianize.rootdata import RootData, Weight
 
@@ -39,7 +39,7 @@ def index_torus(m: QuotientModel, V: SplitBundle) -> Fraction:
     """Index of the twisted Dolbeault operator on the torus quotient:
     the integral of ch(V) * Td(tangent), over all fixed points."""
     td = todd_series(m.ring.top_degree)
-    return integrate_points(m, all_points(m.ring), (), td, m.tangent_bundle, V)
+    return integrate_points(m, None, (), td, m.tangent_bundle, V)
 
 
 def per_point_weights(m: QuotientModel, points: dict, roots: Sequence[Sequence[int]]):

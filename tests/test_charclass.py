@@ -25,7 +25,6 @@ from abelianize.quotient import (
     grassmannian_model,
     integrate_points,
     integrate_torus,
-    orbit_points,
     stabilizer_blocks,
 )
 from abelianize.charclass import (
@@ -126,12 +125,12 @@ class TestSeriesOracles:
     def test_todd_evaluation(self):
         ring = Ring(1, [3])
         u = ring.variable(0)
-        assert eval_series(todd_series(2), u) == ring.one() + u / 2 + u**2 / 12
+        assert eval_series(todd_series(2), u) == ring.one() + u * Fraction(1, 2) + u**2 * Fraction(1, 12)
 
     def test_l_class_evaluation(self):
         ring = Ring(1, [5])
         u = ring.variable(0)
-        expected = ring.one() + u**2 / 3 - u**4 / 45
+        expected = ring.one() + u**2 * Fraction(1, 3) - u**4 * Fraction(1, 45)
         assert eval_series(l_class_series(4), u) == expected
 
     def test_registry_names(self):
@@ -252,13 +251,13 @@ class TestChernCharacter:
         ring = Ring(1, [3])
         u = ring.variable(0)
         V = SplitBundle(ring, [((1,), 1)])
-        assert chern_character(V) == ring.one() + u + u**2 / 2
+        assert chern_character(V) == ring.one() + u + u**2 * Fraction(1, 2)
 
     def test_virtual_difference(self):
         ring = Ring(1, [4])
         u = ring.variable(0)
         V = SplitBundle(ring, [((0,), 1), ((1,), -1)])
-        expected = -u - u**2 / 2 - u**3 / 6
+        expected = -u - u**2 * Fraction(1, 2) - u**3 * Fraction(1, 6)
         assert chern_character(V) == expected
 
     def test_additive(self):
@@ -421,7 +420,7 @@ class TestFractionsOnlyAtTheEnd:
         m = grassmannian_model(3, 9)
         roots = m.root_data.roots
         V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in roots])
-        args = (m, orbit_points(m), roots, l_class_series(m.quotient_dim), V)
+        args = (m, m.root_data.blocks, roots, l_class_series(m.quotient_dim), V)
         value, built = self.built_during(lambda: integrate_points(*args))
         assert len(built) == 1
         assert value == dense_integrate_points(*args)
@@ -433,7 +432,7 @@ class TestFractionsOnlyAtTheEnd:
         V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in positive])
         negated = [tuple(-x for x in w) for w in positive]
         td = todd_series(m.ring.top_degree - len(negated))
-        args = (m, all_points(m.ring), negated, td, V, lift.tensor(exterior_power(E, E.rank)))
+        args = (m, (), negated, td, V, lift.tensor(exterior_power(E, E.rank)))
         value, built = self.built_during(lambda: integrate_points(*args))
         assert len(built) == 1
         assert value == dense_integrate_points(*args) == index_group(m, lift) == 70
@@ -519,7 +518,7 @@ def grassmannian_presentations(draw):
     """G(k,n) as a config would present it: shuffled and split tangent
     summands, any generating set of S_k for the roots, either positivity and
     an orbifold prefactor.  The action is a generating set of S_k, none, or
-    a 3-cycle alone: the orbit gate reads the roots, not the action."""
+    a 3-cycle alone: the point sums read the roots' blocks, not the action."""
     k, n = draw(st.sampled_from([(k, n) for k in (1, 2, 3) for n in range(k, 8)] + [(4, 6)]))
     ring = Ring(k, [n] * k)
     summands = [((0,) * k, -k)]
@@ -557,15 +556,15 @@ class TestPointRoute:
     @example(grassmannian_model(4, 6), [Fraction(1, 2), Fraction(-2, 3), 3], [(1, 2), (-1, -1)])
     def test_points_equal_products(self, m, coeffs, lines):
         # uniform twists d,...,d with any multiplicity are Weyl-invariant, so
-        # the gate admits every model and twist drawn here
+        # every model and twist drawn here sums over Weyl orbits
         f = Series([1, *coeffs]).truncated(m.ring.top_degree)
         V = SplitBundle(m.ring, [((d,) * m.ring.k, mult) for d, mult in lines])
-        assert orbit_points(m, V) is not None
+        assert m.root_data.blocks is not None and m.root_data.moved(V.multiplicities()) is None
         assert characteristic_number(m, f) == product_characteristic_number(m, f)
         assert index_group(m, V) == product_index(m, V)
 
 
-def dense_integrate_points(m, points, roots, f, V, twist=None):
+def dense_integrate_points(m, blocks, roots, f, V, twist=None):
     """`integrate_points` by the Fraction recurrence for j l_j and the exp
     recurrence over every j, as first written; a reference for the integer
     recurrence that skips the zero l_j."""
@@ -581,7 +580,7 @@ def dense_integrate_points(m, points, roots, f, V, twist=None):
     def power_sums(bundle, t):
         return [sum(k * sum(map(mul, w, t)) ** j for w, k in bundle.summands) for j in range(N + 1)]
 
-    pts, den = per_point_weights(m, points, roots)
+    pts, den = per_point_weights(m, all_points(m.ring, blocks, roots), roots)
     total = 0
     for t, w in pts:
         G = [h * p for h, p in zip(H, power_sums(V, t))]
@@ -688,24 +687,25 @@ class TestIntegratePoints:
     def test_matches_the_dense_recurrence(self, case, series):
         m, where, lines, pair = case
         roots = () if where == "torus" else m.root_data.roots
-        points = (where == "orbits" and orbit_points(m)) or all_points(m.ring)
+        blocks = m.root_data.blocks if where == "orbits" else None
         V = m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in roots])
         if pair is not None:
             w, a, b = pair
             V = V + SplitBundle(m.ring, [(w, a), (tuple(-x for x in w), b)])
         twist = None if lines is None else SplitBundle(m.ring, lines)
         f = series(m.ring.top_degree)
-        got = integrate_points(m, points, roots, f, V, twist)
-        assert got == dense_integrate_points(m, points, roots, f, V, twist)
+        got = integrate_points(m, blocks, roots, f, V, twist)
+        assert got == dense_integrate_points(m, blocks, roots, f, V, twist)
 
 
 @st.composite
 def refused_models(draw):
-    """Models the orbit gate refuses, or refuses for some twists: the
-    relative model of a U(2)xU(1) block of U(3), whose complement roots form
-    no blocks; or a G(k,n) for a twist the Weyl group does not fix.  (Roots
-    that form no blocks are refused by the config, generators outside W and
-    U(2) roots on variables of unequal truncations by the model.)"""
+    """Models whose point sums run over all points, or whose index does for
+    some twists: the relative model of a U(2)xU(1) block of U(3), whose
+    complement roots form no blocks; or a G(k,n) for a twist the Weyl group
+    does not fix, whose index runs over stabilizer orbits.  (Roots that form
+    no blocks are refused by the config, generators outside W and U(2) roots
+    on variables of unequal truncations by the model.)"""
     if draw(st.booleans()):
         m = grassmannian_model(3, draw(st.integers(3, 5)))
         alone = draw(st.integers(0, 2))  # the variable of the U(1) factor
@@ -733,10 +733,10 @@ class TestAllPoints:
     @example(grassmannian_model(2, 4), [], [([1, 2, 0, 0], 1)])
     def test_all_points_equal_products(self, m, coeffs, lines):
         k = m.ring.k
-        V = SplitBundle(m.ring, [(w[:k], mult) for w, mult in lines])
-        assume(orbit_points(m, V) is None)
+        V, rd = SplitBundle(m.ring, [(w[:k], mult) for w, mult in lines]), m.root_data
+        assume(rd.blocks is None or rd.moved(V.multiplicities()) is not None)
         f = Series([1, *coeffs]).truncated(m.ring.top_degree)
-        if orbit_points(m) is None:
+        if rd.blocks is None:
             assert characteristic_number(m, f) == product_characteristic_number(m, f)
         index = index_group(m, V)
         assert index == product_index(m, V)
@@ -831,13 +831,14 @@ class TestStabilizerOrbits:
         twist = lift.tensor(exterior_power(E, E.rank))
         weights = (dict.fromkeys(negated, 1), V.multiplicities(), twist.multiplicities())
         blocks = stabilizer_blocks(m.ring.truncations, *weights)
-        orbits, plain = all_points(m.ring, blocks, True), all_points(m.ring)
+        orbits, plain = all_points(m.ring, blocks), all_points(m.ring)
         everywhere = Counter(product(*map(range, m.ring.truncations)))
         assert unfolded(m.ring, blocks, orbits) == unfolded(m.ring, (), plain) == everywhere
         td = todd_series(m.ring.top_degree - len(negated))
-        value = integrate_points(m, orbits, negated, td, V, twist)
-        assert value == integrate_points(m, plain, negated, td, V, twist)
-        if orbit_points(m, lift) is None:
+        value = integrate_points(m, blocks, negated, td, V, twist)
+        assert value == integrate_points(m, (), negated, td, V, twist)
+        rd = m.root_data
+        if rd.blocks is None or rd.moved(lift.multiplicities()) is not None:
             assert index_group(m, lift) == value
 
     def test_blocks(self):
@@ -852,10 +853,27 @@ class TestStabilizerOrbits:
 
     def test_repeats_count_each_orbit(self):
         ring = Ring(3, [3, 3, 2])
-        points = all_points(ring, ((0, 1), (2,)), True)
+        points = all_points(ring, ((0, 1), (2,)))
         assert points[(0, 0, 0)] == 2 and points[(0, 1, 0)] == 4 and points[(1, 1, 0)] == 2
         assert sum(points.values()) == 18
-        assert all_points(ring, ((0, 1), (2,))) == {a: c for a, c in points.items() if a[0] != a[1]}
+
+    def test_strictness_follows_the_roots(self):
+        # equal entries along a block that a root c(e_j - e_i) joins are
+        # zeros of e and dropped; roots of any other shape, or joining
+        # variables of two blocks, drop nothing
+        ring, blocks = Ring(3, [3, 3, 2]), ((0, 1), (2,))
+        points = all_points(ring, blocks)
+        distinct = {a: c for a, c in points.items() if a[0] != a[1]}
+        for roots in ([(-1, 1, 0), (1, -1, 0)], [(2, -2, 0)], [(0, 1, -1), (1, 1, 0)]):
+            expected = distinct if roots[0][2] == 0 else points
+            assert all_points(ring, blocks, roots) == expected
+        m = grassmannian_model(3, 5)
+        rd = m.root_data
+        strict = all_points(m.ring, rd.blocks, rd.roots)
+        assert all(a[0] < a[1] < a[2] for a in strict) and sum(strict.values()) == 60
+        # over every point, `point_weights` drops the same zeros of e
+        args = (rd.roots, l_class_series(m.quotient_dim), m.tangent_bundle)
+        assert integrate_points(m, rd.blocks, *args) == integrate_points(m, None, *args)
 
 
 def gl_weyl_dimension(lam):
@@ -887,7 +905,7 @@ def no_enumeration(monkeypatch):
 
 class TestNoGroupEnumeration:
     def test_large_grassmannians_enumerate_no_group(self, no_enumeration):
-        # |W| = 9! = 362880: the gate must read the roots, not enumerate W
+        # |W| = 9! = 362880: the point sums must read the roots, not enumerate W
         g910, g911 = grassmannian_model(9, 10), grassmannian_model(9, 11)
         assert euler_characteristic(g910) == 10
         assert characteristic_number(g911, todd_series(g911.quotient_dim)) == 1

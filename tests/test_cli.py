@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,13 +28,15 @@ from abelianize.charclass import (
 )
 from abelianize.presentation import poincare_polynomial
 from abelianize.quotient import (
+    QuotientModel,
     SplitBundle,
     all_points,
     grassmannian_model,
     integrate_points,
     integrate_torus,
 )
-from abelianize.ratpoly import Poly, Series
+from abelianize.ratpoly import Poly, Ring, Series
+from abelianize.rootdata import unitary_roots
 from abelianize.schubert import oracle_betti
 
 
@@ -67,6 +70,11 @@ class TestSubcommands:
         status, out, _ = run(capsys, "betti", "--grassmannian", "2", "4")
         assert status == 0
         assert out == "1,1,2,1,1\n"
+
+    def test_betti_csv(self, capsys):
+        status, out, err = run(capsys, "betti", "--grassmannian", "2", "4", "--format", "csv")
+        assert (status, err) == (0, "")
+        assert out.splitlines() == ["degree,betti", "0,1", "1,1", "2,2", "3,1", "4,1"]
 
     def test_euler(self, capsys):
         status, out, _ = run(capsys, "euler", "--grassmannian", "2", "4")
@@ -328,9 +336,10 @@ def g24_config() -> dict:
 @pytest.fixture
 def routes(monkeypatch):
     """The torus-integral routes the class formulas take, in call order;
-    `all_points` marks a sum over every fixed point instead of Weyl orbits."""
+    `stabilizer_blocks` marks the index's sum over the orbits of the swaps
+    that fix its integrand instead of Weyl orbits."""
     calls = []
-    for name in ("all_points", "integrate_points", "integrate_torus"):
+    for name in ("stabilizer_blocks", "integrate_points", "integrate_torus"):
 
         def spy(*args, _name=name, _original=getattr(charclass, name)):
             calls.append(_name)
@@ -349,7 +358,7 @@ class TestRouteGate:
     def test_non_invariant_twist_runs_on_all_points(self, capsys, routes, line, value):
         g24 = ("--grassmannian", "2", "4")
         assert run(capsys, "index", *g24, f"--line={line}") == (0, f"{value}\n", "")
-        assert routes == ["all_points", "integrate_points"]
+        assert routes == ["stabilizer_blocks", "integrate_points"]
 
     def test_relative_block_model_runs_on_all_points(self, capsys, routes, tmp_path):
         # U(2)xU(1) in U(3): Weyl order 1, but G's action of order 6
@@ -360,11 +369,11 @@ class TestRouteGate:
         path.write_text(json.dumps(doc))
         argv = ("index", "--config", str(path), "--subgroup", "--line=1,1,1")
         assert run(capsys, *argv) == (0, "20\n", "")
-        assert routes == ["all_points", "integrate_points"]
+        assert routes == ["stabilizer_blocks", "integrate_points"]
 
     def test_empty_weyl_action_runs_on_orbit_points(self, capsys, routes, tmp_path):
-        # the gate reads the roots, so the action the presentation layer
-        # reads does not choose the route
+        # the point sums read the roots' blocks, so the action the
+        # presentation layer reads does not choose the route
         doc = g24_config()
         doc["roots"] = "unitary:2"
         doc["weyl_action"] = []
@@ -505,13 +514,13 @@ class TestRouteGate:
         # u1 and u2 fixes the relative model's integrand and the twist, so
         # the index sums one point per orbit, 63 where all points are 108
         sums = []
-        original = charclass.integrate_points
+        original = quotient.point_weights
 
         def spy(*args):
             sums.append((len(args[1]), sum(args[1].values())))
             return original(*args)
 
-        monkeypatch.setattr(charclass, "integrate_points", spy)
+        monkeypatch.setattr(quotient, "point_weights", spy)
         doc = model_to_config(grassmannian_model(3, 6))
         block = [i for i, w in enumerate(doc["roots"]["weights"]) if w[2] == "0"]
         doc["subgroup_roots"] = {"indices": [str(i) for i in block], "weyl_order": "2"}
@@ -530,6 +539,105 @@ class TestRouteGate:
         g37 = ("--grassmannian", "3", "7")
         assert run(capsys, "index", *g37, "--line=1,1,1", "--check-two-term") == (0, "35\n", "")
         assert routes == ["integrate_points", "integrate_torus"]
+
+
+def edited(doc, field: str, value):
+    """doc with the field at a dotted path (list entries by index) set to
+    value, or value itself for the empty path."""
+    if not field:
+        return value
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+#: G(2,4) config edits refused at load: (field, value, location, message)
+CONFIG_REFUSALS = [
+    ("ring.variables", True, ".ring.variables", "expected an integer, got True"),
+    ("ring.variables", [2], ".ring.variables", "expected an integer string, got list"),
+    ("ring.variables", "two", ".ring.variables", "not an integer: 'two'"),
+    ("orbifold_prefactor", False, ".orbifold_prefactor",
+     "expected an exact rational string, got False"),
+    ("orbifold_prefactor", 1.5, ".orbifold_prefactor",
+     "expected an exact rational string, got 1.5"),
+    ("orbifold_prefactor", "1/x", ".orbifold_prefactor", "not a rational: '1/x'"),
+    ("orbifold_prefactor", "1/0", ".orbifold_prefactor", "not a rational: '1/0'"),
+    ("orbifold_prefactor", ["1"], ".orbifold_prefactor", "expected a rational string, got list"),
+    ("ring.truncations", "4", ".ring.truncations", "expected a list"),
+    ("roots.weights", "-1,1", ".roots.weights", "expected a list of integer vectors"),
+    ("roots.weyl_generators", "21", ".roots.weyl_generators", "expected a list"),
+    ("tangent_bundle", {}, ".tangent_bundle", "expected a list of summands"),
+    ("roots", "orthogonal:2", ".roots", "unknown builtin root data 'orthogonal:2'"),
+    ("roots", "unitary:3", ".roots", "builtin rank 3 does not match 2 ring variables"),
+    ("roots", 2, ".roots", "expected a builtin name or a root data object"),
+    ("roots.positive", ["2"], ".roots.positive", "index 2 out of range"),
+    ("tangent_bundle.0", "0", ".tangent_bundle[0]",
+     "expected an object with weight and multiplicity"),
+    ("tangent_bundle.0.weight", ["1"], ".tangent_bundle[0].weight", "expected 2 components"),
+    ("", [], "", "top level must be an object"),
+    ("", {"schema": "1"}, ".ring", "missing required field"),
+    ("roots.weyl_generators", [["1", "1"]], ".roots.weyl_generators[0]",
+     "not a permutation of 1..2: [1, 1]"),
+    ("ring", "2", ".ring", "expected an object"),
+    ("ring.truncations", ["4"], ".ring", "expected 2 truncation exponents, got 1"),
+    ("ring.truncations", ["4", "0"], ".ring",
+     "truncation exponents must be positive integers: (4, 0)"),
+    ("weyl_action", "21", ".weyl_action", "expected a list of permutations"),
+    ("subgroup_roots", ["0"], ".subgroup_roots", "expected an object with indices and weyl_order"),
+    ("subgroup_roots", {"indices": ["2"], "weyl_order": "1"}, ".subgroup_roots.indices",
+     "root index 2 out of range"),
+]
+
+#: Queries on G(2,4) refused by their own arguments: (argv, stderr)
+ARGUMENT_REFUSALS = [
+    (("pairing", "--exps", "1,x"),
+     "config error: --exps: not a comma-separated integer list: '1,x'"),
+    (("pairing", "--exps=-2,3"), "config error: --exps: exponents must be nonnegative: [-2, 3]"),
+    (("index", "--line=1,1:x"), "config error: --line: bad multiplicity in '1,1:x'"),
+    (("index", "--line=1,a"), "config error: --line: not an integer vector: '1,a'"),
+    (("index", "--line=1,1,1"), "config error: --line: expected 2 components in '1,1,1'"),
+    (("charnum", "--series", "1,x"), "config error: --series: not a rational list: '1,x'"),
+    (("charnum", "--class", "a-hat"),
+     "config error: --class: unknown class 'a-hat'; known: l-class, todd, total-chern"),
+    (("charnum", "--series", "0,1"),
+     "error: a multiplicative class series must have constant term 1"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("field, value, where, message", CONFIG_REFUSALS)
+    def test_config_refusal_is_located(self, capsys, tmp_path, field, value, where, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edited(g24_config(), field, value)))
+        refusal = (2, "", f"config error: {path}{where}: {message}\n")
+        assert run(capsys, "euler", "--config", str(path)) == refusal
+
+    @pytest.mark.parametrize("argv, message", ARGUMENT_REFUSALS)
+    def test_argument_refusal_is_located(self, capsys, argv, message):
+        command, *rest = argv
+        assert run(capsys, command, "--grassmannian", "2", "4", *rest) == (2, "", f"{message}\n")
+
+    def test_model_refusals(self):
+        m = grassmannian_model(2, 4)
+        ring, rd, tangent = m.ring, m.root_data, m.tangent_bundle
+        # U(3) on (P^1)^3: six roots on a torus quotient of dimension three
+        ring3 = Ring(3, [2, 2, 2])
+        units = [(tuple(int(i == j) for j in range(3)), 2) for i in range(3)]
+        tangent3 = SplitBundle(ring3, [*units, ((0, 0, 0), -3)])
+        cases = [
+            ((ring, unitary_roots(3), tangent), "root data rank 3 does not match 2 ring variables"),
+            ((ring, rd, SplitBundle(Ring(2, [5, 5]), tangent.summands)),
+             "tangent bundle lives in the wrong ring"),
+            ((ring, rd, tangent, 0), "orbifold prefactor must be positive"),
+            ((ring, rd, tangent, Fraction(-1, 2)), "orbifold prefactor must be positive"),
+            ((ring3, unitary_roots(3), tangent3), "more roots than the torus quotient dimension allows"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                QuotientModel(*args)
 
 
 class TestConfig:
@@ -1272,18 +1380,18 @@ def all_points_reference(m, twist):
     point, with no reduction to Weyl orbits: the index by prod over the
     positive roots of 1 - e^alpha = prod (-alpha) ch(L_2rho) / Td(E+), which
     needs no invariance.  The orbit route must give the same numbers."""
-    roots, positive, points = m.root_data.roots, m.root_data.positive, all_points(m.ring)
+    roots, positive = m.root_data.roots, m.root_data.positive
 
     def less(weights):
         return m.tangent_bundle + SplitBundle(m.ring, [(w, -1) for w in weights])
 
     chern = total_chern_series(m.quotient_dim)
-    euler = m.prefactor() * integrate_points(m, points, roots, chern, less(roots))
+    euler = m.prefactor() * integrate_points(m, None, roots, chern, less(roots))
     E = SplitBundle(m.ring, [(w, 1) for w in positive])
     negated = [tuple(-x for x in w) for w in positive]
     td = todd_series(m.ring.top_degree - len(negated))
     V = twist.tensor(exterior_power(E, E.rank))
-    return euler, integrate_points(m, points, negated, td, less(positive), V)
+    return euler, integrate_points(m, None, negated, td, less(positive), V)
 
 
 def polynomial_product(factors):
@@ -1325,7 +1433,7 @@ class TestWeylFieldsFuzz:
             # c(e_j - e_i) scale e by a constant, so ann(e) and the Betti
             # numbers are the same; the rest is checked against all points
             m = load_config(str(path))
-            assert quotient.orbit_points(m) is not None
+            assert m.root_data.blocks is not None
             euler, index = all_points_reference(m, SplitBundle(m.ring, [((1,) * k, 1)]))
             if set(scales) == {1}:
                 assert f"{euler}\n" == expected[("euler",)]

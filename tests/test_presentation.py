@@ -14,7 +14,6 @@ from abelianize.quotient import (
     grassmannian_model,
     integrate_group,
     integrate_torus,
-    orbit_points,
 )
 from abelianize.ratpoly import Ring
 from abelianize.rootdata import RootData, Subgroup
@@ -410,10 +409,10 @@ class TestPairingMatrixAtPoints:
         assert pairing_matrix(m, rows, columns) == product_gram(m, rows, columns)
 
     def test_relative_block_model_runs_on_all_points(self):
-        # U(2)xU(1) in U(3): the complement roots form no blocks, the gate
-        # refuses the model, and every monomial, or sum of two, is a row
+        # U(2)xU(1) in U(3): the complement roots form no blocks, so the
+        # sums run over every point, and every monomial, or sum of two, is a row
         rel = _subgroup_configs()[0].relative()
-        assert orbit_points(rel) is None
+        assert rel.root_data.blocks is None
         q = rel.quotient_dim
         for d in range(q + 1):
             low = [rel.ring.monomial(e) for e in rel.ring.monomials_of_degree(d)]

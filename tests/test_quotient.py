@@ -11,12 +11,12 @@ from abelianize.rootdata import RootData, Subgroup, e_product, unitary_roots
 from abelianize.quotient import (
     QuotientModel,
     SplitBundle,
+    all_points,
     chern_pairing,
     chern_pairings,
     grassmannian_model,
     integrate_group,
     integrate_torus,
-    orbit_points,
 )
 from abelianize.schubert import oracle_chern_pairing
 from abelianize.presentation import ann_e_basis, invariant_basis, pairing_matrix
@@ -171,30 +171,36 @@ def u2_in_four_variables() -> QuotientModel:
     return QuotientModel(ring, rd, SplitBundle(ring, [*lines, ((0,) * 4, -4)]))
 
 
+def model_points(m: QuotientModel) -> dict:
+    """The points a model's class sums and pairings run over: one per
+    orbit of W = prod S_|b| for the roots' blocks b, or every point."""
+    return all_points(m.ring, m.root_data.blocks, m.root_data.roots)
+
+
 class TestOrbitPoints:
     def test_g24_points_pair_with_their_mirrors(self):
         # the increasing pairs in range(4): (0,1) and (2,3) mirror each other,
         # as do (0,2) and (1,3), while (0,3) and (1,2) are their own mirrors;
         # each count is the size of its pair times |W| = 2
-        points = orbit_points(grassmannian_model(2, 4))
+        points = model_points(grassmannian_model(2, 4))
         assert points == {(0, 1): 4, (0, 2): 4, (0, 3): 2, (1, 2): 2}
 
     def test_one_point_per_free_orbit(self):
         for k, n in [(1, 5), (2, 6), (3, 7), (4, 8)]:
-            points = orbit_points(grassmannian_model(k, n))
+            points = model_points(grassmannian_model(k, n))
             assert sum(points.values()) == comb(n, k) * factorial(k)
             assert all(list(a) == sorted(a) for a in points)
         # no roots and no Weyl group: every point of P^1 x P^2 is an orbit
         ring = Ring(2, [2, 3])
-        points = orbit_points(torus_model(ring))
+        points = model_points(torus_model(ring))
         assert sum(points.values()) == 6 and all(a[0] == 0 for a in points)
 
     def test_reads_the_roots_not_the_weyl_action(self):
         m = grassmannian_model(3, 5)
-        expected = orbit_points(m)
+        expected = model_points(m)
         for action in ([], [(1, 2, 0)], [(1, 0, 2)]):
             other = QuotientModel(m.ring, m.root_data, m.tangent_bundle, weyl_action=action)
-            assert orbit_points(other) == expected
+            assert model_points(other) == expected
 
     def test_refuses_what_it_cannot_reduce(self):
         m = grassmannian_model(2, 4)
@@ -211,19 +217,19 @@ class TestOrbitPoints:
             _with_subgroup(grassmannian_model(3, 6), Subgroup(block, 2)).relative(),
             QuotientModel(ring9, chain, SplitBundle(ring9, [*lines, ((0,) * 9, -9)])),
         ]
-        assert [orbit_points(x) for x in models] == [None] * 2
+        assert [x.root_data.blocks for x in models] == [None] * 2
         # scaled roots form the same block as G(2,4)'s, and U(2) in four
         # variables has blocks of one beside it: both are admitted
         scaled = RootData(2, [(-2, 2), (2, -2)], [(-2, 2)], [(1, 0)], 2)
-        assert orbit_points(QuotientModel(m.ring, scaled, m.tangent_bundle)) == orbit_points(m)
-        assert sum(orbit_points(u2_in_four_variables()).values()) == comb(3, 2) * 2 * 2 * 2
+        assert model_points(QuotientModel(m.ring, scaled, m.tangent_bundle)) == model_points(m)
+        assert sum(model_points(u2_in_four_variables()).values()) == comb(3, 2) * 2 * 2 * 2
         # a second generator that swaps u3 and u4 leaves the blocks: W would
         # not be the group the roots' reflections generate, so it is refused
         rd = u2_in_four_variables().root_data
         with pytest.raises(ValueError, match=r"generator \[1, 2, 4, 3\] is not in the group"):
             RootData(4, rd.roots, rd.positive, [(1, 0, 2, 3), (0, 1, 3, 2)], 4)
         # unequal truncations, or a tangent bundle W moves, never reach the
-        # gate: the model refuses them
+        # point sums: the model refuses them
         moved = SplitBundle(m.ring, [((1, 0), 3), ((0, 1), 5), ((0, 0), -2)])  # u1, u2 unequal
         with pytest.raises(ValueError, match="moves the tangent summands"):
             QuotientModel(m.ring, m.root_data, moved)
@@ -231,8 +237,9 @@ class TestOrbitPoints:
         tangent34 = SplitBundle(ring34, [((1, 0), 3), ((0, 1), 3), ((0, 0), -1)])
         with pytest.raises(ValueError, match="does not preserve the truncation"):
             QuotientModel(ring34, unitary_roots(2), tangent34, weyl_action=[])
-        assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1)])) is None
-        assert orbit_points(m, SplitBundle(m.ring, [((1, 2), 1), ((2, 1), 1)])) is not None
+        # the index sums over Weyl orbits only for a twist that W fixes
+        assert m.root_data.moved(SplitBundle(m.ring, [((1, 2), 1)]).multiplicities()) is not None
+        assert m.root_data.moved({(1, 2): 1, (2, 1): 1}) is None
 
 
 def torus_model(ring: Ring) -> QuotientModel:
@@ -431,8 +438,8 @@ class TestChernPairing:
 
 
 def u2xu2_model() -> QuotientModel:
-    """U(2)xU(2) on (P^2)^4: two blocks, |W| = 4, so the gate admits it and
-    its pairings run over the orbit points of both blocks."""
+    """U(2)xU(2) on (P^2)^4: two blocks, |W| = 4, so its pairings run over
+    the orbit points of both blocks."""
     ring = Ring(4, [3] * 4)
     roots = [(-1, 1, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 1, -1)]
     rd = RootData(4, roots, roots[::2], [], 4)
@@ -442,8 +449,7 @@ def u2xu2_model() -> QuotientModel:
 
 def levi_relative_model() -> QuotientModel:
     """The relative model of a U(2)xU(1) block of G(3,4): its complement
-    roots form no blocks, so the gate refuses it and its pairings run over
-    `all_points`."""
+    roots form no blocks, so its pairings run over every point."""
     m = grassmannian_model(3, 4)
     block = tuple(w for w in m.root_data.roots if w[2] == 0)
     return _with_subgroup(m, Subgroup(block, 2)).relative()
@@ -479,7 +485,7 @@ class TestChernPairingAtPoints:
 
     def test_relative_model_runs_on_all_points(self):
         m = levi_relative_model()
-        assert orbit_points(m) is None and m.quotient_dim == 5
+        assert m.root_data.blocks is None and m.quotient_dim == 5
         rows = [(5, 0, 0), (1, 2, 0), (0, 1, 1)]
         assert chern_pairings(m, rows) == [product_pairing(m, exps) for exps in rows]
         # its Gram matrices run over all points too
@@ -491,7 +497,7 @@ class TestChernPairingAtPoints:
 
     def test_two_blocks_run_on_orbit_points(self):
         m = u2xu2_model()
-        assert orbit_points(m) is not None
+        assert m.root_data.blocks is not None
         rows = [(4, 0, 0, 0), (0, 2, 0, 0)]
         assert chern_pairings(m, rows) == [product_pairing(m, exps) for exps in rows]
         assert chern_pairings(m, rows) == [Fraction(6), Fraction(3)]

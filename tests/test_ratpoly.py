@@ -208,9 +208,9 @@ class TestProductKernels:
     @example((R22.constant(Fraction(-7, 3)), tight_dense(R22), 2))
     @example((R4.constant(5), R4.constant(2**200), 0))
     @example((R4.constant(5), R4.constant(2**200), -1))
-    @example((R1.one() + R1.variable(0), R1.one() - R1.variable(0) / 3, 3))
+    @example((R1.one() + R1.variable(0), R1.one() - R1.variable(0) * Fraction(1, 3), 3))
     # u3, u1, u2 take positions 0, 1, 2: a 3-cycle, not its own inverse
-    @example(((R444.one() + V1 + V2 / 2 + V3) ** 3, V1**2 + V2 - V3**3 / 5, 7))
+    @example(((R444.one() + V1 + V2 * Fraction(1, 2) + V3) ** 3, V1**2 + V2 - V3**3 * Fraction(1, 5), 7))
     def test_packed_kernel_equals_pair_loop(self, case):
         p, q, degree = case
         pairs = kernel_terms(_product_pairs, p, q, degree)
@@ -282,14 +282,14 @@ class TestSlotCodes:
     @settings(deadline=None)
     @given(operands_and_degree())
     @example((R4.constant(Fraction(3, 2)), tight_dense(R4), R4.top_degree))
-    @example((Ring(3, [1, 4, 2]).one(), Ring(3, [1, 4, 2]).variable(1) / 3, 3))
+    @example((Ring(3, [1, 4, 2]).one(), Ring(3, [1, 4, 2]).variable(1) * Fraction(1, 3), 3))
     def test_pair_loop_equals_the_tuple_reference(self, case):
         p, q, degree = case
         assert _product_pairs(p, q, degree) == product_pairs_reference(p, q, degree)
 
     @settings(deadline=None)
     @given(units())
-    @example(Ring(3, [2, 1, 5]).constant(3) + Ring(3, [2, 1, 5]).variable(2) / 7)
+    @example(Ring(3, [2, 1, 5]).constant(3) + Ring(3, [2, 1, 5]).variable(2) * Fraction(1, 7))
     @example(R444.constant(Fraction(-2, 5)) + V1 * V2 - V3**2)
     def test_inverse_equals_the_tuple_reference(self, unit):
         inverse = unit.inverse()
@@ -426,7 +426,6 @@ class TestAgainstFractionDicts:
         assert_canonical(-p, ref_clean({e: -x for e, x in a.items()}))
         assert_canonical(p * c, ref_clean({e: x * c for e, x in a.items()}))
         assert_canonical(c * p, ref_clean({e: x * c for e, x in a.items()}))
-        assert_canonical(p / c, ref_clean({e: x / c for e, x in a.items()}))
         assert_canonical(p * 0, {})
         degree = data.draw(st.integers(-1, ring.top_degree))
         expected = ref_mul(a, b, truncs, degree)
@@ -680,7 +679,7 @@ class TestSeries:
     def test_eval_exp(self):
         ring = Ring(1, [3])
         u = ring.variable(0)
-        assert eval_series(exp_series(2), u) == ring.one() + u + u**2 / 2
+        assert eval_series(exp_series(2), u) == ring.one() + u + u**2 * Fraction(1, 2)
 
     def test_nonzero_constant_term_rejected(self):
         ring = Ring(1, [3])
@@ -760,7 +759,7 @@ class TestTextForm:
     def test_render_examples(self):
         ring = Ring(3, [4, 4, 4])
         u1, u2, u3 = ring.gens()
-        p = -(u1**2) * u2 / 2 + 3 * u3
+        p = -(u1**2) * u2 * Fraction(1, 2) + 3 * u3
         assert render_poly(p) == "-1/2*u1^2*u2 + 3*u3"
         assert render_poly(ring.zero()) == "0"
         assert render_poly(ring.one() - u1) == "-u1 + 1"

@@ -19,7 +19,10 @@ workloads write at seeds 1-6; on the configs, the subcommands that take
 `--subgroup` in that checkout's parser run with and without it, so a
 checkout that drops the flag lists fewer queries, and `diff` shows which.
 The same queries run on `REFUSALS`, one config per refusal of a model that
-W does not act on as declared or whose positive roots order no block.
+W does not act on as declared or whose positive roots order no block; then
+`euler` runs on each `MALFORMED` config, one per located refusal of a
+malformed field, and the `ARGUMENTS` queries on G(2,4): `betti`'s csv table
+and one query per located refusal of a subcommand's own arguments.
 Last come library lines, which no CLI query reaches, on each G(k,n) above:
 the Segre pairings, the integrals of prod_i (1 + u_i)^-1 * prod_i e_i^m_i
 with `Poly.inverse` and ring products, at the `pairing --exps` vectors of
@@ -37,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import copy
 import json
 import os
 import shlex
@@ -144,6 +148,73 @@ REFUSALS = {
         "weyl_order": "6",
     }),
 }
+
+
+#: G(2,4) with explicit root data, which each `MALFORMED` entry edits.
+G24 = _config([4, 4], {"weights": [["-1", "1"], ["1", "-1"]], "positive": ["0"],
+                       "weyl_generators": [["2", "1"]], "weyl_order": "2"})
+
+#: One edit of `G24` per located refusal of a malformed config: a dotted
+#: field path (list entries by index), the empty path for the whole
+#: document, and the value put there.
+MALFORMED = {
+    "bool-integer": ("ring.variables", True),
+    "list-integer": ("ring.variables", [2]),
+    "text-integer": ("ring.variables", "two"),
+    "bool-rational": ("orbifold_prefactor", False),
+    "float-rational": ("orbifold_prefactor", 1.5),
+    "text-rational": ("orbifold_prefactor", "1/x"),
+    "zero-denominator": ("orbifold_prefactor", "1/0"),
+    "list-rational": ("orbifold_prefactor", ["1"]),
+    "truncations-not-list": ("ring.truncations", "4"),
+    "weights-not-list": ("roots.weights", "-1,1"),
+    "generators-not-list": ("roots.weyl_generators", "21"),
+    "tangent-not-list": ("tangent_bundle", {}),
+    "unknown-builtin": ("roots", "orthogonal:2"),
+    "builtin-rank": ("roots", "unitary:3"),
+    "roots-not-object": ("roots", 2),
+    "positive-out-of-range": ("roots.positive", ["2"]),
+    "summand-not-object": ("tangent_bundle.0", "0"),
+    "summand-length": ("tangent_bundle.0.weight", ["1"]),
+    "top-not-object": ("", []),
+    "missing-field": ("", {"schema": "1"}),
+    "not-a-permutation": ("roots.weyl_generators", [["1", "1"]]),
+    "ring-not-object": ("ring", "2"),
+    "truncation-count": ("ring.truncations", ["4"]),
+    "truncation-zero": ("ring.truncations", ["4", "0"]),
+    "action-not-list": ("weyl_action", "21"),
+    "subgroup-not-object": ("subgroup_roots", ["0"]),
+    "subgroup-index": ("subgroup_roots", {"indices": ["2"], "weyl_order": "1"}),
+}
+
+_G24 = ("--grassmannian", "2", "4")
+
+#: `betti`'s csv table on G(2,4), and one query per located refusal of a
+#: subcommand's own arguments, the last the generic `error:` exit.
+ARGUMENTS = [
+    ("betti", *_G24, "--format", "csv"),
+    ("pairing", *_G24, "--exps", "1,x"),
+    ("pairing", *_G24, "--exps=-2,3"),
+    ("index", *_G24, "--line=1,1:x"),
+    ("index", *_G24, "--line=1,a"),
+    ("index", *_G24, "--line=1,1,1"),
+    ("charnum", *_G24, "--series", "1,x"),
+    ("charnum", *_G24, "--class", "a-hat"),
+    ("charnum", *_G24, "--series", "0,1"),
+]
+
+
+def _edited(doc, field: str, value):
+    """doc with the field at the dotted path set to value, or value itself
+    for the empty path."""
+    if not field:
+        return value
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
 
 
 def _exps(k: int, degree: int) -> list[str]:
@@ -275,6 +346,13 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
             json.dump(doc, fh)
         k, n, degree = _config_shape(path)
         argvs.extend(_queries(("--config", path), k, n, degree, subgroup))
+    os.makedirs("malformed")
+    for name, (field, value) in MALFORMED.items():
+        path = os.path.join("malformed", f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_edited(copy.deepcopy(G24), field, value), fh)
+        argvs.append(("euler", "--config", path))
+    argvs.extend(ARGUMENTS)
 
     for argv in argvs:
         print(_line(argv, lambda: cli.main(list(argv))), flush=True)
