@@ -23,8 +23,8 @@ from math import factorial, lcm
 from typing import Callable, Sequence
 
 from .ratpoly import Poly, Series, eval_series, exp_series
-from .rootdata import root_euler_class
-from .quotient import QuotientModel, SplitBundle, integrate_points, integrate_torus, stabilizer_blocks
+from .rootdata import root_euler_class, stabilizer_blocks
+from .quotient import QuotientModel, SplitBundle, integrate_points, integrate_torus
 
 
 # -- named multiplicative series ------------------------------------------

@@ -319,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("pairing", help="pair monomials in dual-tautological Chern classes")
     add_model_args(p, csv=True, latex=True)
-    p.add_argument("--exps", help="comma-separated exponents m_1,...,m_k")
-    p.add_argument("--table", action="store_true", help="emit all top-degree pairings")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--exps", help="comma-separated exponents m_1,...,m_k")
+    which.add_argument("--table", action="store_true", help="emit all top-degree pairings")
     p.add_argument("--oracle", action="store_true", help="cross-check against the Pieri oracle")
     p.set_defaults(func=_cmd_pairing)
 
@@ -348,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("charnum", help="characteristic number for a multiplicative class")
     add_model_args(p, latex=True)
-    p.add_argument("--class", dest="klass", default="total-chern", help="named series")
-    p.add_argument("--series", help="custom series as rational coefficients c0,c1,...")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--class", dest="klass", default="total-chern", help="named series")
+    which.add_argument("--series", help="custom series as rational coefficients c0,c1,...")
     p.set_defaults(func=_cmd_charnum)
 
     p = add_command("index", help="index of the twisted operator on the quotient")

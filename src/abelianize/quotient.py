@@ -304,20 +304,6 @@ def all_points(ring: Ring, blocks: Blocks | None = (), roots: Sequence = ()) -> 
     return {a: k if a == r else 2 * k for a, r, k in flats if a <= r}
 
 
-def stabilizer_blocks(truncations: Sequence[int], *weights: dict[tuple[int, ...], int]) -> Blocks:
-    """The blocks of the Young subgroup generated by the transpositions (i j)
-    with n_i = n_j that fix every multiset of weights (weight: multiplicity).
-    With (i j) and (j l) among them, so is (i l) = (i j)(j l)(i j): each
-    variable joins the block of the least variable it may be swapped with."""
-    rank, least = len(truncations), list(range(len(truncations)))
-    for i, j in combinations(range(rank), 2):
-        if least[j] == j and truncations[i] == truncations[j]:
-            at = itemgetter(*(j if x == i else i if x == j else x for x in range(rank)))
-            if all({at(w): c for w, c in s.items()} == s for s in weights):
-                least[j] = i
-    return tuple(tuple(i for i in range(rank) if least[i] == x) for x in sorted(set(least)))
-
-
 def _column(xs: dict, ts: list[list[int]], w: Sequence[int]) -> list[int]:
     """w.t over the points from the t_i, built once for w and -w (in xs)."""
     w = tuple(w)

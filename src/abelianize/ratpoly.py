@@ -11,10 +11,10 @@ A `Poly` stores integer numerators over one positive denominator (`nums`,
 (addition, scalar multiples, both product kernels, `inverse`, `eval_series`,
 `parse_poly`) takes or returns numerators and reduces by one gcd, so no
 `Fraction` is built inside the arithmetic, and the product kernels and
-`inverse` key each monomial by one integer slot code (`_Codes`), so no
-exponent tuple is built per term pair.  `terms`, the rational view (ints or
-`Fraction`s, never floats), is built on first read; `coefficient` and
-`constant_term` build one `Fraction` per call.
+`inverse` key each monomial by its integer slot code in the ring's box
+table (`_slot_layout`), so no exponent tuple is built per term pair.
+`terms`, the rational view (ints or `Fraction`s, never floats), is built on
+first read; `coefficient` and `constant_term` build one `Fraction` per call.
 
 `Series` holds a univariate power series the same way, numerators over one
 denominator, long enough to cover a ring's top degree; `eval_series`
@@ -269,15 +269,12 @@ class Poly:
         return Poly._reduced(self.ring, {e: c * num for e, c in self.nums.items()}, self.den * den)
 
     def product_upto(self, other: Poly, degree: int) -> Poly:
-        """The product with every term of total degree above `degree` dropped.
-
-        This is the ring's one multiplication.  A constant operand scales
-        the other.  Otherwise the packed kernel's work grows with the number
-        of monomials in the ring's box, the pair loop's with the number of
-        term pairs: it loops over pairs where there are at most eight times
-        as many pairs as monomials, else multiplies the operands packed into
-        two ints.
-        """
+        """The product with every term of total degree above `degree` dropped,
+        the ring's one multiplication.  A constant operand scales the other.
+        Otherwise both kernels read the ring's box table (`_slot_layout`):
+        the pair loop, whose work grows with the term pairs, where there are
+        at most eight times as many pairs as monomials in the box, else the
+        packed kernel, whose work grows with the monomials."""
         self._check_ring(other)
         small, large = sorted((self, other), key=lambda f: len(f.nums))
         if len(small.nums) == 1 and (c := small.nums.get((0,) * self.ring.k)):
@@ -305,14 +302,15 @@ class Poly:
         """Multiplicative inverse; exists iff the constant term is nonzero.
         One pass over the box by degree, on numerators: with self = P/d, H_0
         = 1 and H_e = -sum_f P_f P_0^(|f|-1) H_(e-f) over the nonzero f <= e,
-        and the coefficient at e is d H_e / P_0^(|e|+1).  H is keyed by slot
-        code, and code(e) - code(f) is a code only where f <= e (`_Codes`)."""
+        and the coefficient at e is d H_e / P_0^(|e|+1).  H is keyed by the
+        box's slot codes (`_slot_layout`), and code(e) - code(f) is one only
+        where f <= e."""
         ring, zero = self.ring, (0,) * self.ring.k
         p0, top = self.nums.get(zero, 0), ring.top_degree
         if not p0:
             raise ValueError("polynomial with zero constant term is not invertible")
-        codes, (monomials, slots, _) = _Codes(ring.truncations), _slot_layout(ring.truncations)
-        steps = [(codes[f], c * p0 ** (sum(f) - 1)) for f, c in self.nums.items() if f != zero]
+        monomials, slots, _, code, _ = _slot_layout(ring.truncations)
+        steps = [(code[f], c * p0 ** (sum(f) - 1)) for f, c in self.nums.items() if f != zero]
         H = {0: 1}
         for s in slots[1:]:  # by degree, after zero
             if h := -sum(c * H.get(s - t, 0) for t, c in steps):
@@ -340,51 +338,36 @@ class Poly:
 def _product_pairs(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
     """Numerators of p*q up to `degree` over p.den * q.den, unreduced, one
     term pair at a time: a pair's slot code is the sum of its terms' codes,
-    and `_Codes` says whether that sum codes a monomial.  The right terms go
-    by increasing degree, so each left term stops early."""
-    codes = _Codes(p.ring.truncations)
-    right = sorted((sum(e), codes[e], c) for e, c in q.nums.items())
+    which the box table's `at` (`_slot_layout`) decodes where it codes a
+    monomial.  The right terms go by increasing degree, so each left term
+    stops early."""
+    *_, code, at = _slot_layout(p.ring.truncations)
+    right = sorted((sum(e), code[e], c) for e, c in q.nums.items())
     out: dict[int, int] = {}
     for e1, c1 in p.nums.items():
-        room, s1 = degree - sum(e1), codes[e1]
+        room, s1 = degree - sum(e1), code[e1]
         for d2, s2, c2 in right:
             if d2 > room:
                 break
-            if codes[s := s1 + s2]:
+            if (s := s1 + s2) in at:
                 out[s] = out.get(s, 0) + c1 * c2
-    return {codes[s]: c for s, c in out.items()}
+    return {at[s]: c for s, c in out.items()}
 
 
-@lru_cache(maxsize=8)  # one map per ring
-class _Codes(dict):
-    """The slot codes of a ring's box, both ways, each made on first lookup
-    so that no box is enumerated: exponent tuple e to code(e) = sum_i e_i
-    stride_i, stride_i = prod_{j<i} (2 n_j - 1), and a sum of two codes to
-    the exponent tuple it codes, or None outside the box.  Digits add
-    without carrying, and each integer of size at most code(top) is sum_i
-    d_i stride_i for exactly one d with |d_i| <= n_i - 1, so code(e) -
-    code(f) is a code exactly when e >= f."""
-
-    def __init__(self, truncations: Exponent):
-        self.truncations = truncations
-        self.strides = tuple(accumulate((2 * n - 1 for n in truncations[:-1]), mul, initial=1))
-
-    def __missing__(self, key: Exponent | int) -> int | Exponent | None:
-        if isinstance(key, tuple):
-            self[key] = sum(map(mul, key, self.strides))
-        else:
-            e = tuple(key // s % (2 * n - 1) for s, n in zip(self.strides, self.truncations))
-            self[key] = e if all(map(lt, e, self.truncations)) else None
-        return self[key]
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8)  # one table per ring
 def _slot_layout(truncations: Exponent):
-    """The box that `_product_packed` and `Poly.inverse` run over: every
-    monomial by degree, and its slot code (`_Codes`) and degree."""
+    """A ring's box: each monomial e by degree, its slot code code(e) =
+    sum_i e_i stride_i, stride_i = prod_{j<i} (2 n_j - 1), and its degree;
+    and the codes both ways, `code` and `at`.  Digits add without carrying,
+    and each integer of size at most code(top) is sum_i d_i stride_i for
+    exactly one d with |d_i| <= n_i - 1, so a sum or difference of two
+    codes is in `at` exactly where it codes a monomial of the box:
+    code(e) - code(f) where e >= f."""
+    strides = tuple(accumulate((2 * n - 1 for n in truncations[:-1]), mul, initial=1))
     monomials = tuple(sorted(product(*map(range, truncations)), key=sum))
-    slots = tuple(map(_Codes(truncations).__getitem__, monomials))
-    return monomials, slots, tuple(map(sum, monomials))
+    slots = tuple(sum(map(mul, e, strides)) for e in monomials)
+    code = dict(zip(monomials, slots))
+    return monomials, slots, tuple(map(sum, monomials)), code, dict(zip(slots, monomials))
 
 
 def _pack(nums: list[tuple[int, int]], width: int) -> int:
@@ -405,25 +388,21 @@ def _product_packed(p: Poly, q: Poly, degree: int) -> dict[Exponent, int]:
     """Numerators of p*q up to `degree` over p.den * q.den, unreduced, by
     Kronecker substitution.
 
-    Both operands' numerators become one integer each with
-    a fixed-width signed slot per monomial (`_slot_layout`);
-    one big-integer product holds every coefficient of p*q.  A slot of the
-    product sums at most min(#p, #q) pairs, so its value lies within bound =
-    min(#p, #q) * max|p| * max|q|, and `width` bytes with one sign bit to
-    spare hold it.  Adding 2**(8*width - 1) to every slot makes each one a
-    nonnegative byte string, so one `to_bytes` decodes them all.
+    Both operands' numerators become one integer each with a fixed-width
+    signed slot per monomial of the box (`_slot_layout`); one big-integer
+    product holds every coefficient of p*q.  A slot of the product sums at
+    most min(#p, #q) pairs, so its value lies within bound = min(#p, #q) *
+    max|p| * max|q|, and `width` bytes with one sign bit to spare hold it.
+    Adding 2**(8*width - 1) to every slot makes each one a nonnegative byte
+    string, so one `to_bytes` decodes them all.
     """
     if degree < 0 or not p.nums or not q.nums:
         return {}
-    codes, (monomials, slots, degrees) = _Codes(p.ring.truncations), _slot_layout(p.ring.truncations)
-    nums_p, nums_q = ([(codes[e], v) for e, v in f.nums.items() if sum(e) <= degree] for f in (p, q))
+    monomials, slots, degrees, code, _ = _slot_layout(p.ring.truncations)
+    nums_p, nums_q = ([(code[e], v) for e, v in f.nums.items() if sum(e) <= degree] for f in (p, q))
     if not nums_p or not nums_q:
         return {}
-    bound = (
-        min(len(nums_p), len(nums_q))
-        * max(abs(v) for _, v in nums_p)
-        * max(abs(v) for _, v in nums_q)
-    )
+    bound = min(len(nums_p), len(nums_q)) * prod(max(abs(v) for _, v in f) for f in (nums_p, nums_q))
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     # the top monomial comes last and has the largest in-ring slot

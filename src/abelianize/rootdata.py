@@ -11,15 +11,17 @@ c(e_j - e_i) is the transposition (i j), so where the roots lie on every
 pair inside blocks of variables, `reflection_blocks`, W = prod S_|b|, never
 listed.  `RootData` builds W's generators once, the transpositions inside
 the blocks, and checks the roots, the declared generators and the order
-against them; `RootData.moved` names one that moves a multiset of weights,
-`g in root_data` tests membership, and `check_subgroup` and `complement`
-answer for a full-rank subgroup.  Products of unitary groups are built
-from their blocks (`RootData.from_blocks`); other groups come as explicit
-data (from the config).
+against them; `RootData.moved` names one that moves a multiset of weights
+and `stabilizer_blocks` the Young subgroup of the swaps that fix some, both
+by `fixes`; `g in root_data` tests membership, and `check_subgroup` and
+`complement` answer for a full-rank subgroup.  Products of unitary groups
+are built from their blocks (`RootData.from_blocks`); other groups come as
+explicit data (from the config).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -39,6 +41,24 @@ def as_weight(w: Sequence[int], rank: int) -> Weight:
 
 def _swap(i: int, j: int, rank: int) -> Perm:
     return tuple(j if x == i else i if x == j else x for x in range(rank))
+
+
+def fixes(g: Perm, *multisets: dict[Weight, int]) -> bool:
+    """Whether the transposition g fixes each multiset (weight: multiplicity)."""
+    at = itemgetter(*g)  # `permute_exponents` by g, a transposition: g = g^-1
+    return all({at(w): c for w, c in s.items()} == s for s in multisets)
+
+
+def stabilizer_blocks(truncations: Sequence[int], *multisets: dict[Weight, int]) -> Blocks:
+    """The blocks of the Young subgroup generated by the transpositions (i j)
+    with n_i = n_j that fix every multiset of weights (weight: multiplicity).
+    With (i j) and (j l) among them, so is (i l) = (i j)(j l)(i j): each
+    variable joins the block of the least variable it may be swapped with."""
+    rank, least = len(truncations), list(range(len(truncations)))
+    for i, j in combinations(range(rank), 2):
+        if least[j] == j and truncations[i] == truncations[j] and fixes(_swap(i, j, rank), *multisets):
+            least[j] = i
+    return tuple(tuple(i for i in range(rank) if least[i] == x) for x in sorted(set(least)))
 
 
 def one_based(g: Perm) -> list[int]:
@@ -119,11 +139,7 @@ class RootData:
     def moved(self, weights: dict[Weight, int]) -> Perm | None:
         """A generator of W that moves the multiset of weights (each weight
         with its multiplicity), or None where W fixes it."""
-        for g in self.generators:
-            at = itemgetter(*g)  # `permute_exponents` by g, a transposition: g = g^-1
-            if {at(w): c for w, c in weights.items()} != weights:
-                return g
-        return None
+        return next((g for g in self.generators if not fixes(g, weights)), None)
 
     def __contains__(self, g: Perm) -> bool:
         """Whether the permutation g of the variables lies in W: it maps

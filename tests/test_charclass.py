@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from abelianize import cli, presentation, ratpoly
 from abelianize.config import model_from_config, model_to_config
 from abelianize.ratpoly import Ring, Series, eval_series, exp_series
-from abelianize.rootdata import RootData, Subgroup, root_euler_class, unitary_roots
+from abelianize.rootdata import RootData, Subgroup, root_euler_class, stabilizer_blocks, unitary_roots
 from abelianize.quotient import (
     QuotientModel,
     SplitBundle,
@@ -25,7 +25,6 @@ from abelianize.quotient import (
     grassmannian_model,
     integrate_points,
     integrate_torus,
-    stabilizer_blocks,
 )
 from abelianize.charclass import (
     CLASS_SERIES,

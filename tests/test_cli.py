@@ -301,7 +301,7 @@ class TestDispatch:
              "choice: 'frobnicate' (choose from 'pairing', 'integrate', 'betti', 'presentation', "
              "'euler', 'signature', 'charnum', 'index', 'oracle-check', 'config-dump')\n"),
             (["pairing", "--help"], 0,
-             "sha256:da92dd6bab24710963d5c418a573759b4b536249c293449ddd459664b4372005", ""),
+             "sha256:438942b6e4f4d1e6c0d9c02ca6166e18c68ff59cf999466cb1ef83a4eacac8e0", ""),
             (["pairing", "--bogus"], 2, "",
              TOP_USAGE + "abelianize: error: unrecognized arguments: --bogus\n"),
             (["betti", "--grassmannian", "2", "4", "--subgroup"], 2, "",
@@ -606,6 +606,14 @@ ARGUMENT_REFUSALS = [
      "error: a multiplicative class series must have constant term 1"),
 ]
 
+#: Options that name the same input twice, which argparse refuses with its
+#: usage on stderr, before any model is built.
+EXCLUSIVE_REFUSALS = [
+    (("charnum", "--class", "a-hat", "--series", "1,1"),
+     "argument --series: not allowed with argument --class"),
+    (("pairing", "--exps", "9,x", "--table"), "argument --table: not allowed with argument --exps"),
+]
+
 
 class TestRefusals:
     @pytest.mark.parametrize("field, value, where, message", CONFIG_REFUSALS)
@@ -619,6 +627,15 @@ class TestRefusals:
     def test_argument_refusal_is_located(self, capsys, argv, message):
         command, *rest = argv
         assert run(capsys, command, "--grassmannian", "2", "4", *rest) == (2, "", f"{message}\n")
+
+    @pytest.mark.parametrize("argv, message", EXCLUSIVE_REFUSALS)
+    def test_exclusive_options_are_refused(self, capsys, argv, message):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--grassmannian", "2", "4", *rest])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"abelianize {command}: error: {message}\n")
 
     def test_model_refusals(self):
         m = grassmannian_model(2, 4)

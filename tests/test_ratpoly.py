@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 import pytest
@@ -21,9 +20,9 @@ from abelianize.ratpoly import (
     parse_poly,
     permute_exponents,
     render_poly,
-    _Codes,
     _product_packed,
     _product_pairs,
+    _slot_layout,
 )
 from references import inverse as inverse_reference, parse_poly as parse_poly_reference
 from references import permute_poly, product_pairs as product_pairs_reference
@@ -268,16 +267,15 @@ class TestSlotCodes:
         truncs = tuple(data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
         box = st.tuples(*(st.integers(0, n - 1) for n in truncs))
         e, f = data.draw(box), data.draw(box)
-        codes = _Codes(truncs)
-        box_codes = {codes[x] for x in product(*map(range, truncs))}
-        assert len(box_codes) == prod(truncs)
-        difference = codes[e] - codes[f]
-        assert (difference in box_codes) == all(a >= b for a, b in zip(e, f))
-        if difference in box_codes:
-            assert difference == codes[tuple(a - b for a, b in zip(e, f))]
+        *_, code, at = _slot_layout(truncs)
+        assert len(code) == len(at) == prod(truncs)
+        difference = code[e] - code[f]
+        assert (difference in at) == all(a >= b for a, b in zip(e, f))
+        if difference in at:
+            assert difference == code[tuple(a - b for a, b in zip(e, f))]
         total = tuple(a + b for a, b in zip(e, f))
         inside = all(x < n for x, n in zip(total, truncs))
-        assert codes[codes[e] + codes[f]] == (total if inside else None)
+        assert at.get(code[e] + code[f]) == (total if inside else None)
 
     @settings(deadline=None)
     @given(operands_and_degree())

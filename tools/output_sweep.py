@@ -21,14 +21,17 @@ checkout that drops the flag lists fewer queries, and `diff` shows which.
 The same queries run on `REFUSALS`, one config per refusal of a model that
 W does not act on as declared or whose positive roots order no block; then
 `euler` runs on each `MALFORMED` config, one per located refusal of a
-malformed field, and the `ARGUMENTS` queries on G(2,4): `betti`'s csv table
-and one query per located refusal of a subcommand's own arguments.
+malformed field, and the `ARGUMENTS` queries on G(2,4): `betti`'s csv table,
+one query per located refusal of a subcommand's own arguments and two
+whose options exclude each other.
 Last come library lines, which no CLI query reaches, on each G(k,n) above:
 the Segre pairings, the integrals of prod_i (1 + u_i)^-1 * prod_i e_i^m_i
 with `Poly.inverse` and ring products, at the `pairing --exps` vectors of
 every degree up to the dimension; and the values of `mult_class` (total
 Chern, Todd and L-class of the tangent bundle) and `lambda_alternating_ch`
-(of the positive-root bundle), rendered.
+(of the positive-root bundle), rendered; then, on each ring of `RINGS`,
+whose strides differ, a product by a constant, each product kernel and
+`product_upto` at the degrees -1, 1 and top, and `Poly.inverse`, rendered.
 Config files are written to a temporary directory under relative paths, so
 error messages that name a path read the same for every checkout.  Stdlib
 only.
@@ -189,8 +192,9 @@ MALFORMED = {
 
 _G24 = ("--grassmannian", "2", "4")
 
-#: `betti`'s csv table on G(2,4), and one query per located refusal of a
-#: subcommand's own arguments, the last the generic `error:` exit.
+#: `betti`'s csv table on G(2,4), one query per located refusal of a
+#: subcommand's own arguments, the last the generic `error:` exit, and two
+#: queries whose options exclude each other.
 ARGUMENTS = [
     ("betti", *_G24, "--format", "csv"),
     ("pairing", *_G24, "--exps", "1,x"),
@@ -201,7 +205,14 @@ ARGUMENTS = [
     ("charnum", *_G24, "--series", "1,x"),
     ("charnum", *_G24, "--class", "a-hat"),
     ("charnum", *_G24, "--series", "0,1"),
+    ("charnum", *_G24, "--class", "a-hat", "--series", "1,1"),
+    ("pairing", *_G24, "--exps", "9,x", "--table"),
 ]
+
+#: Truncations of the rings whose products the library lines render: the
+#: strides differ from variable to variable, and some variable is truncated
+#: at 1 (u_i = 0) in two of them.
+RINGS = [(1, 4, 2), (2, 3, 5), (3, 1, 4, 2)]
 
 
 def _edited(doc, field: str, value):
@@ -302,6 +313,34 @@ def _library(k: int, n: int):
            lambda: str(charclass.lambda_alternating_ch(positive)))
 
 
+def _ring_library(truncations: tuple[int, ...]):
+    """(label, call) for each library line on the ring with the given
+    truncations: a product by a constant, each product kernel and the public
+    product at the degrees -1, 1 and top, and `Poly.inverse`."""
+    from fractions import Fraction
+    from itertools import product
+
+    from abelianize import ratpoly
+
+    ring = ratpoly.Ring(len(truncations), truncations)
+    box = list(product(*map(range, truncations)))
+    p = ratpoly.Poly(ring, {e: Fraction((-1) ** sum(e) * (2 + sum(e) * e[-1]), 1 + e[0]) for e in box})
+    q = ratpoly.Poly(ring, {e: Fraction(sum(e) - 2, 1 + i) for i, e in enumerate(box)})
+    c = ring.constant(Fraction(-5, 3))
+    label = ("lib", "ring", ",".join(map(str, truncations)))
+
+    def kernel(name: str, d: int) -> str:
+        nums = getattr(ratpoly, name)(p, q, d)
+        return str(ratpoly.Poly._reduced(ring, nums, p.den * q.den))
+
+    for d in (-1, 1, ring.top_degree):
+        yield (*label, "constant", str(d)), lambda d=d: str(p.product_upto(c, d))
+        for name in ("_product_pairs", "_product_packed"):
+            yield (*label, name, str(d)), lambda name=name, d=d: kernel(name, d)
+        yield (*label, "product_upto", str(d)), lambda d=d: str(q.product_upto(p, d))
+    yield (*label, "inverse"), lambda: str(p.inverse())
+
+
 def _line(argv: tuple[str, ...], call) -> str:
     """status, hash of stdout and stderr, and argv, for one call."""
     out, err = io.StringIO(), io.StringIO()
@@ -357,6 +396,7 @@ def sweep(checkout: str) -> list[tuple[str, ...]]:
     for argv in argvs:
         print(_line(argv, lambda: cli.main(list(argv))), flush=True)
     library = [line for k, n in grassmannians for line in _library(k, n)]
+    library.extend(line for truncations in RINGS for line in _ring_library(truncations))
     for argv, call in library:
         print(_line(argv, lambda: print(call()) or 0), flush=True)
     return argvs + [argv for argv, _ in library]
